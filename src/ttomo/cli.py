@@ -193,10 +193,7 @@ def _write_manifest(path: Path, entries: dict) -> None:
 
 
 def read_manifest(path) -> dict:
-    try:
-        lines = Path(path).read_text(encoding="ascii").splitlines()
-    except FileNotFoundError:
-        raise
+    lines = Path(path).read_text(encoding="ascii").splitlines()
     if not lines or lines[0] != _MANIFEST_MAGIC:
         raise DataFormatError(f"{path}:1: expected header '{_MANIFEST_MAGIC}'")
     entries = {}

@@ -4,9 +4,9 @@ The train is fitted by alternating multiplicative updates over left-right
 sweeps. A site update multiplies the core elementwise by the ratio of two
 tensors assembled from cached partial contractions:
 
-* the data term: a sample-weighted outer product of the boundary overlap
-  vectors of the chain with each observed string, restricted per outcome
-  symbol to the samples showing that symbol at the site;
+* the data term: a sample-weighted outer product of the left and right
+  environments of each observed string (its overlap with the chain on
+  either side of the site), split by the string's symbol at the site;
 * the model term: the core contracted with the left and right Gram matrices
   of the rest of the chain.
 
@@ -16,12 +16,18 @@ shrink. A small ``eps`` is added to the denominator only.
 
 Boundary position ``p`` in 0..L splits the chain between cores ``p - 1`` and
 ``p``: left quantities cover cores ``0 .. p-1``, right quantities cover cores
-``p .. L-1``.
+``p .. L-1``. A left environment depends only on the string's first ``p``
+symbols and a right one only on its last ``L - p``, so each is stored once
+per distinct prefix or suffix. A sample set is sorted, which makes the
+strings sharing a prefix one contiguous run of rows; one extra sort by the
+reversed string does the same for suffixes (``SampleSet.runs``). Refreshes
+and the loss then work per run rather than per sample, and the data term of
+an update is one gather and one segment sum over the samples plus a GEMM
+over the runs.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -31,7 +37,8 @@ import numpy as np
 from .errors import ValidationError
 from .networks import TTDistribution
 from .sampling import SampleSet
-from .tensor import DEFAULT_EPS, hadamard_div
+
+DEFAULT_EPS = 1e-16
 
 
 @dataclass(frozen=True)
@@ -92,95 +99,56 @@ def init_tt(L: int, bond_dim: int, seed: int) -> TTDistribution:
     return TTDistribution(cores)
 
 
+def _extend(env: np.ndarray, slabs: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """Extend per-run environment columns across one core.
+
+    ``env`` holds one column per run at the previous position and ``slabs``
+    is the core arranged as (D_out, 4, D_in). One GEMM forms every
+    (symbol, run) product; each new run then picks its column by ``slot``.
+    """
+    d_out, _, d_in = slabs.shape
+    products = (slabs.reshape(4 * d_out, d_in) @ env).reshape(d_out, -1)
+    return np.take(products, slot, axis=1)
+
+
 class EnvCache:
     """Partial contractions of a train with itself and with the samples.
 
-    Gram matrices (train against train) are stored for every boundary
-    position. Per-sample overlap vectors (train against one observed string)
-    are stored only at anchor positions spaced ``anchor_spacing`` apart plus
-    the position the sweep last refreshed; others are rebuilt from the
-    nearest stored position on demand. Entries invalidated by a core update
-    are dropped until a refresh recomputes them, so everything readable
-    always equals its from-scratch definition.
+    Gram matrices (train against train) are stored at every boundary
+    position. Environments (train against the observed strings) are stored
+    once per distinct prefix on the left and once per distinct suffix on the
+    right, as one column per run of ``samples.runs``: the set is sorted, so
+    rows sharing a prefix are contiguous, and one sort by the reversed
+    string makes rows sharing a suffix contiguous too. Extending an
+    environment by one core is then one small GEMM over the runs of the
+    previous position, and the update's data term is a segment sum over
+    contiguous runs.
+
+    Entries invalidated by a core update are unreadable until a refresh
+    recomputes them, so everything readable equals its from-scratch
+    definition.
     """
 
-    def __init__(self, tt: TTDistribution, samples: SampleSet, anchor_spacing: int | None = None):
+    def __init__(self, tt: TTDistribution, samples: SampleSet):
         if samples.L != tt.length:
             raise ValidationError(
                 f"sample length {samples.L} does not match train length {tt.length}"
             )
         self.tt = tt
         self.samples = samples
+        self.runs = samples.runs
+        self._weights = samples.weights
         L = tt.length
-        if anchor_spacing is None:
-            anchor_spacing = max(1, math.ceil(L / 4))
-        if anchor_spacing < 1:
-            raise ValidationError(f"anchor spacing must be >= 1, got {anchor_spacing}")
-        self.anchor_spacing = int(anchor_spacing)
-        self._left_gram = [None] * (L + 1)
-        self._right_gram = [None] * (L + 1)
-        self._left_valid = -1
-        self._right_valid = L + 1
-        self._left_overlap = {}
-        self._right_overlap = {}
-        self.rebuild()
-
-    # -- construction -----------------------------------------------------
-
-    def _is_anchor(self, p: int) -> bool:
-        return p % self.anchor_spacing == 0 or p in (0, self.tt.length)
-
-    def rebuild(self) -> None:
-        """Recompute every stored quantity from the current cores."""
-        L = self.tt.length
-        ns = self.samples.n_distinct
-        self._left_overlap.clear()
-        self._right_overlap.clear()
-        gram = np.ones((1, 1))
-        overlap = np.ones((ns, 1))
-        self._left_gram[0] = gram
-        self._left_overlap[0] = overlap
-        for p in range(L):
-            gram, overlap = self._step_left(p, gram, overlap)
-            self._left_gram[p + 1] = gram
-            if self._is_anchor(p + 1):
-                self._left_overlap[p + 1] = overlap
-        gram = np.ones((1, 1))
-        overlap = np.ones((ns, 1))
-        self._right_gram[L] = gram
-        self._right_overlap[L] = overlap
-        for p in range(L - 1, -1, -1):
-            gram, overlap = self._step_right(p, gram, overlap)
-            self._right_gram[p] = gram
-            if self._is_anchor(p):
-                self._right_overlap[p] = overlap
-        self._left_valid = L
-        self._right_valid = 0
-
-    def _overlap_step(self, p: int, overlap: np.ndarray, transpose: bool) -> np.ndarray:
-        """Absorb the sample-selected slices of core p into overlap vectors."""
-        core = self.tt.cores[p]
-        sym = self.samples.strings[:, p]
-        width = core.shape[1] if transpose else core.shape[2]
-        new = np.empty((overlap.shape[0], width))
-        for s in range(4):
-            mask = sym == s
-            if mask.any():
-                slab = core[s].T if transpose else core[s]
-                new[mask] = overlap[mask] @ slab
-        return new
-
-    def _step_left(self, p: int, gram: np.ndarray, overlap: np.ndarray):
-        """Extend position-p left quantities across core p."""
-        core = self.tt.cores[p]
-        new_gram = sum(core[s].T @ gram @ core[s] for s in range(4))
-        return new_gram, self._overlap_step(p, overlap, transpose=False)
-
-    def _step_right(self, p: int, gram: np.ndarray, overlap: np.ndarray):
-        """Extend position-(p+1) right quantities across core p."""
-        core = self.tt.cores[p]
-        new_gram = sum(core[s] @ gram @ core[s].T for s in range(4))
-        return new_gram, self._overlap_step(p, overlap, transpose=True)
+        self._left_gram = [np.ones((1, 1))] + [None] * L
+        self._right_gram = [None] * L + [np.ones((1, 1))]
+        self._left_env = [np.ones((1, 1))] + [None] * L
+        self._right_env = [None] * L + [np.ones((1, 1))]
+        self._left_valid = 0
+        self._right_valid = L
+        for k in range(L):
+            self.refresh_left(k)
+        for k in range(L - 1, -1, -1):
+            self.refresh_right(k)
 
     # -- reads -------------------------------------------------------------
 
@@ -194,86 +162,90 @@ class EnvCache:
 
     @property
     def stored_left_overlap_positions(self) -> list:
-        return sorted(self._left_overlap)
+        return list(self.valid_left_positions)
 
     @property
     def stored_right_overlap_positions(self) -> list:
-        return sorted(self._right_overlap)
+        return list(self.valid_right_positions)
 
-    def left_gram(self, p: int) -> np.ndarray:
+    def _check_left(self, p: int) -> None:
         if not 0 <= p <= self._left_valid:
             raise IndexError(f"left position {p} is not valid (have 0..{self._left_valid})")
+
+    def _check_right(self, p: int) -> None:
+        if not self._right_valid <= p <= self.tt.length:
+            raise IndexError(
+                f"right position {p} is not valid (have {self._right_valid}..{self.tt.length})"
+            )
+
+    def left_gram(self, p: int) -> np.ndarray:
+        self._check_left(p)
         return self._left_gram[p]
 
     def right_gram(self, p: int) -> np.ndarray:
-        if not self._right_valid <= p <= self.tt.length:
-            raise IndexError(
-                f"right position {p} is not valid (have {self._right_valid}..{self.tt.length})"
-            )
+        self._check_right(p)
         return self._right_gram[p]
 
     def left_overlaps(self, p: int) -> np.ndarray:
-        """Per-sample left overlap at position p, rebuilt from an anchor if needed."""
-        if not 0 <= p <= self._left_valid:
-            raise IndexError(f"left position {p} is not valid (have 0..{self._left_valid})")
-        start = max(q for q in self._left_overlap if q <= p)
-        overlap = self._left_overlap[start]
-        for q in range(start, p):
-            overlap = self._overlap_step(q, overlap, transpose=False)
-        return overlap
+        """Per-sample left overlap at position p, expanded from the prefix runs."""
+        self._check_left(p)
+        return self._left_env[p][:, self.runs.prefix_of_row(p)].T
 
     def right_overlaps(self, p: int) -> np.ndarray:
-        """Per-sample right overlap at position p, rebuilt from an anchor if needed."""
-        if not self._right_valid <= p <= self.tt.length:
-            raise IndexError(
-                f"right position {p} is not valid (have {self._right_valid}..{self.tt.length})"
-            )
-        start = min(q for q in self._right_overlap if q >= p)
-        overlap = self._right_overlap[start]
-        for q in range(start - 1, p - 1, -1):
-            overlap = self._overlap_step(q, overlap, transpose=True)
-        return overlap
+        """Per-sample right overlap at position p, expanded from the suffix runs."""
+        self._check_right(p)
+        return self._right_env[p][:, self.runs.suffix_of_row[p]].T
+
+    def data_term(self, k: int) -> np.ndarray:
+        """Sample-weighted sum of left(k) x right(k+1) outer products per symbol at k.
+
+        The weighted right environments of the samples are summed over each
+        prefix run of length k + 1, then contracted with the left
+        environment of the run's parent prefix.
+        """
+        self._check_left(k)
+        self._check_right(k + 1)
+        runs = self.runs
+        right = np.take(self._right_env[k + 1], runs.suffix_of_row[k + 1], axis=1)
+        right *= self._weights
+        sums = np.add.reduceat(right, runs.prefix_starts[k + 1], axis=1)
+        left = self._left_env[k]
+        grid = np.zeros((4 * left.shape[1], sums.shape[0]))
+        grid[runs.prefix_slot[k + 1]] = sums.T
+        return left @ grid.reshape(4, left.shape[1], -1)
 
     # -- writes ------------------------------------------------------------
 
     def note_core_changed(self, k: int) -> None:
-        """Drop every cached quantity that depends on core ``k``."""
+        """Invalidate every cached quantity that depends on core ``k``."""
         self._left_valid = min(self._left_valid, k)
         self._right_valid = max(self._right_valid, k + 1)
-        for q in [q for q in self._left_overlap if q > k]:
-            del self._left_overlap[q]
-        for q in [q for q in self._right_overlap if q < k + 1]:
-            del self._right_overlap[q]
 
     def refresh_left(self, k: int) -> None:
         """Recompute position k+1 left quantities from the current core k."""
         if not 0 <= k < self.tt.length:
             raise IndexError(f"core index {k} out of range")
-        gram, overlap = self._step_left(k, self.left_gram(k), self.left_overlaps(k))
-        self._left_gram[k + 1] = gram
+        self._check_left(k)
+        core = self.tt.cores[k]
+        gram = self._left_gram[k]
+        self._left_gram[k + 1] = sum(core[s].T @ gram @ core[s] for s in range(4))
+        self._left_env[k + 1] = _extend(
+            self._left_env[k], core.transpose(2, 0, 1), self.runs.prefix_slot[k + 1]
+        )
         self._left_valid = k + 1
-        self._store_left_overlap(k + 1, overlap)
 
     def refresh_right(self, k: int) -> None:
         """Recompute position k right quantities from the current core k."""
         if not 0 <= k < self.tt.length:
             raise IndexError(f"core index {k} out of range")
-        gram, overlap = self._step_right(k, self.right_gram(k + 1), self.right_overlaps(k + 1))
-        self._right_gram[k] = gram
+        self._check_right(k + 1)
+        core = self.tt.cores[k]
+        gram = self._right_gram[k + 1]
+        self._right_gram[k] = sum(core[s] @ gram @ core[s].T for s in range(4))
+        self._right_env[k] = _extend(
+            self._right_env[k + 1], core.transpose(1, 0, 2), self.runs.suffix_slot[k]
+        )
         self._right_valid = k
-        self._store_right_overlap(k, overlap)
-
-    def _store_left_overlap(self, p: int, overlap: np.ndarray) -> None:
-        # Keep anchors plus the freshest position; evict the previous
-        # non-anchor entry so memory stays bounded.
-        for q in [q for q in self._left_overlap if not self._is_anchor(q) and q != p]:
-            del self._left_overlap[q]
-        self._left_overlap[p] = overlap
-
-    def _store_right_overlap(self, p: int, overlap: np.ndarray) -> None:
-        for q in [q for q in self._right_overlap if not self._is_anchor(q) and q != p]:
-            del self._right_overlap[q]
-        self._right_overlap[p] = overlap
 
 
 def update_core(
@@ -285,25 +257,19 @@ def update_core(
 ) -> np.ndarray:
     """Multiplicative update of core ``k`` in place; returns the new core.
 
-    The cache must hold valid left quantities at position ``k`` and right
-    quantities at position ``k + 1``.
+    The cache, built on ``samples``, must hold valid left quantities at
+    position ``k`` and right quantities at position ``k + 1``. ``eps`` is
+    added to the denominator only: it keeps the ratio finite where the model
+    term underflows to zero.
     """
     if not 0 <= k < tt.length:
         raise IndexError(f"core index {k} out of range for length {tt.length}")
     core = tt.cores[k]
     left_gram = cache.left_gram(k)
     right_gram = cache.right_gram(k + 1)
-    left_ovl = cache.left_overlaps(k)
-    right_ovl = cache.right_overlaps(k + 1)
-    weights = samples.weights
-    sym = samples.strings[:, k]
-    numer = np.zeros_like(core)
-    for s in range(4):
-        mask = sym == s
-        if mask.any():
-            numer[s] = (left_ovl[mask] * weights[mask, None]).T @ right_ovl[mask]
+    numer = cache.data_term(k)
     denom = np.stack([left_gram @ core[s] @ right_gram.T for s in range(4)])
-    new = core * hadamard_div(numer, denom, eps)
+    new = core * (numer / (denom + eps))
     tt.cores[k] = new
     cache.note_core_changed(k)
     return new
@@ -346,18 +312,21 @@ def loss(tt: TTDistribution, samples: SampleSet) -> float:
     """Shifted quadratic loss <P, P> - 2 <P, P_s>.
 
     The self term runs the Gram chain of the train; the data term evaluates
-    the train on the observed strings only. Neither enumerates all 4^L
-    strings. At the perfect fit the value is -sum((n_j / N)^2).
+    the train on the observed strings only, one prefix run at a time.
+    Neither enumerates all 4^L strings. At the perfect fit the value is -sum((n_j / N)^2).
     """
     if samples.L != tt.length:
         raise ValidationError(
             f"sample length {samples.L} does not match train length {tt.length}"
         )
+    runs = samples.runs
     gram = np.ones((1, 1))
-    for core in tt.cores:
+    env = np.ones((1, 1))
+    for p, core in enumerate(tt.cores):
         gram = sum(core[s].T @ gram @ core[s] for s in range(4))
+        env = _extend(env, core.transpose(2, 0, 1), runs.prefix_slot[p + 1])
     self_term = float(gram[0, 0])
-    data_term = float(samples.weights @ tt.evaluate(samples.strings))
+    data_term = float(samples.weights @ env[0])
     return self_term - 2.0 * data_term
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -13,6 +14,72 @@ _MAGIC = "ttsamples 1"
 # depend on available memory.
 _CHUNK = 1 << 20
 _MAX_CODE_SITES = 31  # base-4 string codes must fit in int64
+
+
+def _first_differences(strings: np.ndarray) -> np.ndarray:
+    """Column where each row first differs from the row before it; L if equal."""
+    n, L = strings.shape
+    differs = np.ones((max(n - 1, 0), L + 1), dtype=bool)
+    differs[:, :L] = strings[1:] != strings[:-1]
+    return differs.argmax(axis=1)
+
+
+def _prefix_runs(strings: np.ndarray) -> tuple:
+    """Runs of sorted rows sharing ``strings[:, :p]``, for p = 0..L.
+
+    Returns per-level lists: the first row of each run, its slot (``None`` at
+    p = 0; see ``RunIndex``), and the run of every row.
+    """
+    n, L = strings.shape
+    first = _first_differences(strings)
+    start = np.zeros(1, dtype=np.intp)
+    row_run = np.zeros(n, dtype=np.intp)
+    starts, slots, row_runs = [start], [None], [row_run]
+    for p in range(1, L + 1):
+        is_start = np.concatenate([np.ones(min(n, 1), dtype=bool), first < p])
+        parent_count = start.size
+        start = np.flatnonzero(is_start)
+        slots.append(strings[start, p - 1].astype(np.intp) * parent_count + row_run[start])
+        row_run = np.cumsum(is_start) - 1
+        starts.append(start)
+        row_runs.append(row_run)
+    return starts, slots, row_runs
+
+
+class RunIndex:
+    """Rows of a sorted sample set grouped by shared prefix and shared suffix.
+
+    The strings are in lexicographic order, so the rows sharing
+    ``strings[:, :p]`` form one contiguous run; prefix run r at boundary p
+    starts at row ``prefix_starts[p][r]``. One sort by the reversed string
+    makes the rows sharing ``strings[:, p:]`` contiguous too;
+    ``suffix_of_row[p]`` holds the suffix run of every row at p.
+
+    Every run at one boundary is a run q at the neighbouring boundary (p - 1
+    for prefixes, p + 1 for suffixes) extended by the symbol s at the site in
+    between. Its slot ``s * m + q``, with m the number of runs at the
+    neighbour, is its column in a symbol-major (symbol, run) grid:
+    ``prefix_slot[p]`` for p >= 1 and ``suffix_slot[p]`` for p < L.
+    """
+
+    def __init__(self, strings: np.ndarray):
+        n, L = strings.shape
+        self.n_rows = n
+        self.prefix_starts, self.prefix_slot, _ = _prefix_runs(strings)
+        # Prefixes of the reversed strings are the suffixes, level p <-> L - p.
+        order = np.lexsort(strings.T)
+        _, slots, row_runs = _prefix_runs(strings[order, ::-1])
+        self.suffix_slot = slots[::-1]
+        self.suffix_of_row = []
+        for row_run in row_runs[::-1]:
+            of_row = np.empty(n, dtype=np.intp)
+            of_row[order] = row_run
+            self.suffix_of_row.append(of_row)
+
+    def prefix_of_row(self, p: int) -> np.ndarray:
+        """Prefix run of every row at boundary p."""
+        starts = self.prefix_starts[p]
+        return np.repeat(np.arange(starts.size), np.diff(starts, append=self.n_rows))
 
 
 def _string_codes(strings: np.ndarray, L: int) -> np.ndarray:
@@ -62,8 +129,12 @@ class SampleSet:
             raise ValidationError(
                 f"multiplicities sum to {int(counts.sum())}, recorded total is {self.total}"
             )
-        codes = _string_codes(strings, self.L)
-        if codes.size > 1 and not np.all(np.diff(codes) > 0):
+        # At the first column where adjacent rows differ, the later row must
+        # be larger; rows that never differ are repeats.
+        first = _first_differences(strings)
+        rows = np.arange(first.size)
+        col = np.minimum(first, self.L - 1)
+        if np.any(first == self.L) or np.any(strings[rows + 1, col] < strings[rows, col]):
             raise ValidationError("strings must be distinct and lexicographically sorted")
         strings.setflags(write=False)
         counts.setflags(write=False)
@@ -76,6 +147,11 @@ class SampleSet:
     def weights(self) -> np.ndarray:
         """Empirical probabilities counts / total."""
         return self.counts / self.total
+
+    @cached_property
+    def runs(self) -> RunIndex:
+        """Prefix and suffix runs of the strings, built on first use."""
+        return RunIndex(self.strings)
 
     def codes(self) -> np.ndarray:
         """Strings as base-4 integers, site 0 most significant."""

@@ -16,7 +16,9 @@ from oracles import (
     brute_update_denom,
     brute_update_numer,
     dense_tt_vector,
+    prefix_vector,
     random_tt_cores,
+    suffix_vector,
 )
 from ttomo.errors import ValidationError
 from ttomo.fit import (
@@ -31,7 +33,7 @@ from ttomo.fit import (
     update_core,
 )
 from ttomo.networks import TTDistribution
-from ttomo.sampling import sample_dataset
+from ttomo.sampling import SampleSet, sample_dataset
 
 
 def _random_instance(L, bond_dim, n, seed):
@@ -143,12 +145,52 @@ def test_update_never_increases_loss():
         assert after <= before + 1e-9
 
 
+def test_update_adds_eps_to_the_denominator_only():
+    # L=1, D=1: both Gram matrices are 1, so the denominator is the core itself
+    samples = SampleSet(L=1, total=4, strings=[[0], [1], [2]], counts=[2, 1, 1])
+    core = np.array([0.5, 0.25, 0.0, 0.125])
+    weights = np.array([0.5, 0.25, 0.25, 0.0])
+    for eps in (0.25, 1e-16):
+        tt = TTDistribution([core.reshape(4, 1, 1).copy()])
+        update_core(tt, EnvCache(tt, samples), samples, 0, eps=eps)
+        assert np.array_equal(tt.cores[0][:, 0, 0], core * (weights / (core + eps)))
+    # a zero denominator under observed mass stays finite: the entry stays zero
+    assert tt.cores[0][2, 0, 0] == 0.0
+
+
 def test_update_preserves_zero_support():
     tt, samples = _random_instance(2, 2, 60, seed=90)
     tt.cores[0][1, 0, :] = 0.0
     cache = EnvCache(tt, samples)
     update_core(tt, cache, samples, 0, eps=1e-16)
     assert np.all(tt.cores[0][1, 0, :] == 0.0)
+
+
+def test_long_chain_sample_set_and_overlaps():
+    L = 40
+    rng = np.random.default_rng(400)
+    base = rng.integers(0, 4, size=(6, L))
+    rows = np.repeat(base, 5, axis=0)
+    cut = rng.integers(1, L, size=rows.shape[0])
+    tails = rng.integers(0, 4, size=rows.shape)
+    rows = np.where(np.arange(L) >= cut[:, None], tails, rows)
+    strings = np.unique(rows.astype(np.uint8), axis=0)
+    counts = rng.integers(1, 9, size=strings.shape[0])
+    samples = SampleSet(L=L, total=int(counts.sum()), strings=strings, counts=counts)
+    assert samples.n_distinct == strings.shape[0] > 1
+    with pytest.raises(ValidationError):
+        SampleSet(L=L, total=int(counts.sum()), strings=strings[::-1], counts=counts)
+    with pytest.raises(ValidationError):
+        doubled = np.concatenate([strings[:1], strings[:-1]])
+        SampleSet(L=L, total=int(counts.sum()), strings=doubled, counts=counts)
+    tt = init_tt(L, 3, seed=41)
+    cache = EnvCache(tt, samples)
+    for p in range(L + 1):
+        left = cache.left_overlaps(p)
+        right = cache.right_overlaps(p)
+        for row, string in enumerate(strings):
+            assert np.allclose(left[row], prefix_vector(tt.cores, string, p), rtol=1e-12)
+            assert np.allclose(right[row], suffix_vector(tt.cores, string, p), rtol=1e-12)
 
 
 def test_single_site_update_lands_on_frequencies():
