@@ -145,6 +145,16 @@ def test_update_never_increases_loss():
         assert after <= before + 1e-9
 
 
+def test_update_divides_data_term_by_model_term_exactly():
+    # L=1, D=1: both Gram matrices are 1, so the denominator is the core itself
+    # and, with eps=0, the updated core is the empirical distribution
+    samples = SampleSet(L=1, total=8, strings=[[0], [1], [2]], counts=[4, 2, 2])
+    core = np.array([0.5, 0.25, 0.125, 0.125])
+    tt = TTDistribution([core.reshape(4, 1, 1).copy()])
+    update_core(tt, EnvCache(tt, samples), samples, 0, eps=0.0)
+    assert np.allclose(tt.cores[0][:, 0, 0], [0.5, 0.25, 0.25, 0.0])
+
+
 def test_update_adds_eps_to_the_denominator_only():
     # L=1, D=1: both Gram matrices are 1, so the denominator is the core itself
     samples = SampleSet(L=1, total=4, strings=[[0], [1], [2]], counts=[2, 1, 1])
