@@ -19,7 +19,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ from .fit import FitConfig, fit
 from .metrics import classical_fidelity, quantum_fidelity
 from .networks import TTDistribution
 from .povm import tetrahedral_povm
-from .sampling import SampleSet, load_samples, sample_dataset, save_samples
+from .sampling import SampleSet, load_samples, sample_dataset, save_samples, split_train_test
 from .states import XxzParams, density_to_mpo, exact_outcome_distribution, synth_target
 from .storage import load_tensor, save_tensor
 
@@ -78,15 +78,7 @@ class ExperimentConfig:
     n_max: int = 10_000_000
 
     def fit_config(self) -> FitConfig:
-        return FitConfig(
-            bond_dim=self.bond_dim,
-            max_sweeps=self.max_sweeps,
-            stop_window=self.stop_window,
-            stop_rtol=self.stop_rtol,
-            eps=self.eps,
-            trials=self.trials,
-            seed=self.seed,
-        )
+        return FitConfig(**{f.name: getattr(self, f.name) for f in fields(FitConfig)})
 
 
 def _parse_bool(text: str) -> bool:
@@ -108,35 +100,24 @@ def _parse_list(conv):
     return parse
 
 
-_FIELD_PARSERS = {
-    "L": int,
-    "J": float,
-    "gamma": float,
-    "h": float,
-    "p": float,
-    "train": int,
-    "test": int,
-    "bond_dim": int,
-    "trials": int,
-    "max_sweeps": int,
-    "stop_window": int,
-    "stop_rtol": float,
-    "eps": float,
-    "mpo_tol": float,
-    "seed": int,
-    "outdir": str,
-    "jobs": int,
-    "fq_max_l": int,
-    "scan_L": _parse_list(int),
-    "scan_p": _parse_list(float),
-    "scan_gamma": _parse_list(float),
-    "scan_bond_dim": _parse_list(int),
-    "scan_n": _parse_list(int),
-    "min_n_search": _parse_bool,
-    "ic_target": float,
-    "n_start": int,
-    "n_max": int,
-}
+# Scan axes and the scalar field each one sweeps; "n" sets train and test.
+_AXIS_FIELDS = [
+    ("L", "scan_L"),
+    ("p", "scan_p"),
+    ("gamma", "scan_gamma"),
+    ("bond_dim", "scan_bond_dim"),
+    ("n", "scan_n"),
+]
+
+# Annotations are strings under ``from __future__ import annotations``.
+_SCALAR_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
+# One parser per config field, in field order; each scan axis parses a list
+# of its base field's values.
+_FIELD_PARSERS = {f.name: _SCALAR_PARSERS.get(f.type) for f in fields(ExperimentConfig)}
+_FIELD_PARSERS.update(
+    (axis, _parse_list(_FIELD_PARSERS["train" if name == "n" else name]))
+    for name, axis in _AXIS_FIELDS
+)
 
 
 def load_config_file(path) -> dict:
@@ -309,31 +290,21 @@ def cmd_fit(cfg: ExperimentConfig, data) -> int:
 def _evaluate_tt(tt: TTDistribution, rho, dist, test: SampleSet, fq_max_l: int) -> dict:
     """Shared evaluation: normalize, invert, compare with the target."""
     start = time.perf_counter()
-    povm = tetrahedral_povm()
     normalized = normalize_tt(tt)
-    mpo = tt_to_mpo(normalized, povm)
-    report = {
-        "L": tt.length,
-        "bond_dims": list(tt.bond_dims),
-        "f_q": None,
-        "i_q": None,
-        "clipped_mass": None,
-        "trace_deviation": None,
-        "hermiticity_residual": None,
-        "min_eigenvalue": None,
-        "fq_omitted_reason": None,
-    }
+    mpo = tt_to_mpo(normalized, tetrahedral_povm())
+    report = dict.fromkeys(
+        ("f_q", "i_q", "clipped_mass", "trace_deviation", "hermiticity_residual",
+         "min_eigenvalue", "fq_omitted_reason")
+    )
+    report.update(L=tt.length, bond_dims=list(tt.bond_dims))
     if tt.length <= fq_max_l:
         rho_hat = mpo_to_dense(mpo)
-        diag = diagnose(rho_hat, bond_dims=tt.bond_dims)
         fq = quantum_fidelity(rho_hat, rho)
         report.update(
+            asdict(diagnose(rho_hat)),
             f_q=fq.fidelity,
             i_q=fq.infidelity,
             clipped_mass=fq.clipped_mass,
-            trace_deviation=diag.trace_deviation,
-            hermiticity_residual=diag.hermiticity_residual,
-            min_eigenvalue=diag.min_eigenvalue,
         )
     else:
         report["fq_omitted_reason"] = (
@@ -344,6 +315,11 @@ def _evaluate_tt(tt: TTDistribution, rho, dist, test: SampleSet, fq_max_l: int) 
     report["i_c"] = fc.infidelity
     report["runtime_s"] = time.perf_counter() - start
     return report
+
+
+def _write_report(path: Path, report: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="ascii")
 
 
 def cmd_evaluate(cfg: ExperimentConfig, tt_path, snapshot, data) -> int:
@@ -365,23 +341,13 @@ def cmd_evaluate(cfg: ExperimentConfig, tt_path, snapshot, data) -> int:
         )
     report = _evaluate_tt(tt, rho, dist, test, cfg.fq_max_l)
     out = Path(cfg.outdir) / "report.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="ascii")
+    _write_report(out, report)
     shown = {k: report[k] for k in ("i_q", "i_c", "trace_deviation", "hermiticity_residual")}
     print(f"evaluate: {shown} -> {out}")
     return 0
 
 
 # -- scans -------------------------------------------------------------------
-
-
-_AXIS_FIELDS = [
-    ("L", "scan_L"),
-    ("p", "scan_p"),
-    ("gamma", "scan_gamma"),
-    ("bond_dim", "scan_bond_dim"),
-    ("n", "scan_n"),
-]
 
 
 def _scan_grid(cfg: ExperimentConfig) -> list:
@@ -415,52 +381,24 @@ def _run_point(args) -> dict:
     cfg, index, overrides, point_dir = args
     point_seed = cfg.seed + _POINT_SEED_STRIDE * (index + 1)
     point = _apply_overrides(cfg, overrides, point_seed)
-    row = {
-        "point": index,
-        "L": point.L,
-        "J": point.J,
-        "gamma": point.gamma,
-        "h": point.h,
-        "p": point.p,
-        "bond_dim": point.bond_dim,
-        "n_train": point.train,
-        "n_test": point.test,
-        "trials": point.trials,
-        "seed": point.seed,
-        "status": "ok",
-        "message": "",
-        "min_n": None,
-    }
+    names = ("L", "J", "gamma", "h", "p", "bond_dim", "trials", "seed")
+    row = {name: getattr(point, name) for name in names}
+    row.update(point=index, n_train=point.train, n_test=point.test, status="ok", message="")
     start = time.perf_counter()
     try:
         params = XxzParams(L=point.L, J=point.J, gamma=point.gamma, h=point.h, p=point.p)
         rho = synth_target(params)
         dist = exact_outcome_distribution(rho, tetrahedral_povm())
         if point.min_n_search:
-            report, min_n, reached = _min_n_search(point, rho, dist)
-            row["min_n"] = min_n
-            if not reached:
+            report, row["min_n"] = _min_n_search(point, rho, dist)
+            if row["min_n"] is None:
                 row["status"] = "threshold-not-reached"
         else:
             train = sample_dataset(dist, point.train, point.seed, stream=0, source="train")
             test = sample_dataset(dist, point.test, point.seed, stream=1, source="test")
             report = _fit_and_score(point, train, test, rho, dist)
-        row.update(
-            best_loss=report["best_loss"],
-            f_q=report["f_q"],
-            i_q=report["i_q"],
-            f_c=report["f_c"],
-            i_c=report["i_c"],
-            trace_deviation=report["trace_deviation"],
-            hermiticity_residual=report["hermiticity_residual"],
-            min_eigenvalue=report["min_eigenvalue"],
-            clipped_mass=report["clipped_mass"],
-            bond_dims="x".join(str(d) for d in report["bond_dims"]),
-        )
-        point_dir.mkdir(parents=True, exist_ok=True)
-        (point_dir / "report.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="ascii"
-        )
+        row.update(report, bond_dims="x".join(str(d) for d in report["bond_dims"]))
+        _write_report(point_dir / "report.json", report)
     except TomoError as exc:
         row["status"] = "error"
         row["message"] = f"{type(exc).__name__}: {exc}"
@@ -479,17 +417,19 @@ def _fit_and_score(point: ExperimentConfig, train, test, rho, dist) -> dict:
 
 
 def _min_n_search(point: ExperimentConfig, rho, dist):
-    """Double the sample budget until the classical infidelity meets target."""
+    """Double the sample budget until the classical infidelity meets target.
+
+    Returns the last report and the budget that met the target, or None.
+    """
     n = point.n_start
     attempt = 0
     while True:
-        train = sample_dataset(dist, n, point.seed + attempt, stream=0, source=f"train n={n}")
-        test = sample_dataset(dist, n, point.seed + attempt, stream=1, source=f"test n={n}")
+        train, test = split_train_test(dist, n, point.seed + attempt)
         report = _fit_and_score(point, train, test, rho, dist)
         if report["i_c"] <= point.ic_target:
-            return report, n, True
+            return report, n
         if n >= point.n_max:
-            return report, None, False
+            return report, None
         n *= 2
         attempt += 1
 

@@ -61,10 +61,9 @@ class ReconstructionReport:
     trace_deviation: float
     hermiticity_residual: float
     min_eigenvalue: float
-    bond_dims: tuple | None = None
 
 
-def diagnose(rho: np.ndarray, bond_dims: tuple | None = None) -> ReconstructionReport:
+def diagnose(rho: np.ndarray) -> ReconstructionReport:
     """Trace deviation, Hermiticity residual, and smallest eigenvalue.
 
     The eigenvalue is taken from the Hermitian part (rho + rho^dagger) / 2;
@@ -78,5 +77,4 @@ def diagnose(rho: np.ndarray, bond_dims: tuple | None = None) -> ReconstructionR
         trace_deviation=trace_dev,
         hermiticity_residual=herm,
         min_eigenvalue=min_eig,
-        bond_dims=bond_dims,
     )

@@ -135,7 +135,6 @@ class EnvCache:
                 f"sample length {samples.L} does not match train length {tt.length}"
             )
         self.tt = tt
-        self.samples = samples
         self.runs = samples.runs
         self._weights = samples.weights
         L = tt.length
@@ -153,20 +152,12 @@ class EnvCache:
     # -- reads -------------------------------------------------------------
 
     @property
-    def valid_left_positions(self) -> range:
-        return range(0, self._left_valid + 1)
-
-    @property
-    def valid_right_positions(self) -> range:
-        return range(self._right_valid, self.tt.length + 1)
-
-    @property
     def stored_left_overlap_positions(self) -> list:
-        return list(self.valid_left_positions)
+        return list(range(self._left_valid + 1))
 
     @property
     def stored_right_overlap_positions(self) -> list:
-        return list(self.valid_right_positions)
+        return list(range(self._right_valid, self.tt.length + 1))
 
     def _check_left(self, p: int) -> None:
         if not 0 <= p <= self._left_valid:

@@ -237,6 +237,16 @@ def save_samples(sset: SampleSet, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# Header lines 2..6 of the sample format, in order, with their value parsers.
+_HEADER_PARSERS = {
+    "L": int,
+    "N": int,
+    "seed": lambda text: None if text == "-" else int(text),
+    "stream": int,
+    "source": str,
+}
+
+
 def _fail(path, lineno: int, message: str):
     raise DataFormatError(f"{path}:{lineno}: {message}")
 
@@ -248,26 +258,21 @@ def load_samples(path) -> SampleSet:
     if not lines or lines[0] != _MAGIC:
         _fail(path, 1, f"expected header '{_MAGIC}'")
     header = {}
-    fields = ["L", "N", "seed", "stream", "source"]
-    for i, key in enumerate(fields):
-        lineno = i + 2
-        if lineno - 1 >= len(lines):
+    for lineno, (key, parse) in enumerate(_HEADER_PARSERS.items(), start=2):
+        if lineno > len(lines):
             _fail(path, lineno, f"missing header line '{key}'")
         parts = lines[lineno - 1].split(maxsplit=1)
         if len(parts) != 2 or parts[0] != key:
             _fail(path, lineno, f"expected '{key} <value>'")
-        header[key] = parts[1]
-    try:
-        L = int(header["L"])
-        total = int(header["N"])
-        seed = None if header["seed"] == "-" else int(header["seed"])
-        stream = int(header["stream"])
-    except ValueError as exc:
-        _fail(path, 2, f"bad header value: {exc}")
+        try:
+            header[key] = parse(parts[1])
+        except ValueError as exc:
+            _fail(path, lineno, f"bad header value: {exc}")
+    L = header["L"]
+    body_start = len(header) + 2
     strings = []
     counts = []
-    for offset, line in enumerate(lines[len(fields) + 1 :]):
-        lineno = len(fields) + 2 + offset
+    for lineno, line in enumerate(lines[body_start - 1 :], start=body_start):
         parts = line.split()
         if len(parts) != 2:
             _fail(path, lineno, "expected '<string> <count>'")
@@ -284,12 +289,12 @@ def load_samples(path) -> SampleSet:
     try:
         return SampleSet(
             L=L,
-            total=total,
+            total=header["N"],
             strings=arr,
             counts=np.array(counts, dtype=np.int64),
-            seed=seed,
-            stream=stream,
+            seed=header["seed"],
+            stream=header["stream"],
             source=header["source"],
         )
     except ValidationError as exc:
-        _fail(path, len(fields) + 1, str(exc))
+        _fail(path, body_start - 1, str(exc))

@@ -53,6 +53,14 @@ def save_tensor(path, obj) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# Header lines 2..4 of the container, in order, with their value parsers.
+_HEADER_PARSERS = {
+    "kind": str,
+    "L": int,
+    "bonds": lambda text: [int(tok) for tok in text.split()],
+}
+
+
 def _fail(path, lineno: int, message: str):
     raise DataFormatError(f"{path}:{lineno}: {message}")
 
@@ -64,22 +72,19 @@ def load_tensor(path):
     if not lines or lines[0] != _MAGIC:
         _fail(path, 1, f"expected header '{_MAGIC}'")
     header = {}
-    for i, key in enumerate(["kind", "L", "bonds"]):
-        lineno = i + 2
-        if lineno - 1 >= len(lines):
+    for lineno, (key, parse) in enumerate(_HEADER_PARSERS.items(), start=2):
+        if lineno > len(lines):
             _fail(path, lineno, f"missing header line '{key}'")
         parts = lines[lineno - 1].split(maxsplit=1)
         if len(parts) != 2 or parts[0] != key:
             _fail(path, lineno, f"expected '{key} <value>'")
-        header[key] = parts[1]
-    kind = header["kind"]
+        try:
+            header[key] = parse(parts[1])
+        except ValueError as exc:
+            _fail(path, lineno, f"bad header value: {exc}")
+    kind, L, bonds = header["kind"], header["L"], header["bonds"]
     if kind not in ("tt", "mpo"):
         _fail(path, 2, f"unknown kind '{kind}'")
-    try:
-        L = int(header["L"])
-        bonds = [int(tok) for tok in header["bonds"].split()]
-    except ValueError as exc:
-        _fail(path, 3, f"bad header value: {exc}")
     if L < 1 or len(bonds) != L + 1:
         _fail(path, 4, f"bond list length {len(bonds)} does not match L={L}")
     cores = []

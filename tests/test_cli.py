@@ -6,11 +6,12 @@ without spawning interpreters.
 
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from ttomo.cli import ExperimentConfig, build_config, load_config_file, main
+from ttomo.cli import ExperimentConfig, build_config, build_parser, load_config_file, main
 from ttomo.errors import DataFormatError
 from ttomo.networks import TTDistribution
 from ttomo.storage import load_tensor, save_tensor
@@ -68,6 +69,40 @@ def test_flag_overrides_file_overrides_default(tmp_path):
     assert cfg.bond_dim == 10  # default
 
 
+# A config text and its value for each scalar default type, and for each axis.
+_SCALAR_SAMPLES = {
+    int: ("7", 7),
+    float: ("0.25", 0.25),
+    str: ("runs/x", "runs/x"),
+    bool: ("yes", True),
+}
+_AXIS_SAMPLES = {
+    "scan_L": ("2, 3", (2, 3)),
+    "scan_p": ("0.25 0.5", (0.25, 0.5)),
+    "scan_gamma": ("0.25, 0.5", (0.25, 0.5)),
+    "scan_bond_dim": ("2,3", (2, 3)),
+    "scan_n": ("2, 3", (2, 3)),
+}
+
+
+def _typed(value):
+    """Entries paired with their types, so that 2 and 2.0 compare unequal."""
+    items = value if isinstance(value, tuple) else (value,)
+    return [(type(v), v) for v in items]
+
+
+@pytest.mark.parametrize("field", fields(ExperimentConfig), ids=lambda f: f.name)
+def test_every_field_parses_alike_from_file_and_flag(tmp_path, field):
+    text, expected = _AXIS_SAMPLES.get(field.name) or _SCALAR_SAMPLES[type(field.default)]
+    path = tmp_path / "c.cfg"
+    path.write_text(f"{field.name} = {text}\n")
+    from_file = load_config_file(path)[field.name]
+    flag = "--" + field.name.replace("_", "-")
+    args = build_parser().parse_args(["synth", flag, text])
+    from_flag = getattr(build_config(args), field.name)
+    assert _typed(from_file) == _typed(from_flag) == _typed(expected)
+
+
 def test_full_pipeline_and_artifacts(tmp_path, small_cfg):
     run = tmp_path / "run"
     assert main(["synth", "--config", str(small_cfg)]) == 0
@@ -103,6 +138,17 @@ def test_full_pipeline_and_artifacts(tmp_path, small_cfg):
         min(losses)
     )
     assert best.bond_dims[0] == 1
+
+
+def test_evaluate_beyond_the_dense_guard_omits_quantum_fields(tmp_path, small_cfg):
+    for command in ("synth", "sample", "fit"):
+        assert main([command, "--config", str(small_cfg)]) == 0
+    assert main(["evaluate", "--config", str(small_cfg), "--fq-max-l", "1"]) == 0
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    for key in ("f_q", "i_q", "trace_deviation", "hermiticity_residual"):
+        assert report[key] is None
+    assert "L=2" in report["fq_omitted_reason"]
+    assert 0.0 <= report["i_c"] < 0.5
 
 
 def test_synth_is_byte_deterministic(tmp_path, small_cfg):
@@ -188,4 +234,5 @@ def test_scan_min_n_search(tmp_path):
     assert row["status"] in ("ok", "threshold-not-reached")
     if row["status"] == "ok":
         assert int(row["min_n"]) >= 250
+        assert int(row["n_train"]) == int(row["min_n"])
         assert float(row["i_c"]) <= 0.05

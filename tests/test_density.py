@@ -109,6 +109,5 @@ def test_diagnose_reports_known_defects():
     assert report.min_eigenvalue == pytest.approx(-0.1, abs=1e-12)
     assert report.hermiticity_residual == pytest.approx(0.0, abs=1e-15)
     skewed = np.array([[0.5, 0.2], [0.0, 0.5]], dtype=complex)
-    report = diagnose(skewed, bond_dims=(1, 2, 1))
+    report = diagnose(skewed)
     assert report.hermiticity_residual > 0.1
-    assert report.bond_dims == (1, 2, 1)

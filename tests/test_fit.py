@@ -84,8 +84,8 @@ def test_cache_invalidation_tracks_core_changes():
     cache = EnvCache(tt, samples)
     tt.cores[2][:] *= 1.7
     cache.note_core_changed(2)
-    assert list(cache.valid_left_positions) == [0, 1, 2]
-    assert list(cache.valid_right_positions) == [3, 4]
+    assert cache.stored_left_overlap_positions == [0, 1, 2]
+    assert cache.stored_right_overlap_positions == [3, 4]
     with pytest.raises(IndexError):
         cache.left_gram(3)
     with pytest.raises(IndexError):
@@ -108,12 +108,12 @@ def test_cache_stays_coherent_through_a_sweep():
 
     def check(k):
         seen.append(k)
-        for p in cache.valid_left_positions:
+        for p in cache.stored_left_overlap_positions:
             assert np.allclose(cache.left_gram(p), brute_left_gram(tt.cores, p), rtol=1e-10)
             assert np.allclose(
                 cache.left_overlaps(p), brute_left_overlaps(tt.cores, samples, p), rtol=1e-10
             )
-        for p in cache.valid_right_positions:
+        for p in cache.stored_right_overlap_positions:
             assert np.allclose(cache.right_gram(p), brute_right_gram(tt.cores, p), rtol=1e-10)
             assert np.allclose(
                 cache.right_overlaps(p), brute_right_overlaps(tt.cores, samples, p), rtol=1e-10

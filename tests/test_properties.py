@@ -50,8 +50,8 @@ def instances(draw):
 
 
 def _valid_ops(cache, L):
-    left = max(cache.valid_left_positions)
-    right = min(cache.valid_right_positions)
+    left = max(cache.stored_left_overlap_positions)
+    right = min(cache.stored_right_overlap_positions)
     ops = [("update", k) for k in range(L) if k <= left and k + 1 >= right]
     ops += [("refresh_left", k) for k in range(L) if k <= left]
     ops += [("refresh_right", k) for k in range(L) if k + 1 >= right]
@@ -59,12 +59,12 @@ def _valid_ops(cache, L):
 
 
 def _check_cache(cache, tt, samples):
-    for p in cache.valid_left_positions:
+    for p in cache.stored_left_overlap_positions:
         assert np.allclose(cache.left_gram(p), brute_left_gram(tt.cores, p), rtol=1e-12, atol=0)
         assert np.allclose(
             cache.left_overlaps(p), brute_left_overlaps(tt.cores, samples, p), rtol=1e-12, atol=0
         )
-    for p in cache.valid_right_positions:
+    for p in cache.stored_right_overlap_positions:
         assert np.allclose(cache.right_gram(p), brute_right_gram(tt.cores, p), rtol=1e-12, atol=0)
         assert np.allclose(
             cache.right_overlaps(p), brute_right_overlaps(tt.cores, samples, p), rtol=1e-12, atol=0

@@ -159,3 +159,19 @@ def test_load_error_carries_line_number(tmp_path):
     with pytest.raises(DataFormatError) as err:
         load_samples(path)
     assert "7" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "lineno, bad_line",
+    [(2, "L x"), (3, "N x"), (4, "seed x"), (5, "stream x")],
+)
+def test_bad_header_value_names_its_line(tmp_path, lineno, bad_line):
+    samples = sample_dataset(_uniform_dist(2), 50, seed=6)
+    path = tmp_path / "x.samples"
+    save_samples(samples, path)
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = bad_line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError) as err:
+        load_samples(path)
+    assert str(err.value).startswith(f"{path}:{lineno}: bad header value")

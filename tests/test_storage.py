@@ -80,3 +80,19 @@ def test_load_error_names_file_and_line(tmp_path):
     message = str(err.value)
     assert "chain.tt" in message
     assert "5" in message
+
+
+@pytest.mark.parametrize(
+    "lineno, bad_line",
+    [(2, "kind banana"), (3, "L x"), (4, "bonds 1 x 1")],
+)
+def test_bad_header_value_names_its_line(tmp_path, lineno, bad_line):
+    rng = np.random.default_rng(4)
+    path = tmp_path / "chain.tt"
+    save_tensor(path, TTDistribution(random_tt_cores(2, 2, rng)))
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = bad_line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError) as err:
+        load_tensor(path)
+    assert str(err.value).startswith(f"{path}:{lineno}: ")
