@@ -19,7 +19,6 @@ from .errors import (
     DataFormatError,
     DegeneracyError,
     DegenerateFitError,
-    DimensionError,
     IntegrityError,
     TomoError,
     ValidationError,
@@ -43,7 +42,6 @@ from .povm import (
     Povm,
     forward_map_site,
     inverse_map_site,
-    single_site_probs,
     tetrahedral_povm,
 )
 from .sampling import (
@@ -60,7 +58,6 @@ from .states import (
     exact_outcome_distribution,
     ground_state_density,
     synth_target,
-    validate_density,
     xxz_hamiltonian,
 )
 from .storage import load_tensor, save_tensor
@@ -72,7 +69,6 @@ __all__ = [
     "DataFormatError",
     "DegeneracyError",
     "DegenerateFitError",
-    "DimensionError",
     "EnvCache",
     "FidelityResult",
     "FitConfig",
@@ -109,13 +105,11 @@ __all__ = [
     "sample_dataset",
     "save_samples",
     "save_tensor",
-    "single_site_probs",
     "split_train_test",
     "sweep",
     "synth_target",
     "tetrahedral_povm",
     "tt_to_mpo",
     "update_core",
-    "validate_density",
     "xxz_hamiltonian",
 ]

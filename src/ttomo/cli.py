@@ -25,19 +25,14 @@ from pathlib import Path
 import numpy as np
 
 from .density import diagnose, mpo_to_dense, normalize_tt, tt_to_mpo
-from .errors import (
-    DataFormatError,
-    DegenerateFitError,
-    TomoError,
-    ValidationError,
-)
+from .errors import DegenerateFitError, TomoError, ValidationError
 from .fit import FitConfig, fit
 from .metrics import classical_fidelity, quantum_fidelity
 from .networks import TTDistribution
 from .povm import tetrahedral_povm
 from .sampling import SampleSet, load_samples, sample_dataset, save_samples, split_train_test
 from .states import XxzParams, density_to_mpo, exact_outcome_distribution, synth_target
-from .storage import load_tensor, save_tensor
+from .storage import fail, load_tensor, read_lines, save_tensor, write_lines
 
 _MANIFEST_MAGIC = "ttsnapshot 1"
 # Spacing between the base seeds of successive scan grid points; larger than
@@ -129,16 +124,16 @@ def load_config_file(path) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise DataFormatError(f"{path}:{lineno}: expected 'key = value'")
+                fail(path, lineno, "expected 'key = value'")
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
             if key not in _FIELD_PARSERS:
-                raise DataFormatError(f"{path}:{lineno}: unknown key '{key}'")
+                fail(path, lineno, f"unknown key '{key}'")
             try:
                 values[key] = _FIELD_PARSERS[key](value)
             except (ValueError, ValidationError) as exc:
-                raise DataFormatError(f"{path}:{lineno}: bad value for '{key}': {exc}")
+                fail(path, lineno, f"bad value for '{key}': {exc}")
     return values
 
 
@@ -168,20 +163,12 @@ def _param_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canon.encode("ascii")).hexdigest()
 
 
-def _write_manifest(path: Path, entries: dict) -> None:
-    lines = [_MANIFEST_MAGIC] + [f"{key} {value}" for key, value in entries.items()]
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
 def read_manifest(path) -> dict:
-    lines = Path(path).read_text(encoding="ascii").splitlines()
-    if not lines or lines[0] != _MANIFEST_MAGIC:
-        raise DataFormatError(f"{path}:1: expected header '{_MANIFEST_MAGIC}'")
     entries = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(read_lines(path, _MANIFEST_MAGIC)[1:], start=2):
         parts = line.split(maxsplit=1)
         if len(parts) != 2:
-            raise DataFormatError(f"{path}:{lineno}: expected 'key value'")
+            fail(path, lineno, "expected 'key value'")
         entries[parts[0]] = parts[1]
     return entries
 
@@ -201,8 +188,9 @@ def cmd_synth(cfg: ExperimentConfig) -> int:
     np.save(out / "rho.npy", rho)
     np.save(out / "dist.npy", dist)
     save_tensor(out / "mpo.tt", mpo)
-    _write_manifest(
+    write_lines(
         out / "manifest.txt",
+        _MANIFEST_MAGIC,
         {
             "L": cfg.L,
             "J": repr(cfg.J),

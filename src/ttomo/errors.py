@@ -13,10 +13,6 @@ class ValidationError(TomoError):
     exit_code = 1
 
 
-class DimensionError(ValidationError):
-    """Tensor extents do not line up for the requested operation."""
-
-
 class CapacityError(TomoError):
     """A requested size exceeds a dense-storage guard."""
 

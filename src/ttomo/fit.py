@@ -72,6 +72,8 @@ class FitConfig:
             raise ValidationError(f"stop_rtol must be >= 0, got {self.stop_rtol}")
         if self.eps <= 0.0:
             raise ValidationError(f"eps must be > 0, got {self.eps}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 def bond_profile(L: int, bond_dim: int) -> tuple:

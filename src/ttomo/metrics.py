@@ -58,25 +58,18 @@ def quantum_fidelity(rho1: np.ndarray, rho2: np.ndarray) -> FidelityResult:
     return FidelityResult(fidelity=fidelity, clipped_mass=clipped + clipped_mid)
 
 
-def _as_prob_fn(obj, L: int):
-    """Accept a callable, a tensor train, or a dense distribution vector."""
-    if callable(obj):
-        return obj
+def _values_on(obj, test: SampleSet) -> np.ndarray:
+    """Values of a tensor train or a dense distribution vector on the test strings."""
     if isinstance(obj, TTDistribution):
-        if obj.length != L:
-            raise ValidationError(f"train length {obj.length} does not match strings of length {L}")
-        return obj.evaluate
+        if obj.length != test.L:
+            raise ValidationError(
+                f"train length {obj.length} does not match strings of length {test.L}"
+            )
+        return np.asarray(obj.evaluate(test.strings), dtype=float)
     dense = np.asarray(obj, dtype=float)
-    if dense.ndim != 1 or dense.size != 4**L:
-        raise ValidationError(f"dense distribution must have length {4**L}")
-
-    def lookup(strings: np.ndarray) -> np.ndarray:
-        codes = np.asarray(strings, dtype=np.int64) @ (
-            4 ** np.arange(L - 1, -1, -1, dtype=np.int64)
-        )
-        return dense[codes]
-
-    return lookup
+    if dense.ndim != 1 or dense.size != 4**test.L:
+        raise ValidationError(f"dense distribution must have length {4**test.L}")
+    return dense[test.codes()]
 
 
 def classical_fidelity(model, ideal, test: SampleSet) -> FidelityResult:
@@ -84,15 +77,13 @@ def classical_fidelity(model, ideal, test: SampleSet) -> FidelityResult:
 
     The estimator averages sqrt(P_model / P_ideal) over the test draws:
     sum_j (n_j / N) sqrt(P_model(a_j) / P_ideal(a_j)). ``model`` and
-    ``ideal`` may each be a callable on string arrays, a tensor train, or a
-    dense distribution vector. A test string with nonpositive ideal
+    ``ideal`` may each be a tensor train or a dense distribution vector
+    indexed by ``SampleSet.codes``. A test string with nonpositive ideal
     probability cannot have been drawn from the ideal distribution and
     raises IntegrityError.
     """
-    model_fn = _as_prob_fn(model, test.L)
-    ideal_fn = _as_prob_fn(ideal, test.L)
-    p_model = np.asarray(model_fn(test.strings), dtype=float)
-    p_ideal = np.asarray(ideal_fn(test.strings), dtype=float)
+    p_model = _values_on(model, test)
+    p_ideal = _values_on(ideal, test)
     if np.any(p_ideal <= 0.0):
         bad = int(np.argmax(p_ideal <= 0.0))
         raise IntegrityError(

@@ -56,9 +56,6 @@ class TTDistribution:
     def copy(self) -> "TTDistribution":
         return TTDistribution([c.copy() for c in self.cores])
 
-    def is_nonnegative(self, tol: float = 0.0) -> bool:
-        return all(c.min() >= -tol for c in self.cores)
-
     def evaluate(self, strings: np.ndarray) -> np.ndarray:
         """Weight of each row of ``strings`` (shape (n, L), symbols 0..3)."""
         strings = np.asarray(strings)
@@ -110,6 +107,3 @@ class MpoDensity:
     @property
     def bond_dims(self) -> tuple:
         return tuple(c.shape[2] for c in self.cores) + (self.cores[-1].shape[3],)
-
-    def copy(self) -> "MpoDensity":
-        return MpoDensity([c.copy() for c in self.cores])

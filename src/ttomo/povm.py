@@ -32,11 +32,6 @@ class Povm:
     flat: np.ndarray
     flat_inverse: np.ndarray
 
-    @property
-    def condition_number(self) -> float:
-        """Condition number of the outcome map (informational)."""
-        return float(np.linalg.cond(self.flat))
-
 
 def tetrahedral_povm() -> Povm:
     """Build the four-outcome tetrahedral POVM.
@@ -57,25 +52,6 @@ def tetrahedral_povm() -> Povm:
     for arr in (elements, flat, flat_inverse):
         arr.setflags(write=False)
     return Povm(elements=elements, flat=flat, flat_inverse=flat_inverse)
-
-
-def single_site_probs(rho: np.ndarray, povm: Povm) -> np.ndarray:
-    """Outcome probabilities of a single-qubit density matrix.
-
-    Args:
-        rho: 2x2 Hermitian matrix with unit trace.
-        povm: The measurement to apply.
-
-    Returns:
-        Length-4 real vector of probabilities tr(M_s rho).
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValidationError(f"expected a 2x2 matrix, got shape {rho.shape}")
-    trace = rho[0, 0] + rho[1, 1]
-    if abs(trace - 1.0) > 1e-8:
-        raise ValidationError(f"density matrix trace {trace} is not 1")
-    return np.real(povm.flat @ rho.reshape(4))
 
 
 def forward_map_site(w_core: np.ndarray, povm: Povm) -> np.ndarray:

@@ -7,7 +7,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError
+from .errors import ValidationError
+from .storage import fail, read_header, read_lines, write_lines
 
 _MAGIC = "ttsamples 1"
 # Draws are consumed from the stream in fixed-size blocks so results do not
@@ -185,6 +186,8 @@ def sample_dataset(
     L = _num_sites_from_size(dist.size)
     if n < 1 or int(n) != n:
         raise ValidationError(f"sample count must be a positive integer, got {n}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if dist.min() < -1e-12:
         raise ValidationError(f"distribution has negative mass {dist.min():.3e}")
     dist = np.clip(dist, 0.0, None)
@@ -223,23 +226,30 @@ def split_train_test(dist: np.ndarray, n: int, seed: int) -> tuple:
 
 def save_samples(sset: SampleSet, path) -> None:
     """Write a sample set in the line-oriented text format."""
-    lines = [
-        _MAGIC,
-        f"L {sset.L}",
-        f"N {sset.total}",
-        f"seed {'-' if sset.seed is None else sset.seed}",
-        f"stream {sset.stream}",
-        f"source {sset.source or '-'}",
-    ]
-    for row, count in zip(sset.strings, sset.counts):
-        lines.append("".join(str(int(d)) for d in row) + f" {int(count)}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = {
+        "L": sset.L,
+        "N": sset.total,
+        "seed": "-" if sset.seed is None else sset.seed,
+        "stream": sset.stream,
+        "source": sset.source or "-",
+    }
+    body = (
+        "".join(str(int(d)) for d in row) + f" {int(count)}"
+        for row, count in zip(sset.strings, sset.counts)
+    )
+    write_lines(path, _MAGIC, header, body)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"expected a positive integer, got {value}")
+    return value
 
 
 # Header lines 2..6 of the sample format, in order, with their value parsers.
 _HEADER_PARSERS = {
-    "L": int,
+    "L": _positive_int,
     "N": int,
     "seed": lambda text: None if text == "-" else int(text),
     "stream": int,
@@ -247,27 +257,10 @@ _HEADER_PARSERS = {
 }
 
 
-def _fail(path, lineno: int, message: str):
-    raise DataFormatError(f"{path}:{lineno}: {message}")
-
-
 def load_samples(path) -> SampleSet:
     """Read a sample set, validating the format and every invariant."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != _MAGIC:
-        _fail(path, 1, f"expected header '{_MAGIC}'")
-    header = {}
-    for lineno, (key, parse) in enumerate(_HEADER_PARSERS.items(), start=2):
-        if lineno > len(lines):
-            _fail(path, lineno, f"missing header line '{key}'")
-        parts = lines[lineno - 1].split(maxsplit=1)
-        if len(parts) != 2 or parts[0] != key:
-            _fail(path, lineno, f"expected '{key} <value>'")
-        try:
-            header[key] = parse(parts[1])
-        except ValueError as exc:
-            _fail(path, lineno, f"bad header value: {exc}")
+    lines = read_lines(path, _MAGIC)
+    header = read_header(path, lines, _HEADER_PARSERS)
     L = header["L"]
     body_start = len(header) + 2
     strings = []
@@ -275,14 +268,14 @@ def load_samples(path) -> SampleSet:
     for lineno, line in enumerate(lines[body_start - 1 :], start=body_start):
         parts = line.split()
         if len(parts) != 2:
-            _fail(path, lineno, "expected '<string> <count>'")
+            fail(path, lineno, "expected '<string> <count>'")
         word, count_text = parts
         if len(word) != L or any(ch not in "0123" for ch in word):
-            _fail(path, lineno, f"'{word}' is not a length-{L} string over symbols 0..3")
+            fail(path, lineno, f"'{word}' is not a length-{L} string over symbols 0..3")
         try:
             count = int(count_text)
         except ValueError:
-            _fail(path, lineno, f"bad multiplicity '{count_text}'")
+            fail(path, lineno, f"bad multiplicity '{count_text}'")
         strings.append([int(ch) for ch in word])
         counts.append(count)
     arr = np.array(strings, dtype=np.uint8).reshape(len(strings), L)
@@ -297,4 +290,4 @@ def load_samples(path) -> SampleSet:
             source=header["source"],
         )
     except ValidationError as exc:
-        _fail(path, body_start - 1, str(exc))
+        fail(path, body_start - 1, str(exc))

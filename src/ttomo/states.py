@@ -108,18 +108,6 @@ def synth_target(params: XxzParams, gap_tol: float = 1e-10) -> np.ndarray:
     return depolarize(ground_state_density(params, gap_tol), params.p)
 
 
-def validate_density(rho: np.ndarray, herm_tol: float = 1e-12, trace_tol: float = 1e-12) -> None:
-    """Check Hermiticity and unit trace of a dense density matrix."""
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {rho.shape}")
-    scale = max(float(np.linalg.norm(rho)), 1e-300)
-    if float(np.linalg.norm(rho - rho.conj().T)) > herm_tol * scale:
-        raise ValidationError("matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho) - 1.0) > trace_tol:
-        raise ValidationError(f"trace {np.trace(rho)} is not 1 within {trace_tol}")
-
-
 def _num_sites(dim: int) -> int:
     L = int(round(np.log2(dim)))
     if 2**L != dim:

@@ -1,6 +1,8 @@
-"""Text container for tensor trains and operator chains.
+"""Line-oriented text files, and the container for trains and operator chains.
 
-The format is line oriented:
+Every text format of the package (samples, tensors, the snapshot manifest)
+is a magic line, then ``key value`` header lines, then a body; read errors
+name the offending ``path:lineno``. The tensor container is:
 
     tttensor 1
     kind tt            (or: kind mpo)
@@ -24,8 +26,42 @@ from .networks import MpoDensity, TTDistribution
 _MAGIC = "tttensor 1"
 
 
-def _format_floats(values) -> str:
-    return " ".join(repr(float(v)) for v in values)
+def fail(path, lineno: int, message: str):
+    """Raise a DataFormatError that names the offending ``path:lineno``."""
+    raise DataFormatError(f"{path}:{lineno}: {message}")
+
+
+def read_lines(path, magic: str) -> list:
+    """Lines of a text file whose first line must be ``magic``."""
+    with open(path, "r", encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != magic:
+        fail(path, 1, f"expected header '{magic}'")
+    return lines
+
+
+def read_header(path, lines: list, parsers: dict) -> dict:
+    """Parse one ``key value`` line per ``parsers`` entry, in order, from line 2."""
+    header = {}
+    for lineno, (key, parse) in enumerate(parsers.items(), start=2):
+        if lineno > len(lines):
+            fail(path, lineno, f"missing header line '{key}'")
+        parts = lines[lineno - 1].split(maxsplit=1)
+        if len(parts) != 2 or parts[0] != key:
+            fail(path, lineno, f"expected '{key} <value>'")
+        try:
+            header[key] = parse(parts[1])
+        except ValueError as exc:
+            fail(path, lineno, f"bad header value: {exc}")
+    return header
+
+
+def write_lines(path, magic: str, header: dict, body=()) -> None:
+    """Write ``magic``, one ``key value`` line per header entry, then ``body``."""
+    lines = [magic] + [f"{key} {value}" for key, value in header.items()]
+    lines.extend(body)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def save_tensor(path, obj) -> None:
@@ -38,19 +74,14 @@ def save_tensor(path, obj) -> None:
         kind = "mpo"
     else:
         raise ValidationError(f"cannot store object of type {type(obj).__name__}")
-    lines = [
-        _MAGIC,
-        f"kind {kind}",
-        f"L {obj.length}",
-        "bonds " + " ".join(str(d) for d in obj.bond_dims),
-    ]
+    body = []
     for core in obj.cores:
         flat = np.asarray(core).reshape(-1)
         if kind == "mpo":
             flat = np.column_stack([flat.real, flat.imag]).reshape(-1)
-        lines.append("core " + _format_floats(flat))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        body.append("core " + " ".join(repr(float(v)) for v in flat))
+    bonds = " ".join(str(d) for d in obj.bond_dims)
+    write_lines(path, _MAGIC, {"kind": kind, "L": obj.length, "bonds": bonds}, body)
 
 
 # Header lines 2..4 of the container, in order, with their value parsers.
@@ -61,49 +92,31 @@ _HEADER_PARSERS = {
 }
 
 
-def _fail(path, lineno: int, message: str):
-    raise DataFormatError(f"{path}:{lineno}: {message}")
-
-
 def load_tensor(path):
     """Read a tensor container; returns TTDistribution or MpoDensity."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != _MAGIC:
-        _fail(path, 1, f"expected header '{_MAGIC}'")
-    header = {}
-    for lineno, (key, parse) in enumerate(_HEADER_PARSERS.items(), start=2):
-        if lineno > len(lines):
-            _fail(path, lineno, f"missing header line '{key}'")
-        parts = lines[lineno - 1].split(maxsplit=1)
-        if len(parts) != 2 or parts[0] != key:
-            _fail(path, lineno, f"expected '{key} <value>'")
-        try:
-            header[key] = parse(parts[1])
-        except ValueError as exc:
-            _fail(path, lineno, f"bad header value: {exc}")
+    lines = read_lines(path, _MAGIC)
+    header = read_header(path, lines, _HEADER_PARSERS)
     kind, L, bonds = header["kind"], header["L"], header["bonds"]
     if kind not in ("tt", "mpo"):
-        _fail(path, 2, f"unknown kind '{kind}'")
+        fail(path, 2, f"unknown kind '{kind}'")
     if L < 1 or len(bonds) != L + 1:
-        _fail(path, 4, f"bond list length {len(bonds)} does not match L={L}")
+        fail(path, 4, f"bond list length {len(bonds)} does not match L={L}")
     cores = []
     per_entry = 2 if kind == "mpo" else 1
-    phys = 4
     for l in range(L):
         lineno = 5 + l
         if lineno - 1 >= len(lines):
-            _fail(path, lineno, f"missing core {l}")
+            fail(path, lineno, f"missing core {l}")
         parts = lines[lineno - 1].split()
         if not parts or parts[0] != "core":
-            _fail(path, lineno, f"expected core {l}")
-        expected = phys * bonds[l] * bonds[l + 1] * per_entry
+            fail(path, lineno, f"expected core {l}")
+        expected = 4 * bonds[l] * bonds[l + 1] * per_entry
         if len(parts) - 1 != expected:
-            _fail(path, lineno, f"core {l} has {len(parts) - 1} entries, expected {expected}")
+            fail(path, lineno, f"core {l} has {len(parts) - 1} entries, expected {expected}")
         try:
             values = np.array([float(tok) for tok in parts[1:]])
         except ValueError as exc:
-            _fail(path, lineno, f"bad entry in core {l}: {exc}")
+            fail(path, lineno, f"bad entry in core {l}: {exc}")
         if kind == "mpo":
             values = values.reshape(-1, 2)
             core = (values[:, 0] + 1j * values[:, 1]).reshape(2, 2, bonds[l], bonds[l + 1])
@@ -111,8 +124,8 @@ def load_tensor(path):
             core = values.reshape(4, bonds[l], bonds[l + 1])
         cores.append(core)
     if len(lines) > 4 + L:
-        _fail(path, 5 + L, "trailing content after last core")
+        fail(path, 5 + L, "trailing content after last core")
     try:
         return MpoDensity(cores) if kind == "mpo" else TTDistribution(cores)
     except ValidationError as exc:
-        _fail(path, 4, str(exc))
+        fail(path, 4, str(exc))

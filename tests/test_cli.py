@@ -169,6 +169,16 @@ def test_exit_codes(tmp_path, small_cfg):
     assert main(["synth", "--config", str(bad)]) == 3
 
 
+def test_negative_seed_exits_with_a_validation_error(tmp_path, small_cfg, capsys):
+    assert main(["synth", "--config", str(small_cfg)]) == 0
+    assert main(["sample", "--config", str(small_cfg), "--seed", "-1"]) == 1
+    assert main(["sample", "--config", str(small_cfg)]) == 0
+    assert main(["fit", "--config", str(small_cfg), "--seed", "-1"]) == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 2
+    assert all(line.startswith("ttomo: error: seed must be >= 0") for line in errors)
+
+
 def test_degenerate_fit_exits_with_code_four(tmp_path, small_cfg):
     assert main(["synth", "--config", str(small_cfg)]) == 0
     assert main(["sample", "--config", str(small_cfg)]) == 0
@@ -211,6 +221,44 @@ def test_scan_grid_and_error_recovery(tmp_path):
     assert all(row["i_c"] != "" for row in ok)
     point_report = tmp_path / "scan" / "scan" / "point_000" / "report.json"
     assert point_report.exists()
+
+
+def test_scan_records_a_negative_point_seed_as_an_error(tmp_path):
+    out = tmp_path / "neg"
+    flags = ["--L", "2", "--train", "100", "--test", "100", "--outdir", str(out)]
+    assert main(["scan", *flags, "--seed", "-30000", "--scan-p", "0.5"]) == 0
+    with open(out / "scan.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1
+    assert rows[0]["status"] == "error"
+    assert rows[0]["message"].startswith("ValidationError: seed must be >= 0")
+
+
+def _scan_outputs(outdir):
+    """scan.csv rows and per-point reports, without their timings."""
+    with open(outdir / "scan.csv") as fh:
+        rows = [dict(row, runtime_s=None) for row in csv.DictReader(fh)]
+    reports = {}
+    for path in sorted((outdir / "scan").glob("point_*/report.json")):
+        reports[path.parent.name] = dict(json.loads(path.read_text()), runtime_s=None)
+    return rows, reports
+
+
+def test_scan_with_two_jobs_matches_one_job(tmp_path):
+    base = (
+        "L = 2\ntrain = 1500\ntest = 1500\nbond_dim = 2\ntrials = 1\n"
+        "max_sweeps = 25\nseed = 3\nscan_p = 0.3, 0.5\n"
+    )
+    outputs = []
+    for jobs in (1, 2):
+        cfg = tmp_path / f"jobs{jobs}.cfg"
+        cfg.write_text(base + f"jobs = {jobs}\noutdir = {tmp_path / f'jobs{jobs}'}\n")
+        assert main(["scan", "--config", str(cfg)]) == 0
+        outputs.append(_scan_outputs(tmp_path / f"jobs{jobs}"))
+    rows, reports = outputs[0]
+    assert len(rows) == 2 and all(row["status"] == "ok" for row in rows)
+    assert sorted(reports) == ["point_000", "point_001"]
+    assert outputs[1] == outputs[0]
 
 
 def test_scan_requires_an_axis(tmp_path):

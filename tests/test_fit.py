@@ -60,7 +60,6 @@ def test_init_tt_deterministic_and_positive():
     for ca, cb in zip(a.cores, b.cores):
         assert np.array_equal(ca, cb)
     assert any(not np.array_equal(x, y) for x, y in zip(a.cores, c.cores))
-    assert a.is_nonnegative()
     assert all(core.min() > 0.0 for core in a.cores)
 
 
@@ -302,3 +301,5 @@ def test_fit_config_validation():
         FitConfig(trials=0)
     with pytest.raises(ValidationError):
         FitConfig(stop_rtol=-1.0)
+    with pytest.raises(ValidationError):
+        FitConfig(seed=-1)

@@ -116,7 +116,7 @@ def test_classical_fidelity_matches_brute_force():
     assert result.fidelity == pytest.approx(brute_classical_fidelity(model, ideal, test), rel=1e-12)
 
 
-def test_classical_fidelity_accepts_tt_and_callable_models():
+def test_classical_fidelity_accepts_tt_and_dense_models():
     rng = np.random.default_rng(10)
     core = rng.uniform(0.1, 1.0, size=(4, 1, 1))
     tt = TTDistribution([core.copy(), core.copy()])
@@ -125,9 +125,7 @@ def test_classical_fidelity_accepts_tt_and_callable_models():
     test = sample_dataset(ideal, 2000, seed=11)
     from_tt = classical_fidelity(tt, ideal, test)
     from_vec = classical_fidelity(vec, ideal, test)
-    from_fn = classical_fidelity(lambda strings: tt.evaluate(strings), ideal, test)
     assert from_tt.fidelity == pytest.approx(from_vec.fidelity, rel=1e-12)
-    assert from_fn.fidelity == pytest.approx(from_vec.fidelity, rel=1e-12)
 
 
 def test_classical_fidelity_rejects_nonpositive_ideal():

@@ -24,7 +24,7 @@ def test_tt_properties_and_copy():
     tt = TTDistribution(random_tt_cores(3, 2, rng))
     assert tt.length == 3
     assert tt.bond_dims == (1, 2, 2, 1)
-    assert tt.is_nonnegative()
+    assert all(c.min() >= 0 for c in tt.cores)
     clone = tt.copy()
     clone.cores[0][0, 0, 0] += 1.0
     assert tt.cores[0][0, 0, 0] != clone.cores[0][0, 0, 0]
@@ -62,6 +62,3 @@ def test_mpo_validation_and_properties():
     mpo = MpoDensity(cores)
     assert mpo.length == 2
     assert mpo.bond_dims == (1, 3, 1)
-    clone = mpo.copy()
-    clone.cores[0][0, 0, 0, 0] = 9.0
-    assert mpo.cores[0][0, 0, 0, 0] == 0.0

@@ -80,6 +80,8 @@ def test_rejects_bad_distributions():
         sample_dataset(np.array([0.1, 0.1, 0.1, 0.1]), 10, seed=0)  # sums to 0.4
     with pytest.raises(ValidationError):
         sample_dataset(_uniform_dist(1), 0, seed=0)
+    with pytest.raises(ValidationError):
+        sample_dataset(_uniform_dist(1), 10, seed=-1)
 
 
 def test_split_train_test_streams_and_sources():
@@ -163,7 +165,7 @@ def test_load_error_carries_line_number(tmp_path):
 
 @pytest.mark.parametrize(
     "lineno, bad_line",
-    [(2, "L x"), (3, "N x"), (4, "seed x"), (5, "stream x")],
+    [(2, "L x"), (2, "L 0"), (2, "L -1"), (3, "N x"), (4, "seed x"), (5, "stream x")],
 )
 def test_bad_header_value_names_its_line(tmp_path, lineno, bad_line):
     samples = sample_dataset(_uniform_dist(2), 50, seed=6)
