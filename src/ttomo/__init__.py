@@ -23,7 +23,7 @@ from .errors import (
     TomoError,
     ValidationError,
 )
-from .fit import (
+from .fitting import (
     EnvCache,
     FitConfig,
     FitResult,

@@ -18,23 +18,25 @@ import itertools
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .density import diagnose, mpo_to_dense, normalize_tt, tt_to_mpo
-from .errors import DegenerateFitError, TomoError, ValidationError
-from .fit import FitConfig, fit
+from .errors import DataFormatError, DegenerateFitError, TomoError, ValidationError
+from .fitting import FitConfig, fit, map_jobs
 from .metrics import classical_fidelity, quantum_fidelity
 from .networks import TTDistribution
 from .povm import tetrahedral_povm
-from .sampling import SampleSet, load_samples, sample_dataset, save_samples, split_train_test
+from .sampling import SampleSet, load_samples, sample_dataset, save_samples
 from .states import XxzParams, density_to_mpo, exact_outcome_distribution, synth_target
 from .storage import fail, load_tensor, read_lines, save_tensor, write_lines
 
 _MANIFEST_MAGIC = "ttsnapshot 1"
+# Config fields that define the target; the manifest records them and its
+# parameter hash covers them.
+_TARGET_FIELDS = ("L", "J", "gamma", "h", "p", "mpo_tol")
 # Spacing between the base seeds of successive scan grid points; larger than
 # any realistic trial count so per-trial seeds never collide across points.
 _POINT_SEED_STRIDE = 10007
@@ -95,14 +97,14 @@ def _parse_list(conv):
     return parse
 
 
-# Scan axes and the scalar field each one sweeps; "n" sets train and test.
-_AXIS_FIELDS = [
-    ("L", "scan_L"),
-    ("p", "scan_p"),
-    ("gamma", "scan_gamma"),
-    ("bond_dim", "scan_bond_dim"),
-    ("n", "scan_n"),
-]
+# Scan axes and the config fields each one sets.
+_AXIS_FIELDS = {
+    "scan_L": ("L",),
+    "scan_p": ("p",),
+    "scan_gamma": ("gamma",),
+    "scan_bond_dim": ("bond_dim",),
+    "scan_n": ("train", "test"),
+}
 
 # Annotations are strings under ``from __future__ import annotations``.
 _SCALAR_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
@@ -110,8 +112,7 @@ _SCALAR_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
 # of its base field's values.
 _FIELD_PARSERS = {f.name: _SCALAR_PARSERS.get(f.type) for f in fields(ExperimentConfig)}
 _FIELD_PARSERS.update(
-    (axis, _parse_list(_FIELD_PARSERS["train" if name == "n" else name]))
-    for name, axis in _AXIS_FIELDS
+    (axis, _parse_list(_FIELD_PARSERS[targets[0]])) for axis, targets in _AXIS_FIELDS.items()
 )
 
 
@@ -156,33 +157,50 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _param_hash(cfg: ExperimentConfig) -> str:
-    canon = ",".join(
-        f"{name}={repr(getattr(cfg, name))}"
-        for name in ("L", "J", "gamma", "h", "p", "mpo_tol")
-    )
+    canon = ",".join(f"{name}={repr(getattr(cfg, name))}" for name in _TARGET_FIELDS)
     return hashlib.sha256(canon.encode("ascii")).hexdigest()
-
-
-def read_manifest(path) -> dict:
-    entries = {}
-    for lineno, line in enumerate(read_lines(path, _MANIFEST_MAGIC)[1:], start=2):
-        parts = line.split(maxsplit=1)
-        if len(parts) != 2:
-            fail(path, lineno, "expected 'key value'")
-        entries[parts[0]] = parts[1]
-    return entries
 
 
 def _snapshot_dir(cfg: ExperimentConfig) -> Path:
     return Path(cfg.outdir) / "target"
 
 
+def _read_snapshot(cfg: ExperimentConfig, snapshot) -> tuple:
+    """Length, density file and distribution file of a target snapshot."""
+    snap = Path(snapshot) if snapshot else _snapshot_dir(cfg)
+    path = snap / "manifest.txt"
+    manifest = {}
+    for lineno, line in enumerate(read_lines(path, _MANIFEST_MAGIC)[1:], start=2):
+        parts = line.split(maxsplit=1)
+        if len(parts) != 2:
+            fail(path, lineno, "expected 'key value'")
+        manifest[parts[0]] = parts[1]
+    for key in ("L", "rho_file", "dist_file"):
+        if key not in manifest:
+            raise DataFormatError(f"{path}: missing key '{key}'")
+    L = manifest["L"]
+    if not (L.isdecimal() and int(L) >= 1):
+        raise DataFormatError(f"{path}: L must be a positive integer, got '{L}'")
+    return int(L), snap / manifest["rho_file"], snap / manifest["dist_file"]
+
+
+def _target(cfg: ExperimentConfig) -> tuple:
+    """The target density of ``cfg`` and its exact outcome distribution."""
+    rho = synth_target(XxzParams(L=cfg.L, J=cfg.J, gamma=cfg.gamma, h=cfg.h, p=cfg.p))
+    return rho, exact_outcome_distribution(rho, tetrahedral_povm())
+
+
+def _datasets(cfg: ExperimentConfig, dist) -> tuple:
+    """The train and test draws of ``cfg``'s sizes and seed."""
+    train = sample_dataset(dist, cfg.train, cfg.seed, stream=0, source="train")
+    test = sample_dataset(dist, cfg.test, cfg.seed, stream=1, source="test")
+    return train, test
+
+
 def cmd_synth(cfg: ExperimentConfig) -> int:
     """Synthesize the target state, its operator chain, and exact distribution."""
-    params = XxzParams(L=cfg.L, J=cfg.J, gamma=cfg.gamma, h=cfg.h, p=cfg.p)
-    rho = synth_target(params)
+    rho, dist = _target(cfg)
     mpo = density_to_mpo(rho, cfg.mpo_tol)
-    dist = exact_outcome_distribution(rho, tetrahedral_povm())
     out = _snapshot_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
     np.save(out / "rho.npy", rho)
@@ -192,12 +210,7 @@ def cmd_synth(cfg: ExperimentConfig) -> int:
         out / "manifest.txt",
         _MANIFEST_MAGIC,
         {
-            "L": cfg.L,
-            "J": repr(cfg.J),
-            "gamma": repr(cfg.gamma),
-            "h": repr(cfg.h),
-            "p": repr(cfg.p),
-            "mpo_tol": repr(cfg.mpo_tol),
+            **{name: repr(getattr(cfg, name)) for name in _TARGET_FIELDS},
             "d": 2**cfg.L,
             "trace": repr(float(np.real(np.trace(rho)))),
             "bonds": " ".join(str(d) for d in mpo.bond_dims),
@@ -214,13 +227,11 @@ def cmd_synth(cfg: ExperimentConfig) -> int:
 
 def cmd_sample(cfg: ExperimentConfig, snapshot) -> int:
     """Draw train and test datasets from a synthesized target."""
-    snap = Path(snapshot) if snapshot else _snapshot_dir(cfg)
-    manifest = read_manifest(snap / "manifest.txt")
-    dist = np.load(snap / manifest["dist_file"])
+    _, _, dist_file = _read_snapshot(cfg, snapshot)
+    dist = np.load(dist_file)
     out = Path(cfg.outdir) / "data"
     out.mkdir(parents=True, exist_ok=True)
-    train = sample_dataset(dist, cfg.train, cfg.seed, stream=0, source="train")
-    test = sample_dataset(dist, cfg.test, cfg.seed, stream=1, source="test")
+    train, test = _datasets(cfg, dist)
     save_samples(train, out / "train.samples")
     save_samples(test, out / "test.samples")
     print(f"sample: wrote {train.total} train and {test.total} test draws to {out}")
@@ -243,6 +254,7 @@ def cmd_fit(cfg: ExperimentConfig, data) -> int:
     out = Path(cfg.outdir) / "fit"
     out.mkdir(parents=True, exist_ok=True)
     masses = [trial.tt.total_mass() for trial in result.trials]
+    degenerate = [not (np.isfinite(mass) and mass > 0.0) for mass in masses]
     for trial in result.trials:
         _write_loss_trace(out / f"trial_{trial.trial:03d}_loss.csv", trial)
     order = sorted(range(len(result.trials)), key=lambda i: result.trials[i].final_loss)
@@ -251,7 +263,6 @@ def cmd_fit(cfg: ExperimentConfig, data) -> int:
         writer.writerow(["rank", "trial", "seed", "final_loss", "sweeps", "converged", "degenerate"])
         for rank, i in enumerate(order):
             trial = result.trials[i]
-            degenerate = not (np.isfinite(masses[i]) and masses[i] > 0.0)
             writer.writerow(
                 [
                     rank,
@@ -260,7 +271,7 @@ def cmd_fit(cfg: ExperimentConfig, data) -> int:
                     repr(trial.final_loss),
                     trial.sweeps_run,
                     trial.converged,
-                    degenerate,
+                    degenerate[i],
                 ]
             )
     best = result.best
@@ -269,9 +280,8 @@ def cmd_fit(cfg: ExperimentConfig, data) -> int:
         f"fit: best trial {best.trial} loss {best.final_loss:.6e} "
         f"after {best.sweeps_run} sweeps -> {out / 'best.tt'}"
     )
-    best_mass = masses[result.best_index]
-    if not (np.isfinite(best_mass) and best_mass > 0.0):
-        raise DegenerateFitError(f"best trial has total mass {best_mass}")
+    if degenerate[result.best_index]:
+        raise DegenerateFitError(f"best trial has total mass {masses[result.best_index]}")
     return 0
 
 
@@ -310,22 +320,20 @@ def _write_report(path: Path, report: dict) -> None:
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="ascii")
 
 
-def cmd_evaluate(cfg: ExperimentConfig, tt_path, snapshot, data) -> int:
+def cmd_evaluate(cfg: ExperimentConfig, tt, snapshot, data) -> int:
     """Score a fitted train against the target snapshot on a test dataset."""
-    tt_file = Path(tt_path) if tt_path else Path(cfg.outdir) / "fit" / "best.tt"
-    snap = Path(snapshot) if snapshot else _snapshot_dir(cfg)
+    tt_file = Path(tt) if tt else Path(cfg.outdir) / "fit" / "best.tt"
     test_file = Path(data) if data else Path(cfg.outdir) / "data" / "test.samples"
     tt = load_tensor(tt_file)
     if not isinstance(tt, TTDistribution):
         raise ValidationError(f"{tt_file} does not hold a tensor train")
-    manifest = read_manifest(snap / "manifest.txt")
-    rho = np.load(snap / manifest["rho_file"])
-    dist = np.load(snap / manifest["dist_file"])
+    L, rho_file, dist_file = _read_snapshot(cfg, snapshot)
+    rho = np.load(rho_file)
+    dist = np.load(dist_file)
     test = load_samples(test_file)
-    if not tt.length == int(manifest["L"]) == test.L:
+    if not tt.length == L == test.L:
         raise ValidationError(
-            f"length mismatch: train has L={tt.length}, snapshot L={manifest['L']}, "
-            f"test set L={test.L}"
+            f"length mismatch: train has L={tt.length}, snapshot L={L}, test set L={test.L}"
         )
     report = _evaluate_tt(tt, rho, dist, test, cfg.fq_max_l)
     out = Path(cfg.outdir) / "report.json"
@@ -339,52 +347,38 @@ def cmd_evaluate(cfg: ExperimentConfig, tt_path, snapshot, data) -> int:
 
 
 def _scan_grid(cfg: ExperimentConfig) -> list:
+    """The config field overrides of every grid point."""
     axes = []
-    for name, field_name in _AXIS_FIELDS:
-        values = getattr(cfg, field_name)
+    for axis, targets in _AXIS_FIELDS.items():
+        values = getattr(cfg, axis)
         if values is None:
             continue
         if len(values) == 0:
-            raise ValidationError(f"scan axis '{field_name}' is empty")
-        axes.append((name, tuple(values)))
+            raise ValidationError(f"scan axis '{axis}' is empty")
+        axes.append([dict.fromkeys(targets, value) for value in values])
     if not axes and not cfg.min_n_search:
         raise ValidationError("scan requires at least one axis (or the minimum-N search)")
-    names = [name for name, _ in axes]
-    combos = itertools.product(*[values for _, values in axes]) if axes else [()]
-    return [dict(zip(names, combo)) for combo in combos]
-
-
-def _apply_overrides(cfg: ExperimentConfig, overrides: dict, seed: int) -> ExperimentConfig:
-    updates = {"seed": seed}
-    for key, value in overrides.items():
-        if key == "n":
-            updates["train"] = value
-            updates["test"] = value
-        else:
-            updates[key] = value
-    return replace(cfg, **updates)
+    return [
+        {name: value for part in combo for name, value in part.items()}
+        for combo in itertools.product(*axes)
+    ]
 
 
 def _run_point(args) -> dict:
     cfg, index, overrides, point_dir = args
-    point_seed = cfg.seed + _POINT_SEED_STRIDE * (index + 1)
-    point = _apply_overrides(cfg, overrides, point_seed)
+    point = replace(cfg, seed=cfg.seed + _POINT_SEED_STRIDE * (index + 1), **overrides)
     names = ("L", "J", "gamma", "h", "p", "bond_dim", "trials", "seed")
     row = {name: getattr(point, name) for name in names}
     row.update(point=index, n_train=point.train, n_test=point.test, status="ok", message="")
     start = time.perf_counter()
     try:
-        params = XxzParams(L=point.L, J=point.J, gamma=point.gamma, h=point.h, p=point.p)
-        rho = synth_target(params)
-        dist = exact_outcome_distribution(rho, tetrahedral_povm())
+        rho, dist = _target(point)
         if point.min_n_search:
             report, row["min_n"] = _min_n_search(point, rho, dist)
             if row["min_n"] is None:
                 row["status"] = "threshold-not-reached"
         else:
-            train = sample_dataset(dist, point.train, point.seed, stream=0, source="train")
-            test = sample_dataset(dist, point.test, point.seed, stream=1, source="test")
-            report = _fit_and_score(point, train, test, rho, dist)
+            report = _fit_and_score(point, *_datasets(point, dist), rho, dist)
         row.update(report, bond_dims="x".join(str(d) for d in report["bond_dims"]))
         _write_report(point_dir / "report.json", report)
     except TomoError as exc:
@@ -412,8 +406,8 @@ def _min_n_search(point: ExperimentConfig, rho, dist):
     n = point.n_start
     attempt = 0
     while True:
-        train, test = split_train_test(dist, n, point.seed + attempt)
-        report = _fit_and_score(point, train, test, rho, dist)
+        draws = replace(point, train=n, test=n, seed=point.seed + attempt)
+        report = _fit_and_score(point, *_datasets(draws, dist), rho, dist)
         if report["i_c"] <= point.ic_target:
             return report, n
         if n >= point.n_max:
@@ -443,11 +437,7 @@ def cmd_scan(cfg: ExperimentConfig) -> int:
         (cfg, index, overrides, scan_dir / f"point_{index:03d}")
         for index, overrides in enumerate(grid)
     ]
-    if cfg.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(_run_point, tasks))
-    else:
-        rows = [_run_point(task) for task in tasks]
+    rows = map_jobs(_run_point, tasks, cfg.jobs)
     csv_path = Path(cfg.outdir) / "scan.csv"
     with open(csv_path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
@@ -479,45 +469,38 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(flag, dest=name, default=None, metavar="V")
 
 
+# Each subcommand's help text, its runner, and its path flags with their
+# help texts; the runner takes the config and one argument per path flag.
+_COMMANDS = {
+    "synth": ("synthesize the target state and exact distribution", cmd_synth, {}),
+    "sample": ("draw train/test datasets from a target snapshot", cmd_sample,
+               {"snapshot": "target snapshot directory"}),
+    "fit": ("fit tensor trains to a training dataset", cmd_fit, {"data": "training dataset file"}),
+    "evaluate": ("score a fitted train against the target", cmd_evaluate,
+                 {"tt": "fitted train file", "snapshot": "target snapshot directory",
+                  "data": "test dataset file"}),
+    "scan": ("run the pipeline over a parameter grid", cmd_scan, {}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ttomo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("synth", "synthesize the target state and exact distribution"),
-        ("sample", "draw train/test datasets from a target snapshot"),
-        ("fit", "fit tensor trains to a training dataset"),
-        ("evaluate", "score a fitted train against the target"),
-        ("scan", "run the pipeline over a parameter grid"),
-    ]:
-        cmd = sub.add_parser(name, help=help_text, parents=[], add_help=True)
+    for name, (help_text, _, paths) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_text)
         _add_config_flags(cmd)
-        if name == "sample":
-            cmd.add_argument("--snapshot", default=None, help="target snapshot directory")
-        if name == "fit":
-            cmd.add_argument("--data", default=None, help="training dataset file")
-        if name == "evaluate":
-            cmd.add_argument("--tt", default=None, help="fitted train file")
-            cmd.add_argument("--snapshot", default=None, help="target snapshot directory")
-            cmd.add_argument("--data", default=None, help="test dataset file")
+        for flag, flag_help in paths.items():
+            cmd.add_argument("--" + flag, default=None, help=flag_help)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _, runner, paths = _COMMANDS[args.command]
     try:
         cfg = build_config(args)
-        if args.command == "synth":
-            return cmd_synth(cfg)
-        if args.command == "sample":
-            return cmd_sample(cfg, args.snapshot)
-        if args.command == "fit":
-            return cmd_fit(cfg, args.data)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg, args.tt, args.snapshot, args.data)
-        if args.command == "scan":
-            return cmd_scan(cfg)
-        raise ValidationError(f"unknown command {args.command}")
+        return runner(cfg, **{flag: getattr(args, flag) for flag in paths})
     except TomoError as exc:
         print(f"ttomo: error: {exc}", file=sys.stderr)
         return exc.exit_code

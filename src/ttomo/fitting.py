@@ -189,6 +189,15 @@ class EnvCache:
         self._check_right(p)
         return self._right_env[p][:, self.runs.suffix_of_row[p]].T
 
+    def loss(self) -> float:
+        """Shifted quadratic loss <P, P> - 2 <P, P_s> from the right side at position 0.
+
+        There the Gram is <P, P> and each string's suffix environment is P(string).
+        """
+        self._check_right(0)
+        values = self._right_env[0][0, self.runs.suffix_of_row[0]]
+        return float(self._right_gram[0][0, 0]) - 2.0 * float(self._weights @ values)
+
     def data_term(self, k: int) -> np.ndarray:
         """Sample-weighted sum of left(k) x right(k+1) outer products per symbol at k.
 
@@ -302,25 +311,13 @@ def sweep(
 
 
 def loss(tt: TTDistribution, samples: SampleSet) -> float:
-    """Shifted quadratic loss <P, P> - 2 <P, P_s>.
+    """Shifted quadratic loss <P, P> - 2 <P, P_s>, read from a fresh ``EnvCache``.
 
-    The self term runs the Gram chain of the train; the data term evaluates
-    the train on the observed strings only, one prefix run at a time.
+    The self term is the Gram chain of the train; the data term evaluates
+    the train on the observed strings only, one suffix run at a time.
     Neither enumerates all 4^L strings. At the perfect fit the value is -sum((n_j / N)^2).
     """
-    if samples.L != tt.length:
-        raise ValidationError(
-            f"sample length {samples.L} does not match train length {tt.length}"
-        )
-    runs = samples.runs
-    gram = np.ones((1, 1))
-    env = np.ones((1, 1))
-    for p, core in enumerate(tt.cores):
-        gram = sum(core[s].T @ gram @ core[s] for s in range(4))
-        env = _extend(env, core.transpose(2, 0, 1), runs.prefix_slot[p + 1])
-    self_term = float(gram[0, 0])
-    data_term = float(samples.weights @ env[0])
-    return self_term - 2.0 * data_term
+    return EnvCache(tt, samples).loss()
 
 
 @dataclass
@@ -366,19 +363,22 @@ def fit_single(samples: SampleSet, config: FitConfig, seed: int, trial: int = 0)
     """Run one trial: random init, sweeps, windowed stopping rule.
 
     ``losses[i]`` is the loss after ``i`` sweeps; index 0 is the initial
-    value. Wall times are cumulative seconds since the trial started.
+    value. A sweep leaves the right side valid down to position 1, so one
+    refresh at 0 makes the cache's loss equal ``loss(tt, samples)`` bit for
+    bit. Wall times are cumulative seconds since the trial started.
     """
     if samples.total < 1 or samples.n_distinct < 1:
         raise ValidationError("cannot fit an empty sample set")
     tt = init_tt(samples.L, config.bond_dim, seed)
     cache = EnvCache(tt, samples)
     start = time.perf_counter()
-    losses = [loss(tt, samples)]
+    losses = [cache.loss()]
     walls = [0.0]
     converged = False
     for _ in range(config.max_sweeps):
         sweep(tt, cache, samples, config.eps)
-        losses.append(loss(tt, samples))
+        cache.refresh_right(0)
+        losses.append(cache.loss())
         walls.append(time.perf_counter() - start)
         if len(losses) > config.stop_window:
             gain = losses[-1 - config.stop_window] - losses[-1]
@@ -395,6 +395,17 @@ def fit_single(samples: SampleSet, config: FitConfig, seed: int, trial: int = 0)
     )
 
 
+def map_jobs(fn, tasks: list, jobs: int) -> list:
+    """``[fn(task) for task in tasks]``, in ``jobs`` worker processes when ``jobs > 1``.
+
+    Results come back in task order either way.
+    """
+    if jobs <= 1 or len(tasks) <= 1:
+        return [fn(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, tasks))
+
+
 def _fit_task(args) -> TrialResult:
     samples, config, trial = args
     return fit_single(samples, config, config.seed + trial, trial)
@@ -406,12 +417,5 @@ def fit(samples: SampleSet, config: FitConfig, jobs: int = 1) -> FitResult:
     Trials are independent, so with ``jobs > 1`` they run in worker
     processes; results are collected in trial order either way.
     """
-    if samples.total < 1 or samples.n_distinct < 1:
-        raise ValidationError("cannot fit an empty sample set")
     tasks = [(samples, config, t) for t in range(config.trials)]
-    if jobs <= 1 or config.trials == 1:
-        results = [_fit_task(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_fit_task, tasks))
-    return FitResult(trials=results)
+    return FitResult(trials=map_jobs(_fit_task, tasks, jobs))

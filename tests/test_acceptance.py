@@ -23,7 +23,7 @@ from oracles import (
 )
 from ttomo.cli import ExperimentConfig
 from ttomo.density import mpo_to_dense, mpo_to_tt, normalize_tt, tt_to_mpo
-from ttomo.fit import EnvCache, FitConfig, fit, init_tt, loss, sweep
+from ttomo.fitting import EnvCache, FitConfig, fit, init_tt, loss, sweep
 from ttomo.metrics import classical_fidelity, quantum_fidelity
 from ttomo.networks import TTDistribution
 from ttomo.povm import tetrahedral_povm

@@ -199,6 +199,57 @@ def test_evaluate_rejects_length_mismatch(tmp_path, small_cfg):
     assert main(["evaluate", "--config", str(small_cfg)]) == 1
 
 
+def _edit_manifest(small_cfg, tmp_path, key, value):
+    """Synthesize, then drop the manifest's ``key`` line or set it to ``value``."""
+    assert main(["synth", "--config", str(small_cfg)]) == 0
+    path = tmp_path / "run" / "target" / "manifest.txt"
+    lines = path.read_text().splitlines()
+    lines = [line for line in lines if line.split()[0] != key]
+    path.write_text("\n".join(lines + ([f"{key} {value}"] if value else [])) + "\n")
+
+
+def test_sample_reports_a_manifest_without_dist_file(tmp_path, small_cfg, capsys):
+    _edit_manifest(small_cfg, tmp_path, "dist_file", None)
+    assert main(["sample", "--config", str(small_cfg)]) == 3
+    assert "manifest.txt: missing key 'dist_file'" in capsys.readouterr().err
+
+
+def test_evaluate_reports_a_manifest_with_a_non_integer_length(tmp_path, small_cfg, capsys):
+    for command in ("synth", "sample", "fit"):
+        assert main([command, "--config", str(small_cfg)]) == 0
+    _edit_manifest(small_cfg, tmp_path, "L", "two")
+    assert main(["evaluate", "--config", str(small_cfg)]) == 3
+    assert "manifest.txt: L must be a positive integer, got 'two'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,accepted",
+    [
+        ("synth", ()),
+        ("sample", ("--snapshot",)),
+        ("fit", ("--data",)),
+        ("evaluate", ("--tt", "--snapshot", "--data")),
+        ("scan", ()),
+    ],
+)
+def test_each_command_takes_exactly_its_path_flags(command, accepted):
+    parser = build_parser()
+    for flag in ("--tt", "--snapshot", "--data"):
+        if flag in accepted:
+            args = parser.parse_args([command, flag, "x"])
+            assert getattr(args, flag[2:]) == "x"
+        else:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([command, flag, "x"])
+            assert exc.value.code == 1
+
+
+def test_a_foreign_path_flag_exits_with_the_validation_code():
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--data", "x"])
+    assert exc.value.code == 1
+
+
 def test_scan_grid_and_error_recovery(tmp_path):
     cfg = tmp_path / "scan.cfg"
     cfg.write_text(

@@ -14,3 +14,11 @@ def test_export_list_names_exactly_the_public_attributes():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(public - set(ttomo.__all__)) == []
+
+
+def test_fitting_submodule_and_fit_function_are_distinct():
+    import ttomo.fitting as fitting
+
+    assert isinstance(fitting, types.ModuleType)
+    assert fitting.fit is ttomo.fit
+    assert callable(ttomo.fit) and not isinstance(ttomo.fit, types.ModuleType)

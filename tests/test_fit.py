@@ -21,7 +21,7 @@ from oracles import (
     suffix_vector,
 )
 from ttomo.errors import ValidationError
-from ttomo.fit import (
+from ttomo.fitting import (
     EnvCache,
     FitConfig,
     bond_profile,
@@ -236,6 +236,31 @@ def test_loss_matches_brute_force():
         fast = loss(tt, samples)
         slow = brute_loss(tt.cores, samples)
         assert fast == pytest.approx(slow, rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("L", [1, 2, 4])
+def test_cache_loss_on_a_fresh_cache_matches_brute_force(L):
+    tt, samples = _random_instance(L, 3, 300, seed=190 + L)
+    assert EnvCache(tt, samples).loss() == pytest.approx(brute_loss(tt.cores, samples), rel=1e-12)
+
+
+def test_cache_loss_needs_the_right_side_at_position_zero():
+    tt, samples = _random_instance(3, 2, 100, seed=195)
+    cache = EnvCache(tt, samples)
+    update_core(tt, cache, samples, 0)
+    with pytest.raises(IndexError):
+        cache.loss()
+    cache.refresh_right(0)
+    assert cache.loss() == loss(tt, samples)
+
+
+@pytest.mark.parametrize("L", [1, 2, 4])
+def test_fit_single_final_loss_equals_loss_exactly(L):
+    _, samples = _random_instance(L, 3, 2000, seed=200 + L)
+    config = FitConfig(bond_dim=3, max_sweeps=25, trials=1, seed=9)
+    result = fit_single(samples, config, seed=9)
+    assert result.sweeps_run > 0
+    assert result.losses[-1] == loss(result.tt, samples)
 
 
 def test_loss_optimum_for_point_mass_is_minus_one():

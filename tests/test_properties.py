@@ -22,7 +22,7 @@ from oracles import (
     brute_update_numer,
     random_tt_cores,
 )
-from ttomo.fit import EnvCache, loss, update_core
+from ttomo.fitting import EnvCache, loss, update_core
 from ttomo.networks import TTDistribution
 from ttomo.sampling import SampleSet
 
