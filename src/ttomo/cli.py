@@ -58,7 +58,7 @@ class ExperimentConfig:
     max_sweeps: int = 2000
     stop_window: int = 10
     stop_rtol: float = 1e-8
-    eps: float = 1e-16
+    eps: float = 1e-16  # update safeguard, relative to the largest denominator entry
     mpo_tol: float = 1e-14
     seed: int = 1234
     outdir: str = "runs/exp"

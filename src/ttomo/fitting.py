@@ -12,7 +12,8 @@ tensors assembled from cached partial contractions:
 
 The ratio update never increases the quadratic loss and preserves
 nonnegativity; entries that reach zero stay zero, so the support can only
-shrink. A small ``eps`` is added to the denominator only.
+shrink. A small ``eps``, relative to the largest denominator entry, is
+added to the denominator only.
 
 Boundary position ``p`` in 0..L splits the chain between cores ``p - 1`` and
 ``p``: left quantities cover cores ``0 .. p-1``, right quantities cover cores
@@ -24,6 +25,15 @@ reversed string does the same for suffixes (``SampleSet.runs``). Refreshes
 and the loss then work per run rather than per sample, and the data term of
 an update is one gather and one segment sum over the samples plus a GEMM
 over the runs.
+
+The trials of a fit share the sample set and its runs, so ``fit`` runs them
+in blocks through one cache whose cores, Grams and environments carry a
+leading trial axis. Every GEMM is then batched over the trials, while the
+gather and the segment sum stay on the last (row or run) axis; a block pays
+the per-call overhead of numpy once for all its trials. Each trial's
+arithmetic is the same as alone, so its losses and cores do not depend on
+its block. A trial that meets its stopping rule leaves the block, and its
+wall times count from the start of the block.
 """
 
 from __future__ import annotations
@@ -39,6 +49,10 @@ from .networks import TTDistribution
 from .sampling import SampleSet
 
 DEFAULT_EPS = 1e-16
+# Budget of a trial block in floats, on T * bond_dim * n_distinct: wide sets
+# (L = 8, 65534 strings at D = 10) run one trial per block, where batching
+# does not pay, and small sets run a whole fit as one block.
+_BLOCK_FLOATS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -48,7 +62,9 @@ class FitConfig:
     A trial stops once the loss improvement over the trailing
     ``stop_window`` sweeps drops below ``stop_rtol`` relative to the current
     loss magnitude, or after ``max_sweeps`` sweeps. Trial ``t`` initializes
-    from seed ``seed + t``.
+    from seed ``seed + t``. ``eps`` is the update's denominator safeguard
+    relative to the largest denominator entry of the trial (see
+    ``update_core``).
     """
 
     bond_dim: int = 10
@@ -68,10 +84,10 @@ class FitConfig:
             raise ValidationError(f"stop_window must be >= 1, got {self.stop_window}")
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
-        if self.stop_rtol < 0.0:
-            raise ValidationError(f"stop_rtol must be >= 0, got {self.stop_rtol}")
-        if self.eps <= 0.0:
-            raise ValidationError(f"eps must be > 0, got {self.eps}")
+        if not (np.isfinite(self.stop_rtol) and self.stop_rtol >= 0.0):
+            raise ValidationError(f"stop_rtol must be finite and >= 0, got {self.stop_rtol}")
+        if not (np.isfinite(self.eps) and self.eps > 0.0):
+            raise ValidationError(f"eps must be finite and > 0, got {self.eps}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
@@ -101,16 +117,36 @@ def init_tt(L: int, bond_dim: int, seed: int) -> TTDistribution:
     return TTDistribution(cores)
 
 
-def _extend(env: np.ndarray, slabs: np.ndarray, slot: np.ndarray) -> np.ndarray:
-    """Extend per-run environment columns across one core.
+def _stacked(core: np.ndarray) -> np.ndarray:
+    """A core with its leading trial axis; a single train's core gains one of length 1."""
+    return core if core.ndim == 4 else core[None]
 
-    ``env`` holds one column per run at the previous position and ``slabs``
-    is the core arranged as (D_out, 4, D_in). One GEMM forms every
-    (symbol, run) product; each new run then picks its column by ``slot``.
+
+@dataclass
+class _TrialStack:
+    """Trains of one bond profile with core ``k`` stacked to (T, 4, D_k, D_{k+1})."""
+
+    cores: list
+
+    @property
+    def length(self) -> int:
+        return len(self.cores)
+
+    def train(self, t: int) -> TTDistribution:
+        return TTDistribution([core[t].copy() for core in self.cores])
+
+
+def _extend(env: np.ndarray, slabs: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """Extend per-run environment columns across one core, for every trial.
+
+    ``env`` holds one column per run at the previous position, shape
+    (T, D_in, runs), and ``slabs`` is the core arranged as (T, D_out, 4, D_in).
+    One batched GEMM forms every (symbol, run) product; each new run then
+    picks its column by ``slot``.
     """
-    d_out, _, d_in = slabs.shape
-    products = (slabs.reshape(4 * d_out, d_in) @ env).reshape(d_out, -1)
-    return np.take(products, slot, axis=1)
+    trials, d_out, _, d_in = slabs.shape
+    products = (slabs.reshape(trials, 4 * d_out, d_in) @ env).reshape(trials, d_out, -1)
+    return products.take(slot, axis=2)
 
 
 class EnvCache:
@@ -126,12 +162,18 @@ class EnvCache:
     previous position, and the update's data term is a segment sum over
     contiguous runs.
 
+    ``tt`` is one train or, inside ``fit``, a stack of trials whose cores
+    carry a leading trial axis. Every stored quantity carries that axis:
+    Grams are (T, D, D) and environments (T, D, runs), with T = 1 for one
+    train. ``loss(t)`` reads trial ``t``; the Gram and overlap reads serve
+    one-train caches and read trial 0.
+
     Entries invalidated by a core update are unreadable until a refresh
     recomputes them, so everything readable equals its from-scratch
     definition.
     """
 
-    def __init__(self, tt: TTDistribution, samples: SampleSet):
+    def __init__(self, tt, samples: SampleSet):
         if samples.L != tt.length:
             raise ValidationError(
                 f"sample length {samples.L} does not match train length {tt.length}"
@@ -140,10 +182,11 @@ class EnvCache:
         self.runs = samples.runs
         self._weights = samples.weights
         L = tt.length
-        self._left_gram = [np.ones((1, 1))] + [None] * L
-        self._right_gram = [None] * L + [np.ones((1, 1))]
-        self._left_env = [np.ones((1, 1))] + [None] * L
-        self._right_env = [None] * L + [np.ones((1, 1))]
+        ones = np.ones((_stacked(tt.cores[0]).shape[0], 1, 1))
+        self._left_gram = [ones] + [None] * L
+        self._right_gram = [None] * L + [ones]
+        self._left_env = [ones] + [None] * L
+        self._right_env = [None] * L + [ones]
         self._left_valid = 0
         self._right_valid = L
         for k in range(L):
@@ -173,48 +216,61 @@ class EnvCache:
 
     def left_gram(self, p: int) -> np.ndarray:
         self._check_left(p)
-        return self._left_gram[p]
+        return self._left_gram[p][0]
 
     def right_gram(self, p: int) -> np.ndarray:
         self._check_right(p)
-        return self._right_gram[p]
+        return self._right_gram[p][0]
 
     def left_overlaps(self, p: int) -> np.ndarray:
         """Per-sample left overlap at position p, expanded from the prefix runs."""
         self._check_left(p)
-        return self._left_env[p][:, self.runs.prefix_of_row(p)].T
+        return self._left_env[p][0][:, self.runs.prefix_of_row(p)].T
 
     def right_overlaps(self, p: int) -> np.ndarray:
         """Per-sample right overlap at position p, expanded from the suffix runs."""
         self._check_right(p)
-        return self._right_env[p][:, self.runs.suffix_of_row[p]].T
+        return self._right_env[p][0][:, self.runs.suffix_of_row[p]].T
 
-    def loss(self) -> float:
+    def loss(self, t: int = 0) -> float:
         """Shifted quadratic loss <P, P> - 2 <P, P_s> from the right side at position 0.
 
         There the Gram is <P, P> and each string's suffix environment is P(string).
         """
         self._check_right(0)
-        values = self._right_env[0][0, self.runs.suffix_of_row[0]]
-        return float(self._right_gram[0][0, 0]) - 2.0 * float(self._weights @ values)
+        values = self._right_env[0][t, 0, self.runs.suffix_of_row[0]]
+        return float(self._right_gram[0][t, 0, 0]) - 2.0 * float(self._weights @ values)
 
     def data_term(self, k: int) -> np.ndarray:
         """Sample-weighted sum of left(k) x right(k+1) outer products per symbol at k.
 
         The weighted right environments of the samples are summed over each
         prefix run of length k + 1, then contracted with the left
-        environment of the run's parent prefix.
+        environment of the run's parent prefix. Shape (T, 4, D_k, D_{k+1}).
         """
         self._check_left(k)
         self._check_right(k + 1)
         runs = self.runs
-        right = np.take(self._right_env[k + 1], runs.suffix_of_row[k + 1], axis=1)
+        right = self._right_env[k + 1].take(runs.suffix_of_row[k + 1], axis=2)
         right *= self._weights
-        sums = np.add.reduceat(right, runs.prefix_starts[k + 1], axis=1)
+        sums = np.add.reduceat(right, runs.prefix_starts[k + 1], axis=2)
         left = self._left_env[k]
-        grid = np.zeros((4 * left.shape[1], sums.shape[0]))
-        grid[runs.prefix_slot[k + 1]] = sums.T
-        return left @ grid.reshape(4, left.shape[1], -1)
+        trials, _, parents = left.shape
+        grid = np.zeros((trials, 4 * parents, sums.shape[1]))
+        grid[:, runs.prefix_slot[k + 1]] = sums.transpose(0, 2, 1)
+        return left[:, None] @ grid.reshape(trials, 4, parents, -1)
+
+    def model_term(self, k: int) -> np.ndarray:
+        """Core k between the Grams of the rest of the chain, per symbol at k.
+
+        Shape (T, 4, D_k, D_{k+1}); the core's entrywise product with it sums
+        to the train's self overlap <P, P>.
+        """
+        self._check_left(k)
+        self._check_right(k + 1)
+        core = _stacked(self.tt.cores[k])
+        right_t = self._right_gram[k + 1].transpose(0, 2, 1)
+        return self._left_gram[k][:, None] @ core @ right_t[:, None]
 
     # -- writes ------------------------------------------------------------
 
@@ -228,11 +284,11 @@ class EnvCache:
         if not 0 <= k < self.tt.length:
             raise IndexError(f"core index {k} out of range")
         self._check_left(k)
-        core = self.tt.cores[k]
-        gram = self._left_gram[k]
-        self._left_gram[k + 1] = sum(core[s].T @ gram @ core[s] for s in range(4))
+        core = _stacked(self.tt.cores[k])
+        gram = self._left_gram[k][:, None]
+        self._left_gram[k + 1] = (core.transpose(0, 1, 3, 2) @ gram @ core).sum(axis=1)
         self._left_env[k + 1] = _extend(
-            self._left_env[k], core.transpose(2, 0, 1), self.runs.prefix_slot[k + 1]
+            self._left_env[k], core.transpose(0, 3, 1, 2), self.runs.prefix_slot[k + 1]
         )
         self._left_valid = k + 1
 
@@ -241,13 +297,19 @@ class EnvCache:
         if not 0 <= k < self.tt.length:
             raise IndexError(f"core index {k} out of range")
         self._check_right(k + 1)
-        core = self.tt.cores[k]
-        gram = self._right_gram[k + 1]
-        self._right_gram[k] = sum(core[s] @ gram @ core[s].T for s in range(4))
+        core = _stacked(self.tt.cores[k])
+        gram = self._right_gram[k + 1][:, None]
+        self._right_gram[k] = (core @ gram @ core.transpose(0, 1, 3, 2)).sum(axis=1)
         self._right_env[k] = _extend(
-            self._right_env[k + 1], core.transpose(1, 0, 2), self.runs.suffix_slot[k]
+            self._right_env[k + 1], core.transpose(0, 2, 1, 3), self.runs.suffix_slot[k]
         )
         self._right_valid = k
+
+    def keep_trials(self, rows: list) -> None:
+        """Keep only the trials at ``rows`` of the trial axis of a stack, cores included."""
+        for store in (self._left_gram, self._right_gram, self._left_env, self._right_env):
+            store[:] = [None if a is None else a[rows] for a in store]
+        self.tt.cores[:] = [core[rows] for core in self.tt.cores]
 
 
 def update_core(
@@ -261,20 +323,25 @@ def update_core(
 
     The cache, built on ``samples``, must hold valid left quantities at
     position ``k`` and right quantities at position ``k + 1``. ``eps`` is
-    added to the denominator only: it keeps the ratio finite where the model
-    term underflows to zero.
+    relative: ``eps`` times the trial's largest denominator entry is added
+    to the denominator only. It keeps the ratio finite where the model term
+    underflows to zero, and because it scales with the model it stays
+    negligible on long chains, where every string's mass and with it the
+    denominator is about 4^-L. A model term that is zero everywhere falls
+    back to the absolute ``eps``. ``tt`` may be a stack of trials
+    (see ``EnvCache``); each trial is updated on its own scale.
     """
     if not 0 <= k < tt.length:
         raise IndexError(f"core index {k} out of range for length {tt.length}")
     core = tt.cores[k]
-    left_gram = cache.left_gram(k)
-    right_gram = cache.right_gram(k + 1)
     numer = cache.data_term(k)
-    denom = np.stack([left_gram @ core[s] @ right_gram.T for s in range(4)])
-    new = core * (numer / (denom + eps))
-    tt.cores[k] = new
+    denom = cache.model_term(k)
+    scale = denom.max(axis=(1, 2, 3), keepdims=True)
+    scale[scale == 0.0] = 1.0
+    new = _stacked(core) * (numer / (denom + eps * scale))
+    tt.cores[k] = new if core.ndim == 4 else new[0]
     cache.note_core_changed(k)
-    return new
+    return tt.cores[k]
 
 
 def sweep(
@@ -322,7 +389,12 @@ def loss(tt: TTDistribution, samples: SampleSet) -> float:
 
 @dataclass
 class TrialResult:
-    """Outcome of one fitting trial."""
+    """Outcome of one fitting trial.
+
+    ``losses[i]`` is the loss after ``i`` sweeps; index 0 is the initial
+    value. ``wall_times[i]`` is the matching cumulative time in seconds
+    since the trial's block started (``fit`` runs trials in blocks).
+    """
 
     trial: int
     seed: int
@@ -359,40 +431,85 @@ class FitResult:
         return self.trials[self.best_index]
 
 
-def fit_single(samples: SampleSet, config: FitConfig, seed: int, trial: int = 0) -> TrialResult:
-    """Run one trial: random init, sweeps, windowed stopping rule.
+def _fit_block(samples: SampleSet, config: FitConfig, trials: list, seeds: list) -> list:
+    """Run trials ``trials`` (with init seeds ``seeds``) as one block through one cache.
 
-    ``losses[i]`` is the loss after ``i`` sweeps; index 0 is the initial
-    value. A sweep leaves the right side valid down to position 1, so one
-    refresh at 0 makes the cache's loss equal ``loss(tt, samples)`` bit for
-    bit. Wall times are cumulative seconds since the trial started.
+    Each trial keeps its own loss trace and windowed stopping rule; a trial
+    that stops leaves the block by a slice of the trial axis. A sweep leaves
+    the right side valid down to position 1, so one refresh at 0 makes each
+    trial's cache loss equal ``loss(tt, samples)`` bit for bit.
     """
     if samples.total < 1 or samples.n_distinct < 1:
         raise ValidationError("cannot fit an empty sample set")
-    tt = init_tt(samples.L, config.bond_dim, seed)
-    cache = EnvCache(tt, samples)
+    inits = [init_tt(samples.L, config.bond_dim, seed).cores for seed in seeds]
+    stack = _TrialStack([np.stack(cores) for cores in zip(*inits)])
+    cache = EnvCache(stack, samples)
     start = time.perf_counter()
-    losses = [cache.loss()]
-    walls = [0.0]
-    converged = False
+    active = list(range(len(trials)))  # block index of each row of the trial axis
+    losses = [[cache.loss(row)] for row in active]
+    walls = [[0.0] for _ in active]
+    results = [None] * len(trials)
+
+    def finish(rows: list, converged: bool) -> None:
+        for row in rows:
+            i = active[row]
+            results[i] = TrialResult(
+                trial=trials[i],
+                seed=seeds[i],
+                tt=stack.train(row),
+                losses=np.array(losses[i]),
+                wall_times=np.array(walls[i]),
+                converged=converged,
+            )
+
     for _ in range(config.max_sweeps):
-        sweep(tt, cache, samples, config.eps)
+        sweep(stack, cache, samples, config.eps)
         cache.refresh_right(0)
-        losses.append(cache.loss())
-        walls.append(time.perf_counter() - start)
-        if len(losses) > config.stop_window:
-            gain = losses[-1 - config.stop_window] - losses[-1]
-            if gain <= config.stop_rtol * max(abs(losses[-1]), 1e-300):
-                converged = True
+        values = [cache.loss(row) for row in range(len(active))]
+        now = time.perf_counter() - start
+        stopped = []
+        for row, value in enumerate(values):
+            trace = losses[active[row]]
+            trace.append(value)
+            walls[active[row]].append(now)
+            if len(trace) > config.stop_window:
+                gain = trace[-1 - config.stop_window] - trace[-1]
+                if gain <= config.stop_rtol * max(abs(trace[-1]), 1e-300):
+                    stopped.append(row)
+        if stopped:
+            finish(stopped, converged=True)
+            rows = [row for row in range(len(active)) if row not in stopped]
+            if not rows:
                 break
-    return TrialResult(
-        trial=trial,
-        seed=seed,
-        tt=tt,
-        losses=np.array(losses),
-        wall_times=np.array(walls),
-        converged=converged,
-    )
+            cache.keep_trials(rows)
+            active = [active[row] for row in rows]
+    else:
+        finish(list(range(len(active))), converged=False)
+    return results
+
+
+def fit_single(samples: SampleSet, config: FitConfig, seed: int, trial: int = 0) -> TrialResult:
+    """Run one trial: random init, sweeps, windowed stopping rule.
+
+    This is a block of one trial; see ``TrialResult`` for the traces.
+    """
+    return _fit_block(samples, config, [trial], [seed])[0]
+
+
+def trial_blocks(trials: int, bond_dim: int, n_distinct: int, jobs: int = 1) -> list:
+    """Trial indices of each block ``fit`` runs, as consecutive ranges.
+
+    A block holds at most ``_BLOCK_FLOATS // (bond_dim * n_distinct)`` trials
+    (at least one), so its largest temporary, the gathered right
+    environments of every trial, stays near ``_BLOCK_FLOATS`` floats. With
+    ``jobs > 1`` there are at least ``min(jobs, trials)`` blocks, one or more
+    per worker. Blocks differ in size by at most one trial.
+    """
+    per_block = max(1, _BLOCK_FLOATS // max(bond_dim * n_distinct, 1))
+    count = max(-(-trials // per_block), min(jobs, trials))
+    size, extra = divmod(trials, count)
+    bounds = [b * size + min(b, extra) for b in range(count + 1)]
+    return [range(bounds[b], bounds[b + 1]) for b in range(count)]
 
 
 def map_jobs(fn, tasks: list, jobs: int) -> list:
@@ -406,16 +523,19 @@ def map_jobs(fn, tasks: list, jobs: int) -> list:
         return list(pool.map(fn, tasks))
 
 
-def _fit_task(args) -> TrialResult:
-    samples, config, trial = args
-    return fit_single(samples, config, config.seed + trial, trial)
+def _fit_task(args) -> list:
+    samples, config, block = args
+    return _fit_block(samples, config, list(block), [config.seed + t for t in block])
 
 
 def fit(samples: SampleSet, config: FitConfig, jobs: int = 1) -> FitResult:
     """Run ``config.trials`` independent trials; trial t uses seed ``seed + t``.
 
-    Trials are independent, so with ``jobs > 1`` they run in worker
-    processes; results are collected in trial order either way.
+    Trials run in blocks (``trial_blocks``), each through one trial-axis
+    cache; with ``jobs > 1`` the blocks run in worker processes. A trial's
+    arithmetic does not depend on its block, so the results, collected in
+    trial order, are the same for any block plan and any ``jobs``.
     """
-    tasks = [(samples, config, t) for t in range(config.trials)]
-    return FitResult(trials=map_jobs(_fit_task, tasks, jobs))
+    blocks = trial_blocks(config.trials, config.bond_dim, samples.n_distinct, jobs)
+    tasks = [(samples, config, block) for block in blocks]
+    return FitResult(trials=[r for block in map_jobs(_fit_task, tasks, jobs) for r in block])

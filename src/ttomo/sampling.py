@@ -181,8 +181,10 @@ def sample_dataset(
     renormalized before drawing.
     """
     dist = np.asarray(dist, dtype=float)
-    if dist.ndim != 1:
-        raise ValidationError("distribution must be a flat vector")
+    if dist.ndim != 1 or dist.size == 0:
+        raise ValidationError("distribution must be a non-empty flat vector")
+    if not np.all(np.isfinite(dist)):
+        raise ValidationError("distribution has non-finite entries")
     L = _num_sites_from_size(dist.size)
     if n < 1 or int(n) != n:
         raise ValidationError(f"sample count must be a positive integer, got {n}")

@@ -179,6 +179,23 @@ def test_negative_seed_exits_with_a_validation_error(tmp_path, small_cfg, capsys
     assert all(line.startswith("ttomo: error: seed must be >= 0") for line in errors)
 
 
+def test_non_finite_values_exit_with_a_validation_error(tmp_path, small_cfg, capsys):
+    assert main(["synth", "--config", str(small_cfg)]) == 0
+    dist_file = tmp_path / "run" / "target" / "dist.npy"
+    dist = np.load(dist_file)
+    dist[0] = np.nan
+    np.save(dist_file, dist)
+    assert main(["sample", "--config", str(small_cfg)]) == 1
+    assert main(["synth", "--config", str(small_cfg)]) == 0
+    assert main(["sample", "--config", str(small_cfg)]) == 0
+    assert main(["fit", "--config", str(small_cfg), "--eps", "nan"]) == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert errors == [
+        "ttomo: error: distribution has non-finite entries",
+        "ttomo: error: eps must be finite and > 0, got nan",
+    ]
+
+
 def test_degenerate_fit_exits_with_code_four(tmp_path, small_cfg):
     assert main(["synth", "--config", str(small_cfg)]) == 0
     assert main(["sample", "--config", str(small_cfg)]) == 0

@@ -20,6 +20,8 @@ from oracles import (
     random_tt_cores,
     suffix_vector,
 )
+import ttomo.fitting
+from ttomo.density import normalize_tt
 from ttomo.errors import ValidationError
 from ttomo.fitting import (
     EnvCache,
@@ -30,6 +32,7 @@ from ttomo.fitting import (
     init_tt,
     loss,
     sweep,
+    trial_blocks,
     update_core,
 )
 from ttomo.networks import TTDistribution
@@ -155,14 +158,15 @@ def test_update_divides_data_term_by_model_term_exactly():
 
 
 def test_update_adds_eps_to_the_denominator_only():
-    # L=1, D=1: both Gram matrices are 1, so the denominator is the core itself
+    # L=1, D=1: both Gram matrices are 1, so the denominator is the core itself;
+    # eps is relative to its largest entry
     samples = SampleSet(L=1, total=4, strings=[[0], [1], [2]], counts=[2, 1, 1])
     core = np.array([0.5, 0.25, 0.0, 0.125])
     weights = np.array([0.5, 0.25, 0.25, 0.0])
     for eps in (0.25, 1e-16):
         tt = TTDistribution([core.reshape(4, 1, 1).copy()])
         update_core(tt, EnvCache(tt, samples), samples, 0, eps=eps)
-        assert np.array_equal(tt.cores[0][:, 0, 0], core * (weights / (core + eps)))
+        assert np.array_equal(tt.cores[0][:, 0, 0], core * (weights / (core + eps * 0.5)))
     # a zero denominator under observed mass stays finite: the entry stays zero
     assert tt.cores[0][2, 0, 0] == 0.0
 
@@ -173,6 +177,10 @@ def test_update_preserves_zero_support():
     cache = EnvCache(tt, samples)
     update_core(tt, cache, samples, 0, eps=1e-16)
     assert np.all(tt.cores[0][1, 0, :] == 0.0)
+    # a core that is zero everywhere has a zero model term; it stays zero
+    tt.cores[1][:] = 0.0
+    update_core(tt, EnvCache(tt, samples), samples, 1, eps=1e-16)
+    assert np.all(tt.cores[1] == 0.0)
 
 
 def test_long_chain_sample_set_and_overlaps():
@@ -306,15 +314,122 @@ def test_fit_runs_trials_with_distinct_seeds():
     assert np.array_equal(result.final_losses, rerun.final_losses)
 
 
+def _assert_same_trials(first, second):
+    assert len(first) == len(second)
+    for a, b in zip(first, second):
+        assert (a.trial, a.seed, a.converged) == (b.trial, b.seed, b.converged)
+        assert np.array_equal(a.losses, b.losses)
+        assert all(np.array_equal(ca, cb) for ca, cb in zip(a.tt.cores, b.tt.cores))
+
+
 def test_fit_parallel_matches_sequential():
     _, samples = _random_instance(2, 2, 200, seed=180)
-    config = FitConfig(bond_dim=2, max_sweeps=15, trials=2, seed=8)
+    config = FitConfig(bond_dim=2, max_sweeps=15, trials=3, seed=8)
+    # two workers get uneven blocks of two trials and one
+    assert trial_blocks(3, 2, samples.n_distinct, jobs=2) == [range(0, 2), range(2, 3)]
     sequential = fit(samples, config, jobs=1)
     parallel = fit(samples, config, jobs=2)
-    assert np.array_equal(sequential.final_losses, parallel.final_losses)
-    for a, b in zip(sequential.trials, parallel.trials):
-        for ca, cb in zip(a.tt.cores, b.tt.cores):
-            assert np.array_equal(ca, cb)
+    _assert_same_trials(sequential.trials, parallel.trials)
+
+
+def test_trial_blocks_follow_the_float_budget():
+    # wide-L8 sized (65534 strings, D = 10): D * n exceeds half the budget,
+    # so every trial is its own block
+    assert trial_blocks(2, 10, 65534) == [range(0, 1), range(1, 2)]
+    # flagship sized (256 strings) and the L = 6 slice (4096): one block
+    assert trial_blocks(20, 10, 256) == [range(0, 20)]
+    assert trial_blocks(2, 10, 4096) == [range(0, 2)]
+    # the full-scale config's 100 trials on 4096 strings: four even blocks
+    assert [len(b) for b in trial_blocks(100, 10, 4096)] == [25, 25, 25, 25]
+    # at least one block per worker, never an empty one
+    assert trial_blocks(5, 10, 256, jobs=3) == [range(0, 2), range(2, 4), range(4, 5)]
+    assert trial_blocks(2, 10, 256, jobs=4) == [range(0, 1), range(1, 2)]
+
+
+def _public_call_trial(samples, config, seed):
+    """One trial through the public single-train calls, in ``fit_single``'s order."""
+    tt = init_tt(samples.L, config.bond_dim, seed)
+    cache = EnvCache(tt, samples)
+    losses = [loss(tt, samples)]
+    for _ in range(config.max_sweeps):
+        for k in range(samples.L - 1):
+            update_core(tt, cache, samples, k, config.eps)
+            cache.refresh_left(k)
+        for k in range(samples.L - 1, 0, -1):
+            update_core(tt, cache, samples, k, config.eps)
+            cache.refresh_right(k)
+        losses.append(loss(tt, samples))
+        if len(losses) > config.stop_window:
+            gain = losses[-1 - config.stop_window] - losses[-1]
+            if gain <= config.stop_rtol * max(abs(losses[-1]), 1e-300):
+                return tt, np.array(losses), True
+    return tt, np.array(losses), False
+
+
+@pytest.mark.parametrize("L,bond_dim,stop_rtol", [(2, 2, 1e-5), (3, 3, 3e-4), (4, 10, 3e-3)])
+def test_one_block_equals_each_trial_alone(L, bond_dim, stop_rtol, monkeypatch):
+    dist = np.full(4**L, 1.0 / 4**L)
+    samples = sample_dataset(dist, 3000, seed=210 + L)
+    config = FitConfig(bond_dim=bond_dim, max_sweeps=120, stop_rtol=stop_rtol, trials=4, seed=L)
+    assert trial_blocks(config.trials, bond_dim, samples.n_distinct) == [range(0, 4)]
+    batched = fit(samples, config)
+    # some trials stop early and leave the block while others run on
+    assert len({t.sweeps_run for t in batched.trials}) > 1
+    assert any(t.converged for t in batched.trials)
+    assert not all(t.converged for t in batched.trials)
+    alone = [fit_single(samples, config, config.seed + t, trial=t) for t in range(config.trials)]
+    _assert_same_trials(batched.trials, alone)
+    for trial in batched.trials:
+        tt, losses, converged = _public_call_trial(samples, config, trial.seed)
+        assert converged == trial.converged
+        assert np.array_equal(losses, trial.losses)
+        assert all(np.array_equal(a, b) for a, b in zip(tt.cores, trial.tt.cores))
+    # a budget of one float makes every trial its own block
+    monkeypatch.setattr(ttomo.fitting, "_BLOCK_FLOATS", 1)
+    assert len(trial_blocks(config.trials, bond_dim, samples.n_distinct)) == config.trials
+    _assert_same_trials(batched.trials, fit(samples, config).trials)
+
+
+def _copy_pair_samples(L, draws, seed):
+    """Draws whose even symbols are uniform and odd symbol 2j+1 copies symbol 2j.
+
+    The generating model puts 4^(-L/2) on each of 4^(L/2) strings, so its
+    loss is -4^(-L/2).
+    """
+    rng = np.random.default_rng(seed)
+    pairs = np.repeat(rng.integers(0, 4, size=(draws, L // 2)), 2, axis=1)
+    strings, counts = np.unique(pairs.astype(np.uint8), axis=0, return_counts=True)
+    return SampleSet(L=L, total=draws, strings=strings, counts=counts)
+
+
+@pytest.mark.parametrize("L", [24, 40])
+def test_long_chains_fit_without_collapse(L):
+    # an absolute eps of 1e-16 would swamp denominators of order 4^-L and,
+    # from L = 23 on, drive every core to exactly zero and the loss up to 0
+    samples = _copy_pair_samples(L, 4000, seed=L)
+    tt = init_tt(L, 10, seed=0)
+    cache = EnvCache(tt, samples)
+    values = [cache.loss()]
+
+    def record(k):
+        # the loss after the update at k, from that update's quadratic form
+        core = tt.cores[k]
+        self_term = np.sum(core * cache.model_term(k))
+        values.append(float(self_term - 2.0 * np.sum(core * cache.data_term(k))))
+
+    for _ in range(10):
+        sweep(tt, cache, samples, on_update=record)
+    cache.refresh_right(0)
+    final = cache.loss()
+    assert all(np.all(np.isfinite(c)) and c.min() >= 0.0 and c.any() for c in tt.cores)
+    rises = np.diff(values)
+    assert np.all(rises <= 1e-12 * np.abs(values[:-1]))
+    assert final < 0.0 and final == pytest.approx(values[-1], rel=1e-9)
+    model = normalize_tt(tt)
+    assert model.total_mass() == pytest.approx(1.0, rel=1e-9)
+    assert all(np.all(np.isfinite(c)) and c.min() >= 0.0 for c in model.cores)
+    if L == 24:
+        assert final == pytest.approx(-(4.0 ** (-L / 2)), rel=0.1)
 
 
 def test_fit_config_validation():
@@ -328,3 +443,9 @@ def test_fit_config_validation():
         FitConfig(stop_rtol=-1.0)
     with pytest.raises(ValidationError):
         FitConfig(seed=-1)
+    for bad in (float("nan"), float("inf"), 0.0, -1e-16):
+        with pytest.raises(ValidationError):
+            FitConfig(eps=bad)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            FitConfig(stop_rtol=bad)

@@ -82,6 +82,11 @@ def test_rejects_bad_distributions():
         sample_dataset(_uniform_dist(1), 0, seed=0)
     with pytest.raises(ValidationError):
         sample_dataset(_uniform_dist(1), 10, seed=-1)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError):
+            sample_dataset(np.array([bad, 0.5, 0.25, 0.25]), 1000, seed=0)
+    with pytest.raises(ValidationError):
+        sample_dataset(np.zeros(0), 10, seed=0)
 
 
 def test_split_train_test_streams_and_sources():
