@@ -31,7 +31,7 @@ from .networks import TTDistribution
 from .povm import tetrahedral_povm
 from .sampling import SampleSet, load_samples, sample_dataset, save_samples
 from .states import XxzParams, density_to_mpo, exact_outcome_distribution, synth_target
-from .storage import fail, load_tensor, read_lines, save_tensor, write_lines
+from .storage import fail, load_array, load_tensor, read_lines, read_text, save_tensor, write_lines
 
 _MANIFEST_MAGIC = "ttsnapshot 1"
 # Config fields that define the target; the manifest records them and its
@@ -116,25 +116,28 @@ _FIELD_PARSERS.update(
 )
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def load_config_file(path) -> dict:
     """Parse ``key = value`` lines into config fields."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                fail(path, lineno, "expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _FIELD_PARSERS:
-                fail(path, lineno, f"unknown key '{key}'")
-            try:
-                values[key] = _FIELD_PARSERS[key](value)
-            except (ValueError, ValidationError) as exc:
-                fail(path, lineno, f"bad value for '{key}': {exc}")
+    for lineno, raw in enumerate(read_text(path, "utf-8"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            fail(path, lineno, "expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in _FIELD_PARSERS:
+            fail(path, lineno, f"unknown key '{key}'")
+        try:
+            values[key] = _FIELD_PARSERS[key](value)
+        except (ValueError, ValidationError) as exc:
+            fail(path, lineno, f"bad value for '{key}': {exc}")
     return values
 
 
@@ -145,8 +148,13 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         merged.update(load_config_file(args.config))
     for name, parser in _FIELD_PARSERS.items():
         flag_value = getattr(args, name, None)
+        if isinstance(flag_value, str):
+            try:
+                flag_value = parser(flag_value)
+            except (ValueError, ValidationError) as exc:
+                raise ValidationError(f"bad value for '{_flag(name)}': {exc}")
         if flag_value is not None:
-            merged[name] = parser(flag_value) if isinstance(flag_value, str) else flag_value
+            merged[name] = flag_value
     try:
         return ExperimentConfig(**merged)
     except TypeError as exc:
@@ -228,7 +236,7 @@ def cmd_synth(cfg: ExperimentConfig) -> int:
 def cmd_sample(cfg: ExperimentConfig, snapshot) -> int:
     """Draw train and test datasets from a synthesized target."""
     _, _, dist_file = _read_snapshot(cfg, snapshot)
-    dist = np.load(dist_file)
+    dist = load_array(dist_file)
     out = Path(cfg.outdir) / "data"
     out.mkdir(parents=True, exist_ok=True)
     train, test = _datasets(cfg, dist)
@@ -328,8 +336,8 @@ def cmd_evaluate(cfg: ExperimentConfig, tt, snapshot, data) -> int:
     if not isinstance(tt, TTDistribution):
         raise ValidationError(f"{tt_file} does not hold a tensor train")
     L, rho_file, dist_file = _read_snapshot(cfg, snapshot)
-    rho = np.load(rho_file)
-    dist = np.load(dist_file)
+    rho = load_array(rho_file)
+    dist = load_array(dist_file)
     test = load_samples(test_file)
     if not tt.length == L == test.L:
         raise ValidationError(
@@ -465,8 +473,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value config file")
     for name in _FIELD_PARSERS:
-        flag = "--" + name.replace("_", "-")
-        parser.add_argument(flag, dest=name, default=None, metavar="V")
+        parser.add_argument(_flag(name), dest=name, default=None, metavar="V")
 
 
 # Each subcommand's help text, its runner, and its path flags with their

@@ -11,9 +11,6 @@ from .errors import ValidationError
 from .storage import fail, read_header, read_lines, write_lines
 
 _MAGIC = "ttsamples 1"
-# Draws are consumed from the stream in fixed-size blocks so results do not
-# depend on available memory.
-_CHUNK = 1 << 20
 _MAX_CODE_SITES = 31  # base-4 string codes must fit in int64
 
 
@@ -175,10 +172,12 @@ def sample_dataset(
 ) -> SampleSet:
     """Aggregate ``n`` i.i.d. categorical draws from a dense distribution.
 
-    Draws use inverse-CDF lookup over the lexicographic string order, fed by
-    the PCG64 stream ``SeedSequence(seed, spawn_key=(stream,))``. Negative
-    entries above -1e-12 are clipped to zero and the distribution is
-    renormalized before drawing.
+    The counts of ``n`` categorical draws are one Multinomial(n, dist)
+    variate, drawn in a single call by numpy's conditional-binomial method
+    from the PCG64 stream ``SeedSequence(seed, spawn_key=(stream,))``: one
+    binomial per string in lexicographic order, so the cost is O(4^L)
+    whatever ``n`` is. Negative entries above -1e-12 are clipped to zero and
+    the distribution is renormalized before drawing.
     """
     dist = np.asarray(dist, dtype=float)
     if dist.ndim != 1 or dist.size == 0:
@@ -196,16 +195,8 @@ def sample_dataset(
     mass = dist.sum()
     if abs(mass - 1.0) > 1e-8:
         raise ValidationError(f"distribution sums to {mass}, expected 1 within 1e-8")
-    cdf = np.cumsum(dist / mass)
-    cdf[-1] = 1.0
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
-    counts = np.zeros(dist.size, dtype=np.int64)
-    remaining = int(n)
-    while remaining > 0:
-        block = min(_CHUNK, remaining)
-        draws = np.searchsorted(cdf, rng.random(block), side="right")
-        counts += np.bincount(draws, minlength=dist.size)
-        remaining -= block
+    counts = rng.multinomial(int(n), dist / mass)
     observed = np.flatnonzero(counts)
     digits = (observed[:, None] // 4 ** np.arange(L - 1, -1, -1, dtype=np.int64)) % 4
     return SampleSet(

@@ -45,6 +45,9 @@ class XxzParams:
     def __post_init__(self) -> None:
         if int(self.L) != self.L or self.L < 2:
             raise ValidationError(f"chain length must be an integer >= 2, got {self.L}")
+        for name in ("J", "gamma", "h"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.p <= 1.0:
             raise ValidationError(f"depolarizing strength must lie in [0, 1], got {self.p}")
 

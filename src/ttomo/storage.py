@@ -13,7 +13,8 @@ name the offending ``path:lineno``. The tensor container is:
 Core entries are flattened row-major. Trains store one decimal per entry;
 operator chains (physical extent 2x2, flagged by ``kind mpo``) store real and
 imaginary parts as consecutive decimals. Floats are written with ``repr`` so
-reading them back is exact.
+reading them back is exact. ``load_array`` reads the snapshot's ``.npy``
+arrays and reports a malformed one as a DataFormatError too.
 """
 
 from __future__ import annotations
@@ -31,10 +32,20 @@ def fail(path, lineno: int, message: str):
     raise DataFormatError(f"{path}:{lineno}: {message}")
 
 
+def read_text(path, encoding: str) -> list:
+    """Lines of a text file; an undecodable byte fails on its line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode(encoding).splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        fail(path, lineno, f"byte {raw[exc.start]:#04x} is not {encoding} text")
+
+
 def read_lines(path, magic: str) -> list:
-    """Lines of a text file whose first line must be ``magic``."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    """Lines of an ASCII text file whose first line must be ``magic``."""
+    lines = read_text(path, "ascii")
     if not lines or lines[0] != magic:
         fail(path, 1, f"expected header '{magic}'")
     return lines
@@ -54,6 +65,15 @@ def read_header(path, lines: list, parsers: dict) -> dict:
         except ValueError as exc:
             fail(path, lineno, f"bad header value: {exc}")
     return header
+
+
+def load_array(path) -> np.ndarray:
+    """A ``.npy`` array; a truncated or malformed file is a DataFormatError."""
+    with open(path, "rb") as fh:
+        try:
+            return np.lib.format.read_array(fh, allow_pickle=False)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: not a readable .npy array: {exc}")
 
 
 def write_lines(path, magic: str, header: dict, body=()) -> None:

@@ -50,6 +50,9 @@ def test_config_rejects_unknown_keys_and_bad_values(tmp_path):
     path.write_text("L = banana\n")
     with pytest.raises(DataFormatError):
         load_config_file(path)
+    path.write_bytes(b"L = 4\np = 0.\xff5\n")
+    with pytest.raises(DataFormatError, match="c.cfg:2: byte 0xff is not utf-8 text"):
+        load_config_file(path)
 
 
 def test_flag_overrides_file_overrides_default(tmp_path):
@@ -189,11 +192,48 @@ def test_non_finite_values_exit_with_a_validation_error(tmp_path, small_cfg, cap
     assert main(["synth", "--config", str(small_cfg)]) == 0
     assert main(["sample", "--config", str(small_cfg)]) == 0
     assert main(["fit", "--config", str(small_cfg), "--eps", "nan"]) == 1
+    assert main(["synth", "--config", str(small_cfg), "--J", "nan"]) == 1
     errors = capsys.readouterr().err.splitlines()
     assert errors == [
         "ttomo: error: distribution has non-finite entries",
         "ttomo: error: eps must be finite and > 0, got nan",
+        "ttomo: error: J must be finite, got nan",
     ]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["synth", "--L", "abc"], "bad value for '--L': invalid literal for int()"),
+        (["synth", "--L", "2.5"], "bad value for '--L': invalid literal for int()"),
+        (["scan", "--scan-p", "0.1,x"], "bad value for '--scan-p': could not convert"),
+        (["synth", "--min-n-search", "maybe"], "bad value for '--min-n-search': cannot parse"),
+    ],
+    ids=["L-abc", "L-2.5", "scan-p", "min-n-search"],
+)
+def test_a_malformed_flag_value_names_its_flag(tmp_path, capsys, argv, message):
+    assert main(argv + ["--outdir", str(tmp_path / "run")]) == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1
+    assert errors[0].startswith("ttomo: error: " + message)
+
+
+def test_malformed_snapshot_files_exit_with_the_format_code(tmp_path, small_cfg, capsys):
+    for command in ("synth", "sample", "fit"):
+        assert main([command, "--config", str(small_cfg)]) == 0
+    target = tmp_path / "run" / "target"
+    for name, command in (("dist.npy", "sample"), ("rho.npy", "evaluate")):
+        blob = (target / name).read_bytes()
+        (target / name).write_bytes(blob[:40])
+        assert main([command, "--config", str(small_cfg)]) == 3
+        (target / name).write_bytes(blob)
+    manifest = target / "manifest.txt"
+    manifest.write_bytes(manifest.read_bytes().replace(b"L 2", b"L \xb2"))
+    assert main(["sample", "--config", str(small_cfg)]) == 3
+    dist_error, rho_error, manifest_error = capsys.readouterr().err.splitlines()
+    assert dist_error.startswith(f"ttomo: error: {target / 'dist.npy'}: not a readable .npy")
+    assert rho_error.startswith(f"ttomo: error: {target / 'rho.npy'}: not a readable .npy")
+    assert manifest_error == f"ttomo: error: {manifest}:2: byte 0xb2 is not ascii text"
 
 
 def test_degenerate_fit_exits_with_code_four(tmp_path, small_cfg):

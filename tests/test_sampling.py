@@ -56,14 +56,29 @@ def test_point_mass_yields_single_string():
     assert int("".join(map(str, samples.strings[0])), 4) == 27
 
 
+def _random_dist(size, seed):
+    dist = np.random.default_rng(seed).uniform(0.1, 1.0, size=size)
+    return dist / dist.sum()
+
+
 def test_frequencies_follow_the_distribution():
-    rng = np.random.default_rng(11)
-    dist = rng.uniform(0.1, 1.0, size=16)
-    dist /= dist.sum()
-    samples = sample_dataset(dist, 400_000, seed=5)
-    freq = np.zeros(16)
-    freq[samples.codes()] = samples.weights
-    assert np.max(np.abs(freq - dist)) < 5e-3
+    with_zeros = _random_dist(16, 12)
+    with_zeros[[5, 9]] = 0.0
+    with_zeros /= with_zeros.sum()
+    with_zeros[9] = -1e-13  # clipped to zero before drawing
+    cases = [
+        (_random_dist(16, 11), 400_000),
+        (with_zeros, 400_000),
+        (_random_dist(4**6, 13), 30_000_000),  # the full-scale size
+    ]
+    for dist, n in cases:
+        samples = sample_dataset(dist, n, seed=5)
+        counts = np.zeros(dist.size, dtype=np.int64)
+        counts[samples.codes()] = samples.counts
+        p = np.clip(dist, 0.0, None)
+        p /= p.sum()
+        # Each cell's count is Binomial(n, p): a 6-sigma bound, exact at p = 0.
+        assert np.all(np.abs(counts - n * p) <= 6 * np.sqrt(n * p * (1 - p)))
 
 
 def test_weights_sum_to_one():
@@ -148,6 +163,7 @@ def test_save_is_byte_deterministic(tmp_path):
         lambda lines: lines + ["123 not-a-count"],
         lambda lines: lines + ["99 5"],  # symbol out of range
         lambda lines: lines[:-1],  # drop a record: totals disagree
+        lambda lines: lines[:5] + ["source tr\u00e4in"] + lines[6:],  # not ASCII
     ],
 )
 def test_load_rejects_malformed_files(tmp_path, mutation):
@@ -155,7 +171,7 @@ def test_load_rejects_malformed_files(tmp_path, mutation):
     path = tmp_path / "x.samples"
     save_samples(samples, path)
     lines = path.read_text().splitlines()
-    path.write_text("\n".join(mutation(lines)) + "\n")
+    path.write_text("\n".join(mutation(lines)) + "\n", encoding="utf-8")
     with pytest.raises(DataFormatError):
         load_samples(path)
 

@@ -36,6 +36,10 @@ def test_params_validation():
         XxzParams(L=3, p=1.5)
     with pytest.raises(ValidationError):
         XxzParams(L=3, p=-0.1)
+    for name in ("J", "gamma", "h"):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValidationError, match=f"{name} must be finite"):
+                XxzParams(L=2, **{name: bad})
 
 
 def test_hamiltonian_matches_kron_oracle():

@@ -59,6 +59,7 @@ def test_save_rejects_complex_tt(tmp_path):
         lambda lines: lines[:-1],  # missing core line
         lambda lines: lines + ["core 1 2 3"],  # trailing content
         lambda lines: lines[:4] + [lines[4] + " 0.5"] + lines[5:],  # extra entry
+        lambda lines: lines[:1] + ["kind \u00b5"] + lines[2:],  # not ASCII
     ],
 )
 def test_load_rejects_malformed_files(tmp_path, mutation):
@@ -67,7 +68,7 @@ def test_load_rejects_malformed_files(tmp_path, mutation):
     path = tmp_path / "chain.tt"
     save_tensor(path, tt)
     lines = path.read_text().splitlines()
-    path.write_text("\n".join(mutation(lines)) + "\n")
+    path.write_text("\n".join(mutation(lines)) + "\n", encoding="utf-8")
     with pytest.raises(DataFormatError):
         load_tensor(path)
 
