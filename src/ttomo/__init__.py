@@ -30,7 +30,6 @@ from .fitting import (
     TrialResult,
     bond_profile,
     fit,
-    fit_single,
     init_tt,
     loss,
     sweep,
@@ -90,7 +89,6 @@ __all__ = [
     "diagnose",
     "exact_outcome_distribution",
     "fit",
-    "fit_single",
     "forward_map_site",
     "ground_state_density",
     "init_tt",

@@ -30,7 +30,14 @@ from .metrics import classical_fidelity, quantum_fidelity
 from .networks import TTDistribution
 from .povm import tetrahedral_povm
 from .sampling import SampleSet, load_samples, sample_dataset, save_samples
-from .states import XxzParams, density_to_mpo, exact_outcome_distribution, synth_target
+from .states import (
+    MAX_OUTCOME_SITES,
+    XxzParams,
+    check_outcome_sites,
+    density_to_mpo,
+    exact_outcome_distribution,
+    synth_target,
+)
 from .storage import fail, load_array, load_tensor, read_lines, read_text, save_tensor, write_lines
 
 _MANIFEST_MAGIC = "ttsnapshot 1"
@@ -53,17 +60,17 @@ class ExperimentConfig:
     p: float = 0.6
     train: int = 1_000_000
     test: int = 1_000_000
-    bond_dim: int = 10
-    trials: int = 20
-    max_sweeps: int = 2000
-    stop_window: int = 10
-    stop_rtol: float = 1e-8
-    eps: float = 1e-16  # update safeguard, relative to the largest denominator entry
+    bond_dim: int = FitConfig.bond_dim
+    trials: int = FitConfig.trials
+    max_sweeps: int = FitConfig.max_sweeps
+    stop_window: int = FitConfig.stop_window
+    stop_rtol: float = FitConfig.stop_rtol
+    eps: float = FitConfig.eps
     mpo_tol: float = 1e-14
     seed: int = 1234
     outdir: str = "runs/exp"
     jobs: int = 1
-    fq_max_l: int = 10
+    fq_max_l: int = MAX_OUTCOME_SITES
     scan_L: tuple | None = None
     scan_p: tuple | None = None
     scan_gamma: tuple | None = None
@@ -194,7 +201,9 @@ def _read_snapshot(cfg: ExperimentConfig, snapshot) -> tuple:
 
 def _target(cfg: ExperimentConfig) -> tuple:
     """The target density of ``cfg`` and its exact outcome distribution."""
-    rho = synth_target(XxzParams(L=cfg.L, J=cfg.J, gamma=cfg.gamma, h=cfg.h, p=cfg.p))
+    params = XxzParams(L=cfg.L, J=cfg.J, gamma=cfg.gamma, h=cfg.h, p=cfg.p)
+    check_outcome_sites(cfg.L)  # before the dense target, which costs minutes and GBs above it
+    rho = synth_target(params)
     return rho, exact_outcome_distribution(rho, tetrahedral_povm())
 
 
@@ -246,12 +255,11 @@ def cmd_sample(cfg: ExperimentConfig, snapshot) -> int:
     return 0
 
 
-def _write_loss_trace(path: Path, trial) -> None:
+def _write_csv(path: Path, header: list, rows) -> None:
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["sweep", "loss", "wall_s"])
-        for i, (value, wall) in enumerate(zip(trial.losses, trial.wall_times)):
-            writer.writerow([i, repr(float(value)), repr(float(wall))])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_fit(cfg: ExperimentConfig, data) -> int:
@@ -264,24 +272,21 @@ def cmd_fit(cfg: ExperimentConfig, data) -> int:
     masses = [trial.tt.total_mass() for trial in result.trials]
     degenerate = [not (np.isfinite(mass) and mass > 0.0) for mass in masses]
     for trial in result.trials:
-        _write_loss_trace(out / f"trial_{trial.trial:03d}_loss.csv", trial)
-    order = sorted(range(len(result.trials)), key=lambda i: result.trials[i].final_loss)
-    with open(out / "trials.csv", "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "trial", "seed", "final_loss", "sweeps", "converged", "degenerate"])
-        for rank, i in enumerate(order):
-            trial = result.trials[i]
-            writer.writerow(
-                [
-                    rank,
-                    trial.trial,
-                    trial.seed,
-                    repr(trial.final_loss),
-                    trial.sweeps_run,
-                    trial.converged,
-                    degenerate[i],
-                ]
-            )
+        trace = enumerate(zip(trial.losses, trial.wall_times))
+        _write_csv(
+            out / f"trial_{trial.trial:03d}_loss.csv",
+            ["sweep", "loss", "wall_s"],
+            ([i, repr(float(value)), repr(float(wall))] for i, (value, wall) in trace),
+        )
+    ranked = sorted(zip(result.trials, degenerate), key=lambda pair: pair[0].final_loss)
+    _write_csv(
+        out / "trials.csv",
+        ["rank", "trial", "seed", "final_loss", "sweeps", "converged", "degenerate"],
+        (
+            [rank, t.trial, t.seed, repr(t.final_loss), t.sweeps_run, t.converged, bad]
+            for rank, (t, bad) in enumerate(ranked)
+        ),
+    )
     best = result.best
     save_tensor(out / "best.tt", best.tt)
     print(
@@ -372,8 +377,7 @@ def _scan_grid(cfg: ExperimentConfig) -> list:
     ]
 
 
-def _run_point(args) -> dict:
-    cfg, index, overrides, point_dir = args
+def _run_point(cfg: ExperimentConfig, index: int, overrides: dict, point_dir: Path) -> dict:
     point = replace(cfg, seed=cfg.seed + _POINT_SEED_STRIDE * (index + 1), **overrides)
     names = ("L", "J", "gamma", "h", "p", "bond_dim", "trials", "seed")
     row = {name: getattr(point, name) for name in names}
@@ -447,13 +451,11 @@ def cmd_scan(cfg: ExperimentConfig) -> int:
     ]
     rows = map_jobs(_run_point, tasks, cfg.jobs)
     csv_path = Path(cfg.outdir) / "scan.csv"
-    with open(csv_path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SCAN_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                ["" if row.get(col) is None else row.get(col) for col in _SCAN_COLUMNS]
-            )
+    _write_csv(
+        csv_path,
+        _SCAN_COLUMNS,
+        (["" if row.get(col) is None else row.get(col) for col in _SCAN_COLUMNS] for row in rows),
+    )
     failures = sum(row["status"] == "error" for row in rows)
     print(f"scan: {len(rows)} points ({failures} failed) -> {csv_path}")
     return 0

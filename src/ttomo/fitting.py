@@ -431,69 +431,57 @@ class FitResult:
         return self.trials[self.best_index]
 
 
-def _fit_block(samples: SampleSet, config: FitConfig, trials: list, seeds: list) -> list:
-    """Run trials ``trials`` (with init seeds ``seeds``) as one block through one cache.
+def _fit_block(samples: SampleSet, config: FitConfig, block: range) -> list:
+    """Run the trials in ``block`` through one cache; trial t starts from seed ``seed + t``.
 
     Each trial keeps its own loss trace and windowed stopping rule; a trial
-    that stops leaves the block by a slice of the trial axis. A sweep leaves
-    the right side valid down to position 1, so one refresh at 0 makes each
-    trial's cache loss equal ``loss(tt, samples)`` bit for bit.
+    that stops, or reaches ``max_sweeps``, leaves the block by a slice of
+    the trial axis. A sweep leaves the right side valid down to position 1,
+    so one refresh at 0 makes each trial's cache loss equal
+    ``loss(tt, samples)`` bit for bit.
     """
     if samples.total < 1 or samples.n_distinct < 1:
         raise ValidationError("cannot fit an empty sample set")
+    seeds = [config.seed + t for t in block]
     inits = [init_tt(samples.L, config.bond_dim, seed).cores for seed in seeds]
     stack = _TrialStack([np.stack(cores) for cores in zip(*inits)])
     cache = EnvCache(stack, samples)
     start = time.perf_counter()
-    active = list(range(len(trials)))  # block index of each row of the trial axis
+    active = list(range(len(block)))  # block index of each row of the trial axis
     losses = [[cache.loss(row)] for row in active]
     walls = [[0.0] for _ in active]
-    results = [None] * len(trials)
-
-    def finish(rows: list, converged: bool) -> None:
-        for row in rows:
-            i = active[row]
-            results[i] = TrialResult(
-                trial=trials[i],
-                seed=seeds[i],
-                tt=stack.train(row),
-                losses=np.array(losses[i]),
-                wall_times=np.array(walls[i]),
-                converged=converged,
-            )
-
-    for _ in range(config.max_sweeps):
+    results = [None] * len(block)
+    for sweeps in range(1, config.max_sweeps + 1):
         sweep(stack, cache, samples, config.eps)
         cache.refresh_right(0)
         values = [cache.loss(row) for row in range(len(active))]
         now = time.perf_counter() - start
-        stopped = []
-        for row, value in enumerate(values):
-            trace = losses[active[row]]
+        rows = []  # rows of the trial axis that run on
+        for row, (i, value) in enumerate(zip(active, values)):
+            trace = losses[i]
             trace.append(value)
-            walls[active[row]].append(now)
-            if len(trace) > config.stop_window:
-                gain = trace[-1 - config.stop_window] - trace[-1]
-                if gain <= config.stop_rtol * max(abs(trace[-1]), 1e-300):
-                    stopped.append(row)
-        if stopped:
-            finish(stopped, converged=True)
-            rows = [row for row in range(len(active)) if row not in stopped]
-            if not rows:
-                break
+            walls[i].append(now)
+            converged = sweeps >= config.stop_window and (
+                trace[-1 - config.stop_window] - value
+                <= config.stop_rtol * max(abs(value), 1e-300)
+            )
+            if converged or sweeps == config.max_sweeps:
+                results[i] = TrialResult(
+                    trial=block[i],
+                    seed=seeds[i],
+                    tt=stack.train(row),
+                    losses=np.array(trace),
+                    wall_times=np.array(walls[i]),
+                    converged=converged,
+                )
+            else:
+                rows.append(row)
+        if not rows:
+            break
+        if len(rows) < len(active):
             cache.keep_trials(rows)
             active = [active[row] for row in rows]
-    else:
-        finish(list(range(len(active))), converged=False)
     return results
-
-
-def fit_single(samples: SampleSet, config: FitConfig, seed: int, trial: int = 0) -> TrialResult:
-    """Run one trial: random init, sweeps, windowed stopping rule.
-
-    This is a block of one trial; see ``TrialResult`` for the traces.
-    """
-    return _fit_block(samples, config, [trial], [seed])[0]
 
 
 def trial_blocks(trials: int, bond_dim: int, n_distinct: int, jobs: int = 1) -> list:
@@ -513,19 +501,16 @@ def trial_blocks(trials: int, bond_dim: int, n_distinct: int, jobs: int = 1) -> 
 
 
 def map_jobs(fn, tasks: list, jobs: int) -> list:
-    """``[fn(task) for task in tasks]``, in ``jobs`` worker processes when ``jobs > 1``.
+    """``[fn(*task) for task in tasks]``, in ``jobs`` worker processes when ``jobs > 1``.
 
     Results come back in task order either way.
     """
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
+    if jobs < 1:
+        raise ValidationError(f"jobs must be >= 1, got {jobs}")
+    if jobs == 1 or len(tasks) <= 1:
+        return [fn(*task) for task in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks))
-
-
-def _fit_task(args) -> list:
-    samples, config, block = args
-    return _fit_block(samples, config, list(block), [config.seed + t for t in block])
+        return list(pool.map(fn, *zip(*tasks)))
 
 
 def fit(samples: SampleSet, config: FitConfig, jobs: int = 1) -> FitResult:
@@ -538,4 +523,4 @@ def fit(samples: SampleSet, config: FitConfig, jobs: int = 1) -> FitResult:
     """
     blocks = trial_blocks(config.trials, config.bond_dim, samples.n_distinct, jobs)
     tasks = [(samples, config, block) for block in blocks]
-    return FitResult(trials=[r for block in map_jobs(_fit_task, tasks, jobs) for r in block])
+    return FitResult(trials=[r for block in map_jobs(_fit_block, tasks, jobs) for r in block])

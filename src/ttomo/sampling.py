@@ -187,6 +187,8 @@ def sample_dataset(
     L = _num_sites_from_size(dist.size)
     if n < 1 or int(n) != n:
         raise ValidationError(f"sample count must be a positive integer, got {n}")
+    if n >= 2**63:  # numpy draws at most 2^63 - 1
+        raise ValidationError(f"sample count must be < 2^63, got {n}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     if dist.min() < -1e-12:

@@ -203,6 +203,12 @@ def density_to_mpo(rho: np.ndarray, tol: float = 1e-14) -> MpoDensity:
     return MpoDensity(mpo_cores)
 
 
+def check_outcome_sites(L: int) -> None:
+    """Raise ``CapacityError`` above the guard on enumerated outcome distributions."""
+    if L > MAX_OUTCOME_SITES:
+        raise CapacityError(f"dense distribution guard is L <= {MAX_OUTCOME_SITES}, got {L}")
+
+
 def exact_outcome_distribution(rho: np.ndarray, povm: Povm) -> np.ndarray:
     """All 4^L outcome probabilities of measuring ``rho`` site by site.
 
@@ -211,8 +217,7 @@ def exact_outcome_distribution(rho: np.ndarray, povm: Povm) -> np.ndarray:
     """
     rho = np.asarray(rho, dtype=complex)
     L = _num_sites(rho.shape[0])
-    if L > MAX_OUTCOME_SITES:
-        raise CapacityError(f"dense distribution guard is L <= {MAX_OUTCOME_SITES}, got {L}")
+    check_outcome_sites(L)
     probs = _site_major(rho, L)
     for axis in range(L):
         probs = np.moveaxis(np.tensordot(povm.flat, probs, axes=(1, axis)), 0, axis)

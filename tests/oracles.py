@@ -1,11 +1,15 @@
 """Brute-force reference implementations used to cross-check the fast paths.
 
 Everything here enumerates outcome strings or loops over records directly and
-shares no code with the library internals, so agreement is meaningful.
+shares no code with the library internals, so agreement is meaningful. The
+one exception is ``public_call_trial``, the reference for ``fit``'s batched
+trial blocks: it runs one trial through the public single-train calls.
 """
 
 import numpy as np
 import scipy.linalg
+
+from ttomo.fitting import EnvCache, init_tt, loss, update_core
 
 
 def all_strings(L: int) -> np.ndarray:
@@ -173,3 +177,29 @@ def random_tt_cores(L, bond_dim, rng) -> list:
     """Random strictly positive cores with capped bond profile."""
     dims = [min(bond_dim, 4 ** min(p, L - p)) for p in range(L + 1)]
     return [rng.uniform(0.1, 1.0, size=(4, dims[p], dims[p + 1])) for p in range(L)]
+
+
+def public_call_trial(samples, config, seed):
+    """One trial through the public single-train calls, in ``fit``'s order.
+
+    Returns the final train, the loss trace (a fresh ``loss`` before the
+    first sweep and after each one) and whether the stopping rule fired.
+    """
+    tt = init_tt(samples.L, config.bond_dim, seed)
+    cache = EnvCache(tt, samples)
+    losses = [loss(tt, samples)]
+    for _ in range(config.max_sweeps):
+        if samples.L == 1:
+            update_core(tt, cache, samples, 0, config.eps)
+        for k in range(samples.L - 1):
+            update_core(tt, cache, samples, k, config.eps)
+            cache.refresh_left(k)
+        for k in range(samples.L - 1, 0, -1):
+            update_core(tt, cache, samples, k, config.eps)
+            cache.refresh_right(k)
+        losses.append(loss(tt, samples))
+        if len(losses) > config.stop_window:
+            gain = losses[-1 - config.stop_window] - losses[-1]
+            if gain <= config.stop_rtol * max(abs(losses[-1]), 1e-300):
+                return tt, np.array(losses), True
+    return tt, np.array(losses), False

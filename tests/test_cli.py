@@ -11,6 +11,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import ttomo.cli
 from ttomo.cli import ExperimentConfig, build_config, build_parser, load_config_file, main
 from ttomo.errors import DataFormatError
 from ttomo.networks import TTDistribution
@@ -199,6 +200,33 @@ def test_non_finite_values_exit_with_a_validation_error(tmp_path, small_cfg, cap
         "ttomo: error: eps must be finite and > 0, got nan",
         "ttomo: error: J must be finite, got nan",
     ]
+
+
+def test_out_of_range_counts_and_jobs_exit_with_a_validation_error(tmp_path, small_cfg, capsys):
+    assert main(["synth", "--config", str(small_cfg)]) == 0
+    assert main(["sample", "--config", str(small_cfg), "--train", "100000000000000000000"]) == 1
+    assert main(["sample", "--config", str(small_cfg)]) == 0
+    assert main(["fit", "--config", str(small_cfg), "--jobs", "0"]) == 1
+    assert main(["scan", "--config", str(small_cfg), "--scan-p", "0.5", "--jobs", "-1"]) == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert errors == [
+        "ttomo: error: sample count must be < 2^63, got 100000000000000000000",
+        "ttomo: error: jobs must be >= 1, got 0",
+        "ttomo: error: jobs must be >= 1, got -1",
+    ]
+
+
+def test_the_outcome_guard_fails_before_the_target_is_built(tmp_path, small_cfg, monkeypatch):
+    def unreachable(params):
+        raise AssertionError("the dense target was built above the guard")
+
+    monkeypatch.setattr(ttomo.cli, "synth_target", unreachable)
+    assert main(["synth", "--config", str(small_cfg), "--L", "11"]) == 2
+    assert main(["scan", "--config", str(small_cfg), "--scan-L", "11"]) == 0
+    with open(tmp_path / "run" / "scan.csv") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert row["status"] == "error"
+    assert row["message"] == "CapacityError: dense distribution guard is L <= 10, got 11"
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from oracles import (
     brute_update_numer,
     dense_tt_vector,
     prefix_vector,
+    public_call_trial,
     random_tt_cores,
     suffix_vector,
 )
@@ -28,9 +29,9 @@ from ttomo.fitting import (
     FitConfig,
     bond_profile,
     fit,
-    fit_single,
     init_tt,
     loss,
+    map_jobs,
     sweep,
     trial_blocks,
     update_core,
@@ -266,7 +267,7 @@ def test_cache_loss_needs_the_right_side_at_position_zero():
 def test_fit_single_final_loss_equals_loss_exactly(L):
     _, samples = _random_instance(L, 3, 2000, seed=200 + L)
     config = FitConfig(bond_dim=3, max_sweeps=25, trials=1, seed=9)
-    result = fit_single(samples, config, seed=9)
+    result = fit(samples, config).trials[0]
     assert result.sweeps_run > 0
     assert result.losses[-1] == loss(result.tt, samples)
 
@@ -276,7 +277,7 @@ def test_loss_optimum_for_point_mass_is_minus_one():
     dist[5] = 1.0
     samples = sample_dataset(dist, 100, seed=140)
     config = FitConfig(bond_dim=1, max_sweeps=200, trials=1, seed=0)
-    result = fit_single(samples, config, seed=0)
+    result = fit(samples, config).trials[0]
     assert result.final_loss == pytest.approx(-1.0, abs=1e-8)
     values = dense_tt_vector(result.tt.cores)
     assert values[5] == pytest.approx(1.0, abs=1e-6)
@@ -285,7 +286,7 @@ def test_loss_optimum_for_point_mass_is_minus_one():
 def test_fit_single_loss_trace_is_monotone():
     tt, samples = _random_instance(3, 3, 500, seed=150)
     config = FitConfig(bond_dim=3, max_sweeps=40, trials=1, seed=5)
-    result = fit_single(samples, config, seed=5)
+    result = fit(samples, config).trials[0]
     diffs = np.diff(result.losses)
     assert np.all(diffs <= 1e-9)
     assert result.losses[0] == pytest.approx(loss(init_tt(3, 3, 5), samples), rel=1e-12)
@@ -296,7 +297,7 @@ def test_fit_single_stop_rule_reports_convergence():
     dist = np.full(16, 1.0 / 16.0)
     samples = sample_dataset(dist, 2000, seed=160)
     config = FitConfig(bond_dim=2, max_sweeps=2000, stop_window=10, stop_rtol=1e-6, trials=1, seed=2)
-    result = fit_single(samples, config, seed=2)
+    result = fit(samples, config).trials[0]
     assert result.converged
     assert result.sweeps_run < 2000
     window_gain = result.losses[-1 - config.stop_window] - result.losses[-1]
@@ -346,26 +347,6 @@ def test_trial_blocks_follow_the_float_budget():
     assert trial_blocks(2, 10, 256, jobs=4) == [range(0, 1), range(1, 2)]
 
 
-def _public_call_trial(samples, config, seed):
-    """One trial through the public single-train calls, in ``fit_single``'s order."""
-    tt = init_tt(samples.L, config.bond_dim, seed)
-    cache = EnvCache(tt, samples)
-    losses = [loss(tt, samples)]
-    for _ in range(config.max_sweeps):
-        for k in range(samples.L - 1):
-            update_core(tt, cache, samples, k, config.eps)
-            cache.refresh_left(k)
-        for k in range(samples.L - 1, 0, -1):
-            update_core(tt, cache, samples, k, config.eps)
-            cache.refresh_right(k)
-        losses.append(loss(tt, samples))
-        if len(losses) > config.stop_window:
-            gain = losses[-1 - config.stop_window] - losses[-1]
-            if gain <= config.stop_rtol * max(abs(losses[-1]), 1e-300):
-                return tt, np.array(losses), True
-    return tt, np.array(losses), False
-
-
 @pytest.mark.parametrize("L,bond_dim,stop_rtol", [(2, 2, 1e-5), (3, 3, 3e-4), (4, 10, 3e-3)])
 def test_one_block_equals_each_trial_alone(L, bond_dim, stop_rtol, monkeypatch):
     dist = np.full(4**L, 1.0 / 4**L)
@@ -377,10 +358,8 @@ def test_one_block_equals_each_trial_alone(L, bond_dim, stop_rtol, monkeypatch):
     assert len({t.sweeps_run for t in batched.trials}) > 1
     assert any(t.converged for t in batched.trials)
     assert not all(t.converged for t in batched.trials)
-    alone = [fit_single(samples, config, config.seed + t, trial=t) for t in range(config.trials)]
-    _assert_same_trials(batched.trials, alone)
     for trial in batched.trials:
-        tt, losses, converged = _public_call_trial(samples, config, trial.seed)
+        tt, losses, converged = public_call_trial(samples, config, trial.seed)
         assert converged == trial.converged
         assert np.array_equal(losses, trial.losses)
         assert all(np.array_equal(a, b) for a, b in zip(tt.cores, trial.tt.cores))
@@ -449,3 +428,6 @@ def test_fit_config_validation():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValidationError):
             FitConfig(stop_rtol=bad)
+    for bad in (0, -1):
+        with pytest.raises(ValidationError):
+            map_jobs(abs, [(1,), (2,)], bad)

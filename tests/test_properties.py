@@ -1,15 +1,18 @@
-"""Property tests: the environment cache and the update against the oracles.
+"""Property tests: the environment cache, the update and the fit against the oracles.
 
 Hypothesis draws small chains (L 1..5, D 1..4) and sample sets that include
 the shapes the run index treats specially: a single string, strings that all
 share a prefix, and strings that all share a suffix. A random valid sequence
 of updates and refreshes then runs on the cache, and every step is checked
-against brute-force enumeration from oracles.py. The profile registered in
-conftest.py derandomizes the draws and caps their number.
+against brute-force enumeration from oracles.py. Whole fits are checked
+trial by trial against the public single-train calls. The profile
+registered in conftest.py derandomizes the draws and caps their number.
 """
 
+from unittest import mock
+
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -20,9 +23,11 @@ from oracles import (
     brute_right_overlaps,
     brute_update_denom,
     brute_update_numer,
+    public_call_trial,
     random_tt_cores,
 )
-from ttomo.fitting import EnvCache, loss, update_core
+import ttomo.fitting
+from ttomo.fitting import EnvCache, FitConfig, fit, loss, update_core
 from ttomo.networks import TTDistribution
 from ttomo.sampling import SampleSet
 
@@ -107,3 +112,45 @@ def test_runs_are_the_distinct_prefixes_and_suffixes(instance):
             # one run per distinct prefix (suffix), numbered 0..m-1
             assert len(pairs) == len({r for r, _ in pairs}) == len({s for _, s in pairs})
             assert {r for r, _ in pairs} == set(range(len(pairs)))
+
+
+@st.composite
+def fits(draw):
+    L = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(0, 4, size=(draw(st.integers(1, 40)), L))
+    strings = np.unique(rows.astype(np.uint8), axis=0)
+    counts = rng.integers(1, 50, size=strings.shape[0])
+    samples = SampleSet(L=L, total=int(counts.sum()), strings=strings, counts=counts)
+    config = FitConfig(
+        bond_dim=draw(st.integers(1, 4)),
+        max_sweeps=draw(st.integers(1, 30)),
+        stop_window=draw(st.integers(1, 5)),
+        # from a rule that fires on the first windows to one that never fires
+        stop_rtol=draw(st.sampled_from([1e-1, 1e-3, 1e-6, 0.0])),
+        trials=draw(st.integers(1, 5)),
+        seed=draw(st.integers(0, 1000)),
+    )
+    return samples, config
+
+
+def _same_trial(trial, tt, losses, converged):
+    assert trial.converged == converged
+    assert np.array_equal(trial.losses, losses)
+    assert all(np.array_equal(a, b) for a, b in zip(trial.tt.cores, tt.cores))
+
+
+@settings(max_examples=20)
+@given(fits())
+def test_every_trial_of_a_fit_equals_the_public_call_sequence(instance):
+    samples, config = instance
+    result = fit(samples, config)
+    assert [t.trial for t in result.trials] == list(range(config.trials))
+    for trial in result.trials:
+        assert trial.seed == config.seed + trial.trial
+        _same_trial(trial, *public_call_trial(samples, config, trial.seed))
+    # a budget of one float makes every trial its own block
+    with mock.patch.object(ttomo.fitting, "_BLOCK_FLOATS", 1):
+        alone = fit(samples, config)
+    for trial, other in zip(result.trials, alone.trials):
+        _same_trial(trial, other.tt, other.losses, other.converged)

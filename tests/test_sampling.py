@@ -102,6 +102,9 @@ def test_rejects_bad_distributions():
             sample_dataset(np.array([bad, 0.5, 0.25, 0.25]), 1000, seed=0)
     with pytest.raises(ValidationError):
         sample_dataset(np.zeros(0), 10, seed=0)
+    for bad in (2**63, 10**20):  # numpy draws at most 2^63 - 1
+        with pytest.raises(ValidationError):
+            sample_dataset(_uniform_dist(1), bad, seed=0)
 
 
 def test_split_train_test_streams_and_sources():
