@@ -96,10 +96,7 @@ def _parse_bool(text: str) -> bool:
 
 def _parse_list(conv):
     def parse(text):
-        if isinstance(text, (list, tuple)):
-            return tuple(conv(v) for v in text)
-        tokens = [tok for tok in text.replace(",", " ").split() if tok]
-        return tuple(conv(tok) for tok in tokens)
+        return tuple(conv(tok) for tok in text.replace(",", " ").split())
 
     return parse
 
@@ -151,21 +148,17 @@ def load_config_file(path) -> dict:
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge defaults, config file, and flags (flags win)."""
     merged = {}
-    if getattr(args, "config", None):
+    if args.config:
         merged.update(load_config_file(args.config))
     for name, parser in _FIELD_PARSERS.items():
-        flag_value = getattr(args, name, None)
-        if isinstance(flag_value, str):
-            try:
-                flag_value = parser(flag_value)
-            except (ValueError, ValidationError) as exc:
-                raise ValidationError(f"bad value for '{_flag(name)}': {exc}")
-        if flag_value is not None:
-            merged[name] = flag_value
-    try:
-        return ExperimentConfig(**merged)
-    except TypeError as exc:
-        raise ValidationError(str(exc))
+        text = getattr(args, name)
+        if text is None:
+            continue
+        try:
+            merged[name] = parser(text)
+        except (ValueError, ValidationError) as exc:
+            raise ValidationError(f"bad value for '{_flag(name)}': {exc}")
+    return ExperimentConfig(**merged)
 
 
 # -- snapshot persistence ---------------------------------------------------
@@ -181,7 +174,10 @@ def _snapshot_dir(cfg: ExperimentConfig) -> Path:
 
 
 def _read_snapshot(cfg: ExperimentConfig, snapshot) -> tuple:
-    """Length, density file and distribution file of a target snapshot."""
+    """Length, density file and checked distribution of a target snapshot.
+
+    The distribution must match the manifest's ``dist_digest``.
+    """
     snap = Path(snapshot) if snapshot else _snapshot_dir(cfg)
     path = snap / "manifest.txt"
     manifest = {}
@@ -190,13 +186,16 @@ def _read_snapshot(cfg: ExperimentConfig, snapshot) -> tuple:
         if len(parts) != 2:
             fail(path, lineno, "expected 'key value'")
         manifest[parts[0]] = parts[1]
-    for key in ("L", "rho_file", "dist_file"):
+    for key in ("L", "rho_file", "dist_file", "dist_digest"):
         if key not in manifest:
             raise DataFormatError(f"{path}: missing key '{key}'")
     L = manifest["L"]
     if not (L.isdecimal() and int(L) >= 1):
         raise DataFormatError(f"{path}: L must be a positive integer, got '{L}'")
-    return int(L), snap / manifest["rho_file"], snap / manifest["dist_file"]
+    dist = load_array(snap / manifest["dist_file"])
+    if hashlib.sha256(dist.tobytes()).hexdigest() != manifest["dist_digest"]:
+        raise DataFormatError(f"{path}: {manifest['dist_file']} does not match dist_digest")
+    return int(L), snap / manifest["rho_file"], dist
 
 
 def _target(cfg: ExperimentConfig) -> tuple:
@@ -244,8 +243,7 @@ def cmd_synth(cfg: ExperimentConfig) -> int:
 
 def cmd_sample(cfg: ExperimentConfig, snapshot) -> int:
     """Draw train and test datasets from a synthesized target."""
-    _, _, dist_file = _read_snapshot(cfg, snapshot)
-    dist = load_array(dist_file)
+    _, _, dist = _read_snapshot(cfg, snapshot)
     out = Path(cfg.outdir) / "data"
     out.mkdir(parents=True, exist_ok=True)
     train, test = _datasets(cfg, dist)
@@ -340,9 +338,8 @@ def cmd_evaluate(cfg: ExperimentConfig, tt, snapshot, data) -> int:
     tt = load_tensor(tt_file)
     if not isinstance(tt, TTDistribution):
         raise ValidationError(f"{tt_file} does not hold a tensor train")
-    L, rho_file, dist_file = _read_snapshot(cfg, snapshot)
+    L, rho_file, dist = _read_snapshot(cfg, snapshot)
     rho = load_array(rho_file)
-    dist = load_array(dist_file)
     test = load_samples(test_file)
     if not tt.length == L == test.L:
         raise ValidationError(

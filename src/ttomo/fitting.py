@@ -329,8 +329,11 @@ def update_core(
     negligible on long chains, where every string's mass and with it the
     denominator is about 4^-L. A model term that is zero everywhere falls
     back to the absolute ``eps``. ``tt`` may be a stack of trials
-    (see ``EnvCache``); each trial is updated on its own scale.
+    (see ``EnvCache``); each trial is updated on its own scale. ``tt`` must
+    be the train ``cache`` was built on.
     """
+    if tt is not cache.tt:
+        raise ValidationError("update_core needs the train its cache was built on")
     if not 0 <= k < tt.length:
         raise IndexError(f"core index {k} out of range for length {tt.length}")
     core = tt.cores[k]

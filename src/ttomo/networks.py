@@ -63,6 +63,8 @@ class TTDistribution:
             raise ValidationError(
                 f"strings shape {strings.shape} does not match length {self.length}"
             )
+        if not np.isin(strings, np.arange(4)).all():
+            raise ValidationError("string symbols must be the integers 0..3")
         dtype = np.result_type(*[c.dtype for c in self.cores], np.float64)
         vec = np.ones((strings.shape[0], 1), dtype=dtype)
         for l, core in enumerate(self.cores):

@@ -16,6 +16,8 @@ from .povm import Povm
 
 MAX_DENSE_SITES = 14
 MAX_OUTCOME_SITES = 10
+# Smallest spectral gap above the ground level that counts as non-degenerate.
+GAP_TOL = 1e-10
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -52,44 +54,41 @@ class XxzParams:
             raise ValidationError(f"depolarizing strength must lie in [0, 1], got {self.p}")
 
 
-def _op_on_sites(ops: dict, L: int) -> np.ndarray:
-    """Kronecker chain with the given {site: 2x2 operator} insertions."""
-    out = np.ones((1, 1), dtype=complex)
-    for l in range(L):
-        out = np.kron(out, ops.get(l, PAULI_I))
-    return out
-
-
 def xxz_hamiltonian(params: XxzParams) -> np.ndarray:
-    """Dense Hamiltonian of the chain; guarded to L <= 14."""
+    """Dense Hamiltonian of the chain; guarded to L <= 14.
+
+    ZZ and Z terms are diagonal in the Z basis; XX + YY on a bond flips an
+    antiparallel pair with weight 2 and cancels on a parallel one.
+    """
     L = params.L
     if L > MAX_DENSE_SITES:
         raise CapacityError(f"dense Hamiltonian guard is L <= {MAX_DENSE_SITES}, got {L}")
-    dim = 2**L
-    ham = np.zeros((dim, dim), dtype=complex)
+    index = np.arange(2**L)
+    z = 1.0 - 2.0 * ((index[:, None] >> np.arange(L - 1, -1, -1)) & 1)
+    diag = np.zeros(2**L)
     for l in range(L - 1):
-        ham += params.J * _op_on_sites({l: PAULI_X, l + 1: PAULI_X}, L)
-        ham += params.J * _op_on_sites({l: PAULI_Y, l + 1: PAULI_Y}, L)
-        ham += params.J * params.gamma * _op_on_sites({l: PAULI_Z, l + 1: PAULI_Z}, L)
+        diag += params.J * params.gamma * z[:, l] * z[:, l + 1]
     for l in range(L):
-        ham += params.h * _op_on_sites({l: PAULI_Z}, L)
+        diag += params.h * z[:, l]
+    ham = np.diag(diag.astype(complex))
+    for l in range(L - 1):
+        rows = index[z[:, l] != z[:, l + 1]]
+        ham[rows, rows ^ (3 << (L - 2 - l))] += 2.0 * params.J
     return ham
 
 
-def ground_state_density(params: XxzParams, gap_tol: float = 1e-10) -> np.ndarray:
+def ground_state_density(params: XxzParams) -> np.ndarray:
     """Pure density matrix of the unique ground state.
 
     Raises DegeneracyError when the spectral gap above the ground level is
-    at most ``gap_tol``. The global phase is fixed by making the
+    at most ``GAP_TOL``. The global phase is fixed by making the
     largest-magnitude amplitude real and positive.
     """
     ham = xxz_hamiltonian(params)
     vals, vecs = np.linalg.eigh(ham)
     gap = vals[1] - vals[0]
-    if gap <= gap_tol:
-        raise DegeneracyError(
-            f"ground level is degenerate within {gap_tol} (gap {gap:.3e})"
-        )
+    if gap <= GAP_TOL:
+        raise DegeneracyError(f"ground level is degenerate within {GAP_TOL} (gap {gap:.3e})")
     ground = vecs[:, 0]
     pivot = int(np.argmax(np.abs(ground)))
     phase = ground[pivot] / abs(ground[pivot])
@@ -106,9 +105,9 @@ def depolarize(rho: np.ndarray, p: float) -> np.ndarray:
     return p * np.eye(dim, dtype=complex) / dim + (1.0 - p) * rho
 
 
-def synth_target(params: XxzParams, gap_tol: float = 1e-10) -> np.ndarray:
+def synth_target(params: XxzParams) -> np.ndarray:
     """Depolarized ground state for the given chain parameters."""
-    return depolarize(ground_state_density(params, gap_tol), params.p)
+    return depolarize(ground_state_density(params), params.p)
 
 
 def _num_sites(dim: int) -> int:
@@ -118,11 +117,13 @@ def _num_sites(dim: int) -> int:
     return L
 
 
-def _site_major(rho: np.ndarray, L: int) -> np.ndarray:
-    """Reorder a 2^L x 2^L matrix into a [4]*L tensor of per-site (ket, bra) pairs."""
-    tensor = rho.reshape([2] * (2 * L))
+def _map_sites(matrix: np.ndarray, rho: np.ndarray, L: int) -> np.ndarray:
+    """[4]*L tensor of a 4x4 map applied to every site's (ket, bra) pair of ``rho``."""
     order = [ax for l in range(L) for ax in (l, L + l)]
-    return tensor.transpose(order).reshape([4] * L)
+    out = rho.reshape([2] * (2 * L)).transpose(order).reshape([4] * L)
+    for axis in range(L):
+        out = np.moveaxis(np.tensordot(matrix, out, axes=(1, axis)), 0, axis)
+    return out
 
 
 def _tt_svd(tensor: np.ndarray, tol: float) -> list:
@@ -143,11 +144,9 @@ def _tt_svd(tensor: np.ndarray, tol: float) -> list:
         tail = np.cumsum(s[::-1] ** 2)[::-1]
         keep = max(1, int(np.sum(tail > tol)))
         u, s, vt = u[:, :keep], s[:keep], vt[:keep]
-        for j in range(keep):
-            pivot = int(np.argmax(np.abs(u[:, j])))
-            if u[pivot, j] < 0:
-                u[:, j] = -u[:, j]
-                vt[j] = -vt[j]
+        pivots = np.argmax(np.abs(u), axis=0)
+        signs = np.where(u[pivots, np.arange(keep)] < 0, -1.0, 1.0)
+        u, vt = u * signs, vt * signs[:, None]
         cores.append(u.reshape(left_dim, 4, keep).transpose(1, 0, 2))
         work = s[:, None] * vt
         left_dim = keep
@@ -185,17 +184,13 @@ def density_to_mpo(rho: np.ndarray, tol: float = 1e-14) -> MpoDensity:
     densified result by sqrt(L * tol). Bond slices of the returned cores are
     Hermitian.
     """
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValidationError(f"truncation tolerance must be finite and >= 0, got {tol}")
     rho = np.asarray(rho, dtype=complex)
     L = _num_sites(rho.shape[0])
     if L > MAX_DENSE_SITES:
         raise CapacityError(f"dense factorization guard is L <= {MAX_DENSE_SITES}, got {L}")
-    basis_flat = _HS_BASIS.reshape(4, 4)
-    coords = _site_major(rho, L)
-    for axis in range(L):
-        coords = np.moveaxis(
-            np.tensordot(basis_flat.conj(), coords, axes=(1, axis)), 0, axis
-        )
-    coords = np.real_if_close(coords, tol=1000)
+    coords = np.real_if_close(_map_sites(_HS_BASIS.reshape(4, 4).conj(), rho, L), tol=1000)
     if np.iscomplexobj(coords):
         raise ValidationError("matrix is not Hermitian: site coordinates stay complex")
     cores = _balance_norms(_tt_svd(coords, tol))
@@ -218,7 +213,4 @@ def exact_outcome_distribution(rho: np.ndarray, povm: Povm) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     L = _num_sites(rho.shape[0])
     check_outcome_sites(L)
-    probs = _site_major(rho, L)
-    for axis in range(L):
-        probs = np.moveaxis(np.tensordot(povm.flat, probs, axes=(1, axis)), 0, axis)
-    return np.real(probs.reshape(-1))
+    return np.real(_map_sites(povm.flat, rho, L).reshape(-1))

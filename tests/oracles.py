@@ -136,6 +136,28 @@ def brute_mpo_dense(cores) -> np.ndarray:
     return rho
 
 
+def kron_xxz_hamiltonian(L, J, gamma, h) -> np.ndarray:
+    """XXZ Hamiltonian as a sum of Kronecker chains: XX, YY, ZZ per bond, then Z per site."""
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    sz = np.array([[1, 0], [0, -1]], dtype=complex)
+    eye = np.eye(2, dtype=complex)
+
+    def chain(inserts):
+        out = np.ones((1, 1), dtype=complex)
+        for l in range(L):
+            out = np.kron(out, inserts.get(l, eye))
+        return out
+
+    ham = np.zeros((2**L, 2**L), dtype=complex)
+    for l in range(L - 1):
+        for op, weight in [(sx, J), (sy, J), (sz, J * gamma)]:
+            ham += weight * chain({l: op, l + 1: op})
+    for l in range(L):
+        ham += h * chain({l: sz})
+    return ham
+
+
 def brute_born_probs(rho, elements) -> np.ndarray:
     """Outcome probabilities by building each product operator explicitly."""
     L = int(round(np.log2(rho.shape[0])))

@@ -5,6 +5,7 @@ without spawning interpreters.
 """
 
 import csv
+import hashlib
 import json
 from dataclasses import fields
 
@@ -183,22 +184,29 @@ def test_negative_seed_exits_with_a_validation_error(tmp_path, small_cfg, capsys
     assert all(line.startswith("ttomo: error: seed must be >= 0") for line in errors)
 
 
+def _replace_dist(tmp_path, dist):
+    """Write ``dist`` into the snapshot and record its digest in the manifest."""
+    np.save(tmp_path / "run" / "target" / "dist.npy", dist)
+    _edit_manifest(tmp_path, "dist_digest", hashlib.sha256(dist.tobytes()).hexdigest())
+
+
 def test_non_finite_values_exit_with_a_validation_error(tmp_path, small_cfg, capsys):
     assert main(["synth", "--config", str(small_cfg)]) == 0
-    dist_file = tmp_path / "run" / "target" / "dist.npy"
-    dist = np.load(dist_file)
+    dist = np.load(tmp_path / "run" / "target" / "dist.npy")
     dist[0] = np.nan
-    np.save(dist_file, dist)
+    _replace_dist(tmp_path, dist)
     assert main(["sample", "--config", str(small_cfg)]) == 1
     assert main(["synth", "--config", str(small_cfg)]) == 0
     assert main(["sample", "--config", str(small_cfg)]) == 0
     assert main(["fit", "--config", str(small_cfg), "--eps", "nan"]) == 1
     assert main(["synth", "--config", str(small_cfg), "--J", "nan"]) == 1
+    assert main(["synth", "--config", str(small_cfg), "--mpo-tol", "nan"]) == 1
     errors = capsys.readouterr().err.splitlines()
     assert errors == [
         "ttomo: error: distribution has non-finite entries",
         "ttomo: error: eps must be finite and > 0, got nan",
         "ttomo: error: J must be finite, got nan",
+        "ttomo: error: truncation tolerance must be finite and >= 0, got nan",
     ]
 
 
@@ -284,9 +292,8 @@ def test_evaluate_rejects_length_mismatch(tmp_path, small_cfg):
     assert main(["evaluate", "--config", str(small_cfg)]) == 1
 
 
-def _edit_manifest(small_cfg, tmp_path, key, value):
-    """Synthesize, then drop the manifest's ``key`` line or set it to ``value``."""
-    assert main(["synth", "--config", str(small_cfg)]) == 0
+def _edit_manifest(tmp_path, key, value):
+    """Drop the snapshot manifest's ``key`` line or set it to ``value``."""
     path = tmp_path / "run" / "target" / "manifest.txt"
     lines = path.read_text().splitlines()
     lines = [line for line in lines if line.split()[0] != key]
@@ -294,15 +301,50 @@ def _edit_manifest(small_cfg, tmp_path, key, value):
 
 
 def test_sample_reports_a_manifest_without_dist_file(tmp_path, small_cfg, capsys):
-    _edit_manifest(small_cfg, tmp_path, "dist_file", None)
+    assert main(["synth", "--config", str(small_cfg)]) == 0
+    _edit_manifest(tmp_path, "dist_file", None)
     assert main(["sample", "--config", str(small_cfg)]) == 3
     assert "manifest.txt: missing key 'dist_file'" in capsys.readouterr().err
+
+
+def test_a_distribution_that_does_not_match_its_manifest_exits_with_the_format_code(
+    tmp_path, small_cfg, capsys
+):
+    for command in ("synth", "sample", "fit"):
+        assert main([command, "--config", str(small_cfg)]) == 0
+    target = tmp_path / "run" / "target"
+    dist = np.load(target / "dist.npy")
+    np.save(target / "dist.npy", dist[::-1])
+    assert main(["sample", "--config", str(small_cfg)]) == 3
+    assert main(["evaluate", "--config", str(small_cfg)]) == 3
+    np.save(target / "dist.npy", dist)
+    _edit_manifest(tmp_path, "dist_digest", None)
+    assert main(["sample", "--config", str(small_cfg)]) == 3
+    manifest = target / "manifest.txt"
+    assert capsys.readouterr().err.splitlines() == [
+        f"ttomo: error: {manifest}: dist.npy does not match dist_digest",
+        f"ttomo: error: {manifest}: dist.npy does not match dist_digest",
+        f"ttomo: error: {manifest}: missing key 'dist_digest'",
+    ]
+
+
+def test_read_snapshot_checks_the_distribution_digest(tmp_path, small_cfg):
+    assert main(["synth", "--config", str(small_cfg)]) == 0
+    cfg = ExperimentConfig(L=2, p=0.5, outdir=str(tmp_path / "run"))
+    target = tmp_path / "run" / "target"
+    L, rho_file, dist = ttomo.cli._read_snapshot(cfg, None)
+    assert (L, rho_file) == (2, target / "rho.npy")
+    assert dist.tobytes() == np.load(target / "dist.npy").tobytes()
+    dist[0] *= 0.5
+    np.save(target / "dist.npy", dist)
+    with pytest.raises(DataFormatError, match="manifest.txt: dist.npy does not match dist_digest"):
+        ttomo.cli._read_snapshot(cfg, target)
 
 
 def test_evaluate_reports_a_manifest_with_a_non_integer_length(tmp_path, small_cfg, capsys):
     for command in ("synth", "sample", "fit"):
         assert main([command, "--config", str(small_cfg)]) == 0
-    _edit_manifest(small_cfg, tmp_path, "L", "two")
+    _edit_manifest(tmp_path, "L", "two")
     assert main(["evaluate", "--config", str(small_cfg)]) == 3
     assert "manifest.txt: L must be a positive integer, got 'two'" in capsys.readouterr().err
 

@@ -172,6 +172,17 @@ def test_update_adds_eps_to_the_denominator_only():
     assert tt.cores[0][2, 0, 0] == 0.0
 
 
+def test_update_rejects_a_train_other_than_the_caches():
+    tt, samples = _random_instance(3, 2, 50, seed=90)
+    cache = EnvCache(tt, samples)
+    other = tt.copy()
+    with pytest.raises(ValidationError, match="the train its cache was built on"):
+        update_core(other, cache, samples, 1)
+    assert all(np.array_equal(a, b) for a, b in zip(other.cores, tt.cores))
+    assert cache.stored_left_overlap_positions == [0, 1, 2, 3]
+    assert cache.stored_right_overlap_positions == [0, 1, 2, 3]
+
+
 def test_update_preserves_zero_support():
     tt, samples = _random_instance(2, 2, 60, seed=90)
     tt.cores[0][1, 0, :] = 0.0

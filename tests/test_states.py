@@ -2,8 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import all_strings, brute_born_probs, brute_mpo_dense, random_density
+from oracles import (
+    all_strings,
+    brute_born_probs,
+    brute_mpo_dense,
+    kron_xxz_hamiltonian,
+    random_density,
+)
 from ttomo.errors import CapacityError, DegeneracyError, ValidationError
 from ttomo.povm import tetrahedral_povm
 from ttomo.states import (
@@ -22,13 +30,6 @@ def _assert_hermitian_unit_trace(rho):
     assert abs(np.trace(rho) - 1.0) <= 1e-12
 
 
-def _kron_chain(ops):
-    out = np.ones((1, 1), dtype=complex)
-    for op in ops:
-        out = np.kron(out, op)
-    return out
-
-
 def test_params_validation():
     with pytest.raises(ValidationError):
         XxzParams(L=1)
@@ -42,24 +43,16 @@ def test_params_validation():
                 XxzParams(L=2, **{name: bad})
 
 
-def test_hamiltonian_matches_kron_oracle():
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    eye = np.eye(2, dtype=complex)
-    params = XxzParams(L=3, J=0.7, gamma=-0.4, h=0.9)
-    expected = np.zeros((8, 8), dtype=complex)
-    for l in range(2):
-        for op, weight in [(sx, params.J), (sy, params.J), (sz, params.J * params.gamma)]:
-            ops = [eye] * 3
-            ops[l] = op
-            ops[l + 1] = op
-            expected += weight * _kron_chain(ops)
-    for l in range(3):
-        ops = [eye] * 3
-        ops[l] = sz
-        expected += params.h * _kron_chain(ops)
-    assert np.allclose(xxz_hamiltonian(params), expected, atol=1e-14)
+_COUPLING = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=30)
+@given(st.integers(2, 7), _COUPLING, _COUPLING, _COUPLING)
+@example(3, 0.7, -0.4, 0.9)
+def test_hamiltonian_matches_kron_oracle(L, J, gamma, h):
+    # the direct build adds the oracle's terms in the oracle's order, so no rounding differs
+    ham = xxz_hamiltonian(XxzParams(L=L, J=J, gamma=gamma, h=h))
+    assert np.array_equal(ham, kron_xxz_hamiltonian(L, J, gamma, h))
 
 
 def test_hamiltonian_frozen_xy_spectrum():
@@ -146,6 +139,13 @@ def test_density_to_mpo_truncation_shrinks_bonds():
     tight = density_to_mpo(rho, tol=1e-14)
     loose = density_to_mpo(rho, tol=1e-1)
     assert sum(loose.bond_dims) < sum(tight.bond_dims)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-14])
+def test_density_to_mpo_rejects_a_bad_tolerance(tol):
+    rho = synth_target(XxzParams(L=3, p=0.6))
+    with pytest.raises(ValidationError, match="truncation tolerance must be finite and >= 0"):
+        density_to_mpo(rho, tol=tol)
 
 
 def test_exact_distribution_matches_kron_oracle():
