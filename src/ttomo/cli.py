@@ -31,8 +31,8 @@ from .networks import TTDistribution
 from .povm import tetrahedral_povm
 from .sampling import SampleSet, load_samples, sample_dataset, save_samples
 from .states import (
-    MAX_OUTCOME_SITES,
     XxzParams,
+    check_mpo_tol,
     check_outcome_sites,
     density_to_mpo,
     exact_outcome_distribution,
@@ -70,7 +70,6 @@ class ExperimentConfig:
     seed: int = 1234
     outdir: str = "runs/exp"
     jobs: int = 1
-    fq_max_l: int = MAX_OUTCOME_SITES
     scan_L: tuple | None = None
     scan_p: tuple | None = None
     scan_gamma: tuple | None = None
@@ -215,6 +214,7 @@ def _datasets(cfg: ExperimentConfig, dist) -> tuple:
 
 def cmd_synth(cfg: ExperimentConfig) -> int:
     """Synthesize the target state, its operator chain, and exact distribution."""
+    check_mpo_tol(cfg.mpo_tol)  # before the dense target, like the outcome guard
     rho, dist = _target(cfg)
     mpo = density_to_mpo(rho, cfg.mpo_tol)
     out = _snapshot_dir(cfg)
@@ -296,34 +296,24 @@ def cmd_fit(cfg: ExperimentConfig, data) -> int:
     return 0
 
 
-def _evaluate_tt(tt: TTDistribution, rho, dist, test: SampleSet, fq_max_l: int) -> dict:
+def _evaluate_tt(tt: TTDistribution, rho, dist, test: SampleSet) -> dict:
     """Shared evaluation: normalize, invert, compare with the target."""
     start = time.perf_counter()
     normalized = normalize_tt(tt)
-    mpo = tt_to_mpo(normalized, tetrahedral_povm())
-    report = dict.fromkeys(
-        ("f_q", "i_q", "clipped_mass", "trace_deviation", "hermiticity_residual",
-         "min_eigenvalue", "fq_omitted_reason")
-    )
-    report.update(L=tt.length, bond_dims=list(tt.bond_dims))
-    if tt.length <= fq_max_l:
-        rho_hat = mpo_to_dense(mpo)
-        fq = quantum_fidelity(rho_hat, rho)
-        report.update(
-            asdict(diagnose(rho_hat)),
-            f_q=fq.fidelity,
-            i_q=fq.infidelity,
-            clipped_mass=fq.clipped_mass,
-        )
-    else:
-        report["fq_omitted_reason"] = (
-            f"L={tt.length} exceeds the dense fidelity guard {fq_max_l}"
-        )
+    rho_hat = mpo_to_dense(tt_to_mpo(normalized, tetrahedral_povm()))
+    fq = quantum_fidelity(rho_hat, rho)
     fc = classical_fidelity(normalized, dist, test)
-    report["f_c"] = fc.fidelity
-    report["i_c"] = fc.infidelity
-    report["runtime_s"] = time.perf_counter() - start
-    return report
+    return {
+        "L": tt.length,
+        "bond_dims": list(tt.bond_dims),
+        **asdict(diagnose(rho_hat)),
+        "f_q": fq.fidelity,
+        "i_q": fq.infidelity,
+        "clipped_mass": fq.clipped_mass,
+        "f_c": fc.fidelity,
+        "i_c": fc.infidelity,
+        "runtime_s": time.perf_counter() - start,
+    }
 
 
 def _write_report(path: Path, report: dict) -> None:
@@ -345,7 +335,7 @@ def cmd_evaluate(cfg: ExperimentConfig, tt, snapshot, data) -> int:
         raise ValidationError(
             f"length mismatch: train has L={tt.length}, snapshot L={L}, test set L={test.L}"
         )
-    report = _evaluate_tt(tt, rho, dist, test, cfg.fq_max_l)
+    report = _evaluate_tt(tt, rho, dist, test)
     out = Path(cfg.outdir) / "report.json"
     _write_report(out, report)
     shown = {k: report[k] for k in ("i_q", "i_c", "trace_deviation", "hermiticity_residual")}
@@ -399,7 +389,7 @@ def _run_point(cfg: ExperimentConfig, index: int, overrides: dict, point_dir: Pa
 
 def _fit_and_score(point: ExperimentConfig, train, test, rho, dist) -> dict:
     result = fit(train, point.fit_config(), jobs=1)
-    report = _evaluate_tt(result.best.tt, rho, dist, test, point.fq_max_l)
+    report = _evaluate_tt(result.best.tt, rho, dist, test)
     report["best_loss"] = result.best.final_loss
     report["best_trial"] = result.best.trial
     report["n_train"] = train.total

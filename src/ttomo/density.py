@@ -33,7 +33,10 @@ def tt_to_mpo(tt: TTDistribution, povm: Povm) -> MpoDensity:
 
 
 def mpo_to_tt(mpo: MpoDensity, povm: Povm) -> TTDistribution:
-    """Apply the measurement map to every core; exact inverse of tt_to_mpo."""
+    """Apply the measurement map to every core; exact inverse of tt_to_mpo.
+
+    Non-Hermitian bond slices give complex weights, a ValidationError.
+    """
     return TTDistribution([forward_map_site(core, povm) for core in mpo.cores])
 
 

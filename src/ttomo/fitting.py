@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 from .networks import TTDistribution
 from .sampling import SampleSet
 
@@ -434,6 +434,19 @@ class FitResult:
         return self.trials[self.best_index]
 
 
+def _finite_losses(cache: EnvCache, trials: int, config: FitConfig) -> list:
+    """The loss of each of the cache's ``trials``; a non-finite one raises CapacityError."""
+    values = [cache.loss(row) for row in range(trials)]
+    if not np.isfinite(values).all():
+        raise CapacityError(
+            f"the train's self overlap overflows at L={cache.tt.length}, "
+            f"D={config.bond_dim}; fit a shorter chain or a smaller bond dimension"
+        )
+    return values
+
+
+# Overflow shows up as a non-finite loss, which _finite_losses raises.
+@np.errstate(over="ignore", invalid="ignore")
 def _fit_block(samples: SampleSet, config: FitConfig, block: range) -> list:
     """Run the trials in ``block`` through one cache; trial t starts from seed ``seed + t``.
 
@@ -441,7 +454,8 @@ def _fit_block(samples: SampleSet, config: FitConfig, block: range) -> list:
     that stops, or reaches ``max_sweeps``, leaves the block by a slice of
     the trial axis. A sweep leaves the right side valid down to position 1,
     so one refresh at 0 makes each trial's cache loss equal
-    ``loss(tt, samples)`` bit for bit.
+    ``loss(tt, samples)`` bit for bit. A loss that is not finite, because a
+    long chain's self overlap overflows, raises CapacityError.
     """
     if samples.total < 1 or samples.n_distinct < 1:
         raise ValidationError("cannot fit an empty sample set")
@@ -451,13 +465,13 @@ def _fit_block(samples: SampleSet, config: FitConfig, block: range) -> list:
     cache = EnvCache(stack, samples)
     start = time.perf_counter()
     active = list(range(len(block)))  # block index of each row of the trial axis
-    losses = [[cache.loss(row)] for row in active]
+    losses = [[value] for value in _finite_losses(cache, len(active), config)]
     walls = [[0.0] for _ in active]
     results = [None] * len(block)
     for sweeps in range(1, config.max_sweeps + 1):
         sweep(stack, cache, samples, config.eps)
         cache.refresh_right(0)
-        values = [cache.loss(row) for row in range(len(active))]
+        values = _finite_losses(cache, len(active), config)
         now = time.perf_counter() - start
         rows = []  # rows of the trial axis that run on
         for row, (i, value) in enumerate(zip(active, values)):

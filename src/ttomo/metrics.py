@@ -15,9 +15,9 @@ from .sampling import SampleSet
 class FidelityResult:
     """A fidelity value plus how much negative spectral mass was clipped.
 
-    ``clipped_mass`` sums the magnitudes of the negative eigenvalues dropped
-    inside the square-root evaluations; it is zero for valid states and for
-    the classical estimator. The fidelity itself is reported as computed,
+    ``clipped_mass`` sums the magnitudes of the negative eigenvalues the
+    quantum fidelity drops from its inputs; it is zero for valid states and
+    for the classical estimator. The fidelity itself is reported as computed,
     without truncation to [0, 1].
     """
 
@@ -29,33 +29,33 @@ class FidelityResult:
         return 1.0 - self.fidelity
 
 
-def _clipped_sqrt_eigh(matrix: np.ndarray):
-    """Eigendecomposition with negatives clipped; returns (vals, vecs, clipped)."""
-    vals, vecs = np.linalg.eigh(matrix)
-    clipped = float(-vals[vals < 0.0].sum()) + 0.0
-    return np.clip(vals, 0.0, None), vecs, clipped
+def _root_factor(matrix: np.ndarray):
+    """(B, clipped): B B^dagger is the Hermitian part of ``matrix`` on its numerical support.
+
+    B = V sqrt(lambda) over the eigenvalues above numpy's rank cutoff
+    n * eps * max|lambda|; ``clipped`` sums the magnitudes of the negative ones.
+    """
+    vals, vecs = np.linalg.eigh((matrix + matrix.conj().T) / 2.0)
+    keep = vals > vals.size * np.finfo(float).eps * np.abs(vals).max(initial=0.0)
+    return vecs[:, keep] * np.sqrt(vals[keep]), float(-vals[vals < 0.0].sum()) + 0.0
 
 
 def quantum_fidelity(rho1: np.ndarray, rho2: np.ndarray) -> FidelityResult:
-    """Uhlmann fidelity tr(sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2.
+    """Uhlmann fidelity tr(sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2 on the numerical supports.
 
-    Both inputs are symmetrized before their eigendecompositions. Negative
-    eigenvalues encountered under a square root are clipped to zero (not
-    renormalized) and their total magnitude is recorded.
+    It is the squared sum of the singular values of B2^dagger B1 (see
+    ``_root_factor``). Rounding noise never enters a square root, so the
+    value is exact for pure arguments. Negative eigenvalues are dropped, not
+    renormalized, and their total magnitude is recorded.
     """
     rho1 = np.asarray(rho1, dtype=complex)
     rho2 = np.asarray(rho2, dtype=complex)
     if rho1.shape != rho2.shape or rho1.ndim != 2 or rho1.shape[0] != rho1.shape[1]:
         raise ValidationError(f"incompatible shapes {rho1.shape} and {rho2.shape}")
-    herm1 = (rho1 + rho1.conj().T) / 2.0
-    herm2 = (rho2 + rho2.conj().T) / 2.0
-    vals1, vecs1, clipped = _clipped_sqrt_eigh(herm1)
-    sqrt1 = (vecs1 * np.sqrt(vals1)) @ vecs1.conj().T
-    mid = sqrt1 @ herm2 @ sqrt1
-    mid = (mid + mid.conj().T) / 2.0
-    vals2, _, clipped_mid = _clipped_sqrt_eigh(mid)
-    fidelity = float(np.sqrt(vals2).sum() ** 2)
-    return FidelityResult(fidelity=fidelity, clipped_mass=clipped + clipped_mid)
+    root1, clipped1 = _root_factor(rho1)
+    root2, clipped2 = _root_factor(rho2)
+    singular = np.linalg.svd(root2.conj().T @ root1, compute_uv=False)
+    return FidelityResult(fidelity=float(singular.sum() ** 2), clipped_mass=clipped1 + clipped2)
 
 
 def _values_on(obj, test: SampleSet) -> np.ndarray:
@@ -65,7 +65,7 @@ def _values_on(obj, test: SampleSet) -> np.ndarray:
             raise ValidationError(
                 f"train length {obj.length} does not match strings of length {test.L}"
             )
-        return np.asarray(obj.evaluate(test.strings), dtype=float)
+        return obj.evaluate(test.strings)
     dense = np.asarray(obj, dtype=float)
     if dense.ndim != 1 or dense.size != 4**test.L:
         raise ValidationError(f"dense distribution must have length {4**test.L}")

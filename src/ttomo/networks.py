@@ -33,9 +33,10 @@ class TTDistribution:
     """Tensor train over length-L strings with four outcomes per site.
 
     Core ``l`` has shape (4, D_l, D_{l+1}); contracting the chain over the
-    bond indices yields the (unnormalized) weight of each string. Fitted
-    trains keep every entry nonnegative; trains obtained by exactly
-    forward-mapping an operator may carry signed entries.
+    bond indices yields the (unnormalized) weight of each string. Cores are
+    real: complex ones raise ValidationError. Fitted trains keep every entry
+    nonnegative; trains obtained by exactly forward-mapping an operator may
+    carry signed entries.
     """
 
     cores: list
@@ -43,6 +44,8 @@ class TTDistribution:
     def __post_init__(self) -> None:
         self.cores = [np.asarray(c) for c in self.cores]
         _check_chain(self.cores, (4,), "tensor train")
+        if any(np.iscomplexobj(c) for c in self.cores):
+            raise ValidationError("tensor train cores must be real")
 
     @property
     def length(self) -> int:
@@ -65,27 +68,23 @@ class TTDistribution:
             )
         if not np.isin(strings, np.arange(4)).all():
             raise ValidationError("string symbols must be the integers 0..3")
-        dtype = np.result_type(*[c.dtype for c in self.cores], np.float64)
-        vec = np.ones((strings.shape[0], 1), dtype=dtype)
+        vec = np.ones((strings.shape[0], 1))
         for l, core in enumerate(self.cores):
             sym = strings[:, l]
-            nxt = np.empty((strings.shape[0], core.shape[2]), dtype=dtype)
+            nxt = np.empty((strings.shape[0], core.shape[2]))
             for s in range(4):
                 mask = sym == s
                 if mask.any():
                     nxt[mask] = vec[mask] @ core[s]
             vec = nxt
-        out = vec[:, 0]
-        if np.iscomplexobj(out):
-            out = np.real_if_close(out, tol=1000)
-        return out
+        return vec[:, 0]
 
     def total_mass(self) -> float:
         """Sum of all string weights, contracted core by core."""
-        vec = np.ones(1, dtype=np.result_type(*[c.dtype for c in self.cores]))
+        vec = np.ones(1)
         for core in self.cores:
             vec = vec @ core.sum(axis=0)
-        return float(np.real(vec[0]))
+        return float(vec[0])
 
 
 @dataclass

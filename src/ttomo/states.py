@@ -184,8 +184,7 @@ def density_to_mpo(rho: np.ndarray, tol: float = 1e-14) -> MpoDensity:
     densified result by sqrt(L * tol). Bond slices of the returned cores are
     Hermitian.
     """
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise ValidationError(f"truncation tolerance must be finite and >= 0, got {tol}")
+    check_mpo_tol(tol)
     rho = np.asarray(rho, dtype=complex)
     L = _num_sites(rho.shape[0])
     if L > MAX_DENSE_SITES:
@@ -196,6 +195,12 @@ def density_to_mpo(rho: np.ndarray, tol: float = 1e-14) -> MpoDensity:
     cores = _balance_norms(_tt_svd(coords, tol))
     mpo_cores = [np.tensordot(_HS_BASIS, c, axes=(0, 0)) for c in cores]
     return MpoDensity(mpo_cores)
+
+
+def check_mpo_tol(tol: float) -> None:
+    """Raise ``ValidationError`` unless ``tol`` is a finite, nonnegative truncation tolerance."""
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValidationError(f"truncation tolerance must be finite and >= 0, got {tol}")
 
 
 def check_outcome_sites(L: int) -> None:

@@ -88,8 +88,6 @@ def save_tensor(path, obj) -> None:
     """Write a TTDistribution or MpoDensity to ``path``."""
     if isinstance(obj, TTDistribution):
         kind = "tt"
-        if any(np.iscomplexobj(c) for c in obj.cores):
-            raise ValidationError("only real-valued trains can be stored")
     elif isinstance(obj, MpoDensity):
         kind = "mpo"
     else:

@@ -16,6 +16,7 @@ import ttomo.cli
 from ttomo.cli import ExperimentConfig, build_config, build_parser, load_config_file, main
 from ttomo.errors import DataFormatError
 from ttomo.networks import TTDistribution
+from ttomo.sampling import SampleSet, save_samples
 from ttomo.storage import load_tensor, save_tensor
 
 SMALL = """
@@ -118,19 +119,19 @@ def test_full_pipeline_and_artifacts(tmp_path, small_cfg):
     manifest = (run / "target" / "manifest.txt").read_text()
     assert manifest.startswith("ttsnapshot 1\n")
     report = json.loads((run / "report.json").read_text())
-    for key in (
-        "i_q",
-        "i_c",
+    assert set(report) == {
+        "L",
+        "bond_dims",
         "f_q",
+        "i_q",
+        "clipped_mass",
         "f_c",
+        "i_c",
         "trace_deviation",
         "hermiticity_residual",
         "min_eigenvalue",
-        "clipped_mass",
-        "bond_dims",
         "runtime_s",
-    ):
-        assert key in report
+    }
     assert report["i_c"] < 0.5
     assert report["trace_deviation"] < 1e-10
     with open(run / "fit" / "trials.csv") as fh:
@@ -143,17 +144,6 @@ def test_full_pipeline_and_artifacts(tmp_path, small_cfg):
         min(losses)
     )
     assert best.bond_dims[0] == 1
-
-
-def test_evaluate_beyond_the_dense_guard_omits_quantum_fields(tmp_path, small_cfg):
-    for command in ("synth", "sample", "fit"):
-        assert main([command, "--config", str(small_cfg)]) == 0
-    assert main(["evaluate", "--config", str(small_cfg), "--fq-max-l", "1"]) == 0
-    report = json.loads((tmp_path / "run" / "report.json").read_text())
-    for key in ("f_q", "i_q", "trace_deviation", "hermiticity_residual"):
-        assert report[key] is None
-    assert "L=2" in report["fq_omitted_reason"]
-    assert 0.0 <= report["i_c"] < 0.5
 
 
 def test_synth_is_byte_deterministic(tmp_path, small_cfg):
@@ -235,6 +225,46 @@ def test_the_outcome_guard_fails_before_the_target_is_built(tmp_path, small_cfg,
         (row,) = list(csv.DictReader(fh))
     assert row["status"] == "error"
     assert row["message"] == "CapacityError: dense distribution guard is L <= 10, got 11"
+
+
+def test_synth_checks_the_truncation_tolerance_before_the_target_is_built(
+    tmp_path, small_cfg, monkeypatch, capsys
+):
+    def unreachable(params):
+        raise AssertionError("the dense target was built before the tolerance check")
+
+    monkeypatch.setattr(ttomo.cli, "synth_target", unreachable)
+    for tol in ("nan", "-1e-14"):
+        assert main(["synth", "--config", str(small_cfg), f"--mpo-tol={tol}"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "ttomo: error: truncation tolerance must be finite and >= 0, got nan",
+        "ttomo: error: truncation tolerance must be finite and >= 0, got -1e-14",
+    ]
+    assert not (tmp_path / "run" / "target").exists()
+
+
+def test_evaluate_above_the_dense_guard_exits_with_the_capacity_code(tmp_path, small_cfg, capsys):
+    # a hand-built L = 11 snapshot: evaluate stops at the dense operator guard
+    assert main(["synth", "--config", str(small_cfg)]) == 0
+    _edit_manifest(tmp_path, "L", "11")
+    strings = np.zeros((1, 11), dtype=np.uint8)
+    test_file = tmp_path / "test.samples"
+    save_samples(SampleSet(L=11, total=1, strings=strings, counts=[1]), test_file)
+    tt_file = tmp_path / "long.tt"
+    save_tensor(tt_file, TTDistribution([np.full((4, 1, 1), 0.25)] * 11))
+    argv = ["--config", str(small_cfg), "--tt", str(tt_file), "--data", str(test_file)]
+    assert main(["evaluate"] + argv) == 2
+    assert "dense operator guard is L <= 10, got 11" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
+def test_fit_beyond_the_float_range_exits_with_the_capacity_code(tmp_path, small_cfg, capsys):
+    data = tmp_path / "long.samples"
+    strings = np.unique(np.random.default_rng(0).integers(0, 4, size=(8, 200)), axis=0)
+    save_samples(SampleSet(L=200, total=8, strings=strings, counts=[1] * 8), data)
+    assert main(["fit", "--config", str(small_cfg), "--bond-dim", "10", "--data", str(data)]) == 2
+    assert "overflows at L=200, D=10" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "fit" / "best.tt").exists()
 
 
 @pytest.mark.parametrize(

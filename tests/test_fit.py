@@ -23,7 +23,7 @@ from oracles import (
 )
 import ttomo.fitting
 from ttomo.density import normalize_tt
-from ttomo.errors import ValidationError
+from ttomo.errors import CapacityError, ValidationError
 from ttomo.fitting import (
     EnvCache,
     FitConfig,
@@ -420,6 +420,17 @@ def test_long_chains_fit_without_collapse(L):
     assert all(np.all(np.isfinite(c)) and c.min() >= 0.0 for c in model.cores)
     if L == 24:
         assert final == pytest.approx(-(4.0 ** (-L / 2)), rel=0.1)
+
+
+@pytest.mark.parametrize("L, jobs", [(200, 1), (200, 2), (122, 1)])
+def test_fit_raises_capacity_error_when_the_self_overlap_overflows(L, jobs):
+    # at D = 10 the random start's self overlap overflows float64 from about
+    # L = 156; at L = 122 it is finite at the start and overflows in a sweep
+    strings = np.unique(np.random.default_rng(0).integers(0, 4, size=(8, L)), axis=0)
+    samples = SampleSet(L=L, total=8, strings=strings, counts=[1] * 8)
+    config = FitConfig(bond_dim=10, max_sweeps=30, trials=2)
+    with pytest.raises(CapacityError, match=f"overflows at L={L}, D=10"):
+        fit(samples, config, jobs=jobs)
 
 
 def test_fit_config_validation():

@@ -27,8 +27,8 @@ def test_quantum_fidelity_pure_states_overlap():
         b /= np.linalg.norm(b)
         expected = abs(np.vdot(a, b)) ** 2
         result = quantum_fidelity(np.outer(a, a.conj()), np.outer(b, b.conj()))
-        # rank-deficient inputs: zero eigenvalues pick up sqrt(machine-eps)
-        assert result.fidelity == pytest.approx(expected, abs=1e-7)
+        # rank-deficient inputs: rounding noise below the rank cutoff is dropped
+        assert result.fidelity == pytest.approx(expected, abs=1e-13)
 
 
 def test_quantum_fidelity_matches_sqrtm_oracle():
@@ -46,7 +46,7 @@ def test_quantum_fidelity_is_symmetric():
     rho1 = random_density(4, rng, rank=2)
     rho2 = random_density(4, rng)
     assert quantum_fidelity(rho1, rho2).fidelity == pytest.approx(
-        quantum_fidelity(rho2, rho1).fidelity, abs=1e-7
+        quantum_fidelity(rho2, rho1).fidelity, abs=1e-13
     )
 
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from oracles import all_strings, dense_tt_vector, random_tt_cores
+from ttomo.density import mpo_to_tt
 from ttomo.errors import ValidationError
 from ttomo.networks import MpoDensity, TTDistribution
+from ttomo.povm import tetrahedral_povm
 
 
 def test_tt_validation_rejects_broken_chains():
@@ -17,6 +19,19 @@ def test_tt_validation_rejects_broken_chains():
         TTDistribution([np.zeros((4, 2, 1))])  # left boundary must be 1
     with pytest.raises(ValidationError):
         TTDistribution([np.zeros((4, 1, 2)), np.zeros((4, 3, 1))])  # bond mismatch
+
+
+def test_tt_rejects_complex_cores():
+    with pytest.raises(ValidationError, match="tensor train cores must be real"):
+        TTDistribution([np.ones((4, 1, 1), dtype=complex)])
+
+
+def test_forward_map_of_a_non_hermitian_chain_is_rejected():
+    # bond slices that are not Hermitian map to complex outcome weights
+    core = np.zeros((2, 2, 1, 1), dtype=complex)
+    core[0, 1, 0, 0] = 1.0
+    with pytest.raises(ValidationError, match="tensor train cores must be real"):
+        mpo_to_tt(MpoDensity([core]), tetrahedral_povm())
 
 
 def test_tt_properties_and_copy():

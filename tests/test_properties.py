@@ -1,12 +1,14 @@
-"""Property tests: the environment cache, the update and the fit against the oracles.
+"""Property tests: the environment cache, the update, the fit and the quantum fidelity.
 
 Hypothesis draws small chains (L 1..5, D 1..4) and sample sets that include
 the shapes the run index treats specially: a single string, strings that all
 share a prefix, and strings that all share a suffix. A random valid sequence
 of updates and refreshes then runs on the cache, and every step is checked
 against brute-force enumeration from oracles.py. Whole fits are checked
-trial by trial against the public single-train calls. The profile
-registered in conftest.py derandomizes the draws and caps their number.
+trial by trial against the public single-train calls. The quantum fidelity
+is checked on pure arguments, under rounding-level perturbations and against
+scipy matrix square roots for d in {2, 4, 8, 16}. The profile registered in
+conftest.py derandomizes the draws and caps their number.
 """
 
 from unittest import mock
@@ -24,10 +26,13 @@ from oracles import (
     brute_update_denom,
     brute_update_numer,
     public_call_trial,
+    random_density,
     random_tt_cores,
+    sqrtm_fidelity,
 )
 import ttomo.fitting
 from ttomo.fitting import EnvCache, FitConfig, fit, loss, update_core
+from ttomo.metrics import quantum_fidelity
 from ttomo.networks import TTDistribution
 from ttomo.sampling import SampleSet
 
@@ -154,3 +159,44 @@ def test_every_trial_of_a_fit_equals_the_public_call_sequence(instance):
         alone = fit(samples, config)
     for trial, other in zip(result.trials, alone.trials):
         _same_trial(trial, other.tt, other.losses, other.converged)
+
+
+@st.composite
+def dims_and_rngs(draw):
+    dim = draw(st.sampled_from([2, 4, 8, 16]))
+    return dim, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+@given(dims_and_rngs(), st.data())
+def test_fidelity_with_a_pure_state_is_its_expectation_value(instance, data):
+    dim, rng = instance
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi /= np.linalg.norm(psi)
+    pure = np.outer(psi, psi.conj())
+    sigma = random_density(dim, rng, rank=data.draw(st.integers(1, dim), label="rank"))
+    expected = float(np.real(psi.conj() @ sigma @ psi))
+    assert abs(quantum_fidelity(pure, sigma).fidelity - expected) <= 1e-13
+    assert abs(quantum_fidelity(sigma, pure).fidelity - expected) <= 1e-13
+
+
+@given(dims_and_rngs(), st.data())
+def test_fidelity_ignores_rounding_level_perturbations(instance, data):
+    # rho1 has negative eigenvalues, as a reconstruction can; its eigenvalues
+    # stay away from zero, where the square root itself is not Lipschitz
+    dim, rng = instance
+    negative = data.draw(st.integers(1, dim - 1), label="negative eigenvalues")
+    vals = rng.uniform(0.05, 1.0, size=dim) * np.where(np.arange(dim) < negative, -0.2, 1.0)
+    basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    rho1 = (basis * vals) @ basis.conj().T
+    noise = rng.uniform(-1.0, 1.0, size=(dim, dim))
+    rho2 = random_density(dim, rng)
+    before = quantum_fidelity(rho1, rho2).fidelity
+    after = quantum_fidelity(rho1 + 1e-16 * (noise + noise.T) / 2.0, rho2).fidelity
+    assert abs(after - before) <= 1e-13
+
+
+@given(dims_and_rngs())
+def test_fidelity_of_full_rank_pairs_matches_the_sqrtm_oracle(instance):
+    dim, rng = instance
+    rho1, rho2 = random_density(dim, rng), random_density(dim, rng)
+    assert abs(quantum_fidelity(rho1, rho2).fidelity - sqrtm_fidelity(rho1, rho2)) <= 1e-10

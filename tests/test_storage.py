@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import random_tt_cores
-from ttomo.errors import DataFormatError, ValidationError
+from ttomo.errors import DataFormatError
 from ttomo.networks import MpoDensity, TTDistribution
 from ttomo.povm import tetrahedral_povm
 from ttomo.density import normalize_tt, tt_to_mpo
@@ -42,12 +42,6 @@ def test_save_is_byte_deterministic(tmp_path):
     save_tensor(tmp_path / "a", tt)
     save_tensor(tmp_path / "b", tt)
     assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
-
-
-def test_save_rejects_complex_tt(tmp_path):
-    cores = [np.ones((4, 1, 1), dtype=complex)]
-    with pytest.raises(ValidationError):
-        save_tensor(tmp_path / "x", TTDistribution(cores))
 
 
 @pytest.mark.parametrize(
