@@ -347,7 +347,7 @@ def cmd_evaluate(cfg: ExperimentConfig, tt, snapshot, data) -> int:
 
 
 def _scan_grid(cfg: ExperimentConfig) -> list:
-    """The config field overrides of every grid point."""
+    """The config field overrides of every grid point, checked before any point runs."""
     axes = []
     for axis, targets in _AXIS_FIELDS.items():
         values = getattr(cfg, axis)
@@ -358,6 +358,13 @@ def _scan_grid(cfg: ExperimentConfig) -> list:
         axes.append([dict.fromkeys(targets, value) for value in values])
     if not axes and not cfg.min_n_search:
         raise ValidationError("scan requires at least one axis (or the minimum-N search)")
+    if cfg.min_n_search and not (
+        np.isfinite(cfg.ic_target) and cfg.ic_target > 0.0 and 1 <= cfg.n_start <= cfg.n_max
+    ):
+        raise ValidationError(
+            "the minimum-N search needs a finite ic_target > 0 and 1 <= n_start <= n_max, got "
+            f"ic_target={cfg.ic_target}, n_start={cfg.n_start}, n_max={cfg.n_max}"
+        )
     return [
         {name: value for part in combo for name, value in part.items()}
         for combo in itertools.product(*axes)

@@ -22,9 +22,9 @@ symbols and a right one only on its last ``L - p``, so each is stored once
 per distinct prefix or suffix. A sample set is sorted, which makes the
 strings sharing a prefix one contiguous run of rows; one extra sort by the
 reversed string does the same for suffixes (``SampleSet.runs``). Refreshes
-and the loss then work per run rather than per sample, and the data term of
-an update is one gather and one segment sum over the samples plus a GEMM
-over the runs.
+then work per run rather than per sample, and the data term of an update is
+one gather and one segment sum over the samples plus a GEMM over the runs;
+the loss is core 0's update form, so that is the only sum over samples.
 
 The trials of a fit share the sample set and its runs, so ``fit`` runs them
 in blocks through one cache whose cores, Grams and environments carry a
@@ -165,8 +165,8 @@ class EnvCache:
     ``tt`` is one train or, inside ``fit``, a stack of trials whose cores
     carry a leading trial axis. Every stored quantity carries that axis:
     Grams are (T, D, D) and environments (T, D, runs), with T = 1 for one
-    train. ``loss(t)`` reads trial ``t``; the Gram and overlap reads serve
-    one-train caches and read trial 0.
+    train. ``losses()`` reads every trial from core 0's update terms; the
+    Gram and overlap reads serve one-train caches and read trial 0.
 
     Entries invalidated by a core update are unreadable until a refresh
     recomputes them, so everything readable equals its from-scratch
@@ -232,14 +232,13 @@ class EnvCache:
         self._check_right(p)
         return self._right_env[p][0][:, self.runs.suffix_of_row[p]].T
 
-    def loss(self, t: int = 0) -> float:
-        """Shifted quadratic loss <P, P> - 2 <P, P_s> from the right side at position 0.
+    def losses(self) -> np.ndarray:
+        """Each trial's shifted quadratic loss <P, P> - 2 <P, P_s>, from core 0's update terms.
 
-        There the Gram is <P, P> and each string's suffix environment is P(string).
+        Core 0 times ``model_term(0)`` sums to <P, P> and times ``data_term(0)`` to <P, P_s>.
         """
-        self._check_right(0)
-        values = self._right_env[0][t, 0, self.runs.suffix_of_row[0]]
-        return float(self._right_gram[0][t, 0, 0]) - 2.0 * float(self._weights @ values)
+        core = _stacked(self.tt.cores[0])
+        return (core * (self.model_term(0) - 2.0 * self.data_term(0))).sum(axis=(1, 2, 3))
 
     def data_term(self, k: int) -> np.ndarray:
         """Sample-weighted sum of left(k) x right(k+1) outer products per symbol at k.
@@ -358,16 +357,12 @@ def sweep(
 
     Going right, cores 0 .. L-2 are updated and the left environments follow;
     going left, cores L-1 .. 1 are updated and the right environments follow,
-    so interior cores are updated twice per sweep and the edge cores once.
+    so interior cores are updated twice per sweep and the edge cores once (a
+    one-site chain's core on the right-going pass only).
     ``on_update`` is called with the core index after each update.
     """
     L = tt.length
-    if L == 1:
-        update_core(tt, cache, samples, 0, eps)
-        if on_update is not None:
-            on_update(0)
-        return tt
-    for k in range(L - 1):
+    for k in range(max(L - 1, 1)):
         update_core(tt, cache, samples, k, eps)
         cache.refresh_left(k)
         if on_update is not None:
@@ -383,11 +378,11 @@ def sweep(
 def loss(tt: TTDistribution, samples: SampleSet) -> float:
     """Shifted quadratic loss <P, P> - 2 <P, P_s>, read from a fresh ``EnvCache``.
 
-    The self term is the Gram chain of the train; the data term evaluates
-    the train on the observed strings only, one suffix run at a time.
-    Neither enumerates all 4^L strings. At the perfect fit the value is -sum((n_j / N)^2).
+    It is core 0's update form (``EnvCache.losses``): the self term comes from
+    the Gram chain and the data term from the observed strings only, so
+    neither enumerates all 4^L strings. At the perfect fit it is -sum((n_j / N)^2).
     """
-    return EnvCache(tt, samples).loss()
+    return float(EnvCache(tt, samples).losses()[0])
 
 
 @dataclass
@@ -434,9 +429,9 @@ class FitResult:
         return self.trials[self.best_index]
 
 
-def _finite_losses(cache: EnvCache, trials: int, config: FitConfig) -> list:
-    """The loss of each of the cache's ``trials``; a non-finite one raises CapacityError."""
-    values = [cache.loss(row) for row in range(trials)]
+def _finite_losses(cache: EnvCache, config: FitConfig) -> np.ndarray:
+    """The loss of each of the cache's trials; a non-finite one raises CapacityError."""
+    values = cache.losses()
     if not np.isfinite(values).all():
         raise CapacityError(
             f"the train's self overlap overflows at L={cache.tt.length}, "
@@ -452,8 +447,8 @@ def _fit_block(samples: SampleSet, config: FitConfig, block: range) -> list:
 
     Each trial keeps its own loss trace and windowed stopping rule; a trial
     that stops, or reaches ``max_sweeps``, leaves the block by a slice of
-    the trial axis. A sweep leaves the right side valid down to position 1,
-    so one refresh at 0 makes each trial's cache loss equal
+    the trial axis. Each loss is read from the cache as a sweep leaves it,
+    from core 0's update terms (``EnvCache.losses``), and equals
     ``loss(tt, samples)`` bit for bit. A loss that is not finite, because a
     long chain's self overlap overflows, raises CapacityError.
     """
@@ -465,13 +460,12 @@ def _fit_block(samples: SampleSet, config: FitConfig, block: range) -> list:
     cache = EnvCache(stack, samples)
     start = time.perf_counter()
     active = list(range(len(block)))  # block index of each row of the trial axis
-    losses = [[value] for value in _finite_losses(cache, len(active), config)]
+    losses = [[value] for value in _finite_losses(cache, config)]
     walls = [[0.0] for _ in active]
     results = [None] * len(block)
     for sweeps in range(1, config.max_sweeps + 1):
         sweep(stack, cache, samples, config.eps)
-        cache.refresh_right(0)
-        values = _finite_losses(cache, len(active), config)
+        values = _finite_losses(cache, config)
         now = time.perf_counter() - start
         rows = []  # rows of the trial axis that run on
         for row, (i, value) in enumerate(zip(active, values)):

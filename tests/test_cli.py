@@ -1,13 +1,18 @@
 """Command-line pipeline, config precedence, and exit codes.
 
 All commands run in-process through main() so exit codes are observable
-without spawning interpreters.
+without spawning interpreters, except where a test needs a setting that is
+read once per process, such as the BLAS thread count.
 """
 
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +21,7 @@ import ttomo.cli
 from ttomo.cli import ExperimentConfig, build_config, build_parser, load_config_file, main
 from ttomo.errors import DataFormatError
 from ttomo.networks import TTDistribution
-from ttomo.sampling import SampleSet, save_samples
+from ttomo.sampling import SampleSet, sample_dataset, save_samples
 from ttomo.storage import load_tensor, save_tensor
 
 SMALL = """
@@ -302,6 +307,34 @@ def test_malformed_snapshot_files_exit_with_the_format_code(tmp_path, small_cfg,
     assert manifest_error == f"ttomo: error: {manifest}:2: byte 0xb2 is not ascii text"
 
 
+def test_fit_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 65k distinct strings make every sum over samples long enough for a
+    # threaded BLAS to split it; the thread count is read once per process
+    dist = 1.0 + np.random.default_rng(3).random(4**8)
+    samples = sample_dataset(dist / dist.sum(), 10**6, seed=3)
+    assert samples.n_distinct >= 65_000
+    data = tmp_path / "train.samples"
+    save_samples(samples, data)
+    src = str(Path(ttomo.cli.__file__).parents[1])
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    outputs = []
+    for threads in ("1", "2"):
+        outdir = tmp_path / f"threads{threads}"
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        env.update(dict.fromkeys(blas, threads))
+        flags = ["--data", str(data), "--outdir", str(outdir), "--trials", "2", "--max-sweeps", "4"]
+        command = [sys.executable, "-m", "ttomo.cli", "fit", *flags, "--seed", "1"]
+        subprocess.run(command, env=env, check=True, capture_output=True, timeout=300)
+        fit_dir = outdir / "fit"
+        files = {name: (fit_dir / name).read_bytes() for name in ("best.tt", "trials.csv")}
+        for path in sorted(fit_dir.glob("trial_*_loss.csv")):
+            # wall_s, the last column, is a timing
+            files[path.name] = [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+        outputs.append(files)
+    assert len(outputs[0]) == 4
+    assert outputs[1] == outputs[0]
+
+
 def test_degenerate_fit_exits_with_code_four(tmp_path, small_cfg):
     assert main(["synth", "--config", str(small_cfg)]) == 0
     assert main(["sample", "--config", str(small_cfg)]) == 0
@@ -473,6 +506,31 @@ def test_scan_requires_an_axis(tmp_path):
     cfg = tmp_path / "scan.cfg"
     cfg.write_text(f"outdir = {tmp_path / 's'}\n")
     assert main(["scan", "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "ic_target = nan",
+        "ic_target = inf",
+        "ic_target = 0",
+        "ic_target = -0.01",
+        "n_start = 0",
+        "n_start = 4000\nn_max = 2000",
+    ],
+)
+def test_scan_rejects_a_min_n_search_that_cannot_meet_its_target(tmp_path, monkeypatch, bad):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit started")
+
+    monkeypatch.setattr(ttomo.cli, "fit", no_fit)
+    cfg = tmp_path / "minn.cfg"
+    cfg.write_text(
+        f"L = 2\noutdir = {tmp_path / 'minn'}\n"
+        "min_n_search = true\nn_start = 250\nn_max = 2000\n" + bad + "\n"
+    )
+    assert main(["scan", "--config", str(cfg)]) == 1
+    assert not (tmp_path / "minn" / "scan.csv").exists()
 
 
 def test_scan_min_n_search(tmp_path):

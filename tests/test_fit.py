@@ -261,17 +261,21 @@ def test_loss_matches_brute_force():
 @pytest.mark.parametrize("L", [1, 2, 4])
 def test_cache_loss_on_a_fresh_cache_matches_brute_force(L):
     tt, samples = _random_instance(L, 3, 300, seed=190 + L)
-    assert EnvCache(tt, samples).loss() == pytest.approx(brute_loss(tt.cores, samples), rel=1e-12)
+    assert EnvCache(tt, samples).losses()[0] == pytest.approx(brute_loss(tt.cores, samples), rel=1e-12)
 
 
-def test_cache_loss_needs_the_right_side_at_position_zero():
+def test_cache_losses_need_left_position_zero_and_right_position_one():
     tt, samples = _random_instance(3, 2, 100, seed=195)
     cache = EnvCache(tt, samples)
     update_core(tt, cache, samples, 0)
+    # an update of core 0 leaves both sides valid where its own terms read them
+    assert cache.losses()[0] == loss(tt, samples)
+    cache.refresh_left(0)
+    update_core(tt, cache, samples, 1)
     with pytest.raises(IndexError):
-        cache.loss()
-    cache.refresh_right(0)
-    assert cache.loss() == loss(tt, samples)
+        cache.losses()
+    cache.refresh_right(1)
+    assert cache.losses()[0] == loss(tt, samples)
 
 
 @pytest.mark.parametrize("L", [1, 2, 4])
@@ -399,7 +403,7 @@ def test_long_chains_fit_without_collapse(L):
     samples = _copy_pair_samples(L, 4000, seed=L)
     tt = init_tt(L, 10, seed=0)
     cache = EnvCache(tt, samples)
-    values = [cache.loss()]
+    values = [cache.losses()[0]]
 
     def record(k):
         # the loss after the update at k, from that update's quadratic form
@@ -410,7 +414,7 @@ def test_long_chains_fit_without_collapse(L):
     for _ in range(10):
         sweep(tt, cache, samples, on_update=record)
     cache.refresh_right(0)
-    final = cache.loss()
+    final = cache.losses()[0]
     assert all(np.all(np.isfinite(c)) and c.min() >= 0.0 and c.any() for c in tt.cores)
     rises = np.diff(values)
     assert np.all(rises <= 1e-12 * np.abs(values[:-1]))

@@ -79,6 +79,8 @@ def _check_cache(cache, tt, samples):
         assert np.allclose(
             cache.right_overlaps(p), brute_right_overlaps(tt.cores, samples, p), rtol=1e-12, atol=0
         )
+    if 1 in cache.stored_right_overlap_positions:
+        assert np.isclose(cache.losses()[0], brute_loss(tt.cores, samples), rtol=1e-12, atol=1e-14)
 
 
 @given(instances(), st.data())
