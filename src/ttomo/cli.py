@@ -407,6 +407,7 @@ def _fit_and_score(point: ExperimentConfig, train, test, rho, dist) -> dict:
 def _min_n_search(point: ExperimentConfig, rho, dist):
     """Double the sample budget until the classical infidelity meets target.
 
+    The last budget tried is ``n_max`` itself: a doubling past it is clamped.
     Returns the last report and the budget that met the target, or None.
     """
     n = point.n_start
@@ -418,7 +419,7 @@ def _min_n_search(point: ExperimentConfig, rho, dist):
             return report, n
         if n >= point.n_max:
             return report, None
-        n *= 2
+        n = min(2 * n, point.n_max)
         attempt += 1
 
 

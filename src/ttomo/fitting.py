@@ -17,23 +17,32 @@ added to the denominator only.
 
 Boundary position ``p`` in 0..L splits the chain between cores ``p - 1`` and
 ``p``: left quantities cover cores ``0 .. p-1``, right quantities cover cores
-``p .. L-1``. A left environment depends only on the string's first ``p``
-symbols and a right one only on its last ``L - p``, so each is stored once
-per distinct prefix or suffix. A sample set is sorted, which makes the
-strings sharing a prefix one contiguous run of rows; one extra sort by the
-reversed string does the same for suffixes (``SampleSet.runs``). Refreshes
-then work per run rather than per sample, and the data term of an update is
-one gather and one segment sum over the samples plus a GEMM over the runs;
-the loss is core 0's update form, so that is the only sum over samples.
+``p .. L-1``. A sample set is sorted, so the strings sharing a prefix form one
+contiguous run of rows (``SampleSet.runs``), and both sides are stored once
+per prefix run:
+
+* the left environment of a run at p is cores ``0 .. p-1`` contracted with
+  the run's prefix;
+* the right sum of a run at p is the sample-weighted sum, over the run's
+  strings, of cores ``p .. L-1`` contracted with each string's suffix. At
+  p = L every run is one string, so the right sums there are the weights.
+
+Each run at p + 1 is a run at p extended by the symbol at site p, so both
+sides meet in one (symbol, parent run) grid per site. A left environment at
+p + 1 is gathered from core p's products with the runs at p; the right sums
+at p are the right sums at p + 1 scattered into the grid and contracted with
+core p. The data term of the update of core p is the left environments at p
+against that same grid. Each of the three is one GEMM over the runs, and no
+update sums over the samples; the loss is core 0's update form.
 
 The trials of a fit share the sample set and its runs, so ``fit`` runs them
 in blocks through one cache whose cores, Grams and environments carry a
 leading trial axis. Every GEMM is then batched over the trials, while the
-gather and the segment sum stay on the last (row or run) axis; a block pays
-the per-call overhead of numpy once for all its trials. Each trial's
-arithmetic is the same as alone, so its losses and cores do not depend on
-its block. A trial that meets its stopping rule leaves the block, and its
-wall times count from the start of the block.
+gather and the scatter stay on the last (run) axis; a block pays the
+per-call overhead of numpy once for all its trials. Each trial's arithmetic
+is the same as alone, so its losses and cores do not depend on its block. A
+trial that meets its stopping rule leaves the block, and its wall times
+count from the start of the block.
 """
 
 from __future__ import annotations
@@ -49,9 +58,10 @@ from .networks import TTDistribution
 from .sampling import SampleSet
 
 DEFAULT_EPS = 1e-16
-# Budget of a trial block in floats, on T * bond_dim * n_distinct: wide sets
-# (L = 8, 65534 strings at D = 10) run one trial per block, where batching
-# does not pay, and small sets run a whole fit as one block.
+# Budget of a trial block in floats, on T * bond_dim * n_distinct, which bounds
+# each position's stored environments and right sums (T x D_p x runs floats):
+# wide sets (L = 8, 65534 strings at D = 10) run one trial per block, and
+# small sets run a whole fit as one block.
 _BLOCK_FLOATS = 1 << 20
 
 
@@ -136,37 +146,23 @@ class _TrialStack:
         return TTDistribution([core[t].copy() for core in self.cores])
 
 
-def _extend(env: np.ndarray, slabs: np.ndarray, slot: np.ndarray) -> np.ndarray:
-    """Extend per-run environment columns across one core, for every trial.
-
-    ``env`` holds one column per run at the previous position, shape
-    (T, D_in, runs), and ``slabs`` is the core arranged as (T, D_out, 4, D_in).
-    One batched GEMM forms every (symbol, run) product; each new run then
-    picks its column by ``slot``.
-    """
-    trials, d_out, _, d_in = slabs.shape
-    products = (slabs.reshape(trials, 4 * d_out, d_in) @ env).reshape(trials, d_out, -1)
-    return products.take(slot, axis=2)
-
-
 class EnvCache:
     """Partial contractions of a train with itself and with the samples.
 
     Gram matrices (train against train) are stored at every boundary
-    position. Environments (train against the observed strings) are stored
-    once per distinct prefix on the left and once per distinct suffix on the
-    right, as one column per run of ``samples.runs``: the set is sorted, so
-    rows sharing a prefix are contiguous, and one sort by the reversed
-    string makes rows sharing a suffix contiguous too. Extending an
-    environment by one core is then one small GEMM over the runs of the
-    previous position, and the update's data term is a segment sum over
-    contiguous runs.
+    position. On the sample side, position p stores one column per prefix
+    run of ``samples.runs``: the left environment of the run's prefix, and
+    the right sum, the sample-weighted sum of the right environments of the
+    run's strings. Refreshing either side across one core, and the update's
+    data term, are each one batched GEMM against the (symbol, parent run)
+    grid of ``_grid``.
 
     ``tt`` is one train or, inside ``fit``, a stack of trials whose cores
     carry a leading trial axis. Every stored quantity carries that axis:
-    Grams are (T, D, D) and environments (T, D, runs), with T = 1 for one
-    train. ``losses()`` reads every trial from core 0's update terms; the
-    Gram and overlap reads serve one-train caches and read trial 0.
+    Grams are (T, D, D) and environments and right sums (T, D, runs), with
+    T = 1 for one train. ``losses()`` reads every trial from core 0's update
+    terms; the Gram and environment reads serve one-train caches and read
+    trial 0.
 
     Entries invalidated by a core update are unreadable until a refresh
     recomputes them, so everything readable equals its from-scratch
@@ -180,13 +176,14 @@ class EnvCache:
             )
         self.tt = tt
         self.runs = samples.runs
-        self._weights = samples.weights
         L = tt.length
-        ones = np.ones((_stacked(tt.cores[0]).shape[0], 1, 1))
+        trials = _stacked(tt.cores[0]).shape[0]
+        ones = np.ones((trials, 1, 1))
         self._left_gram = [ones] + [None] * L
         self._right_gram = [None] * L + [ones]
         self._left_env = [ones] + [None] * L
-        self._right_env = [None] * L + [ones]
+        weights = np.broadcast_to(samples.weights, (trials, 1, samples.n_distinct))
+        self._right_sum = [None] * L + [weights]
         self._left_valid = 0
         self._right_valid = L
         for k in range(L):
@@ -227,10 +224,10 @@ class EnvCache:
         self._check_left(p)
         return self._left_env[p][0][:, self.runs.prefix_of_row(p)].T
 
-    def right_overlaps(self, p: int) -> np.ndarray:
-        """Per-sample right overlap at position p, expanded from the suffix runs."""
+    def right_sums(self, p: int) -> np.ndarray:
+        """Right sum of every prefix run at position p, shape (runs, D_p)."""
         self._check_right(p)
-        return self._right_env[p][0][:, self.runs.suffix_of_row[p]].T
+        return self._right_sum[p][0].T
 
     def losses(self) -> np.ndarray:
         """Each trial's shifted quadratic loss <P, P> - 2 <P, P_s>, from core 0's update terms.
@@ -240,24 +237,31 @@ class EnvCache:
         core = _stacked(self.tt.cores[0])
         return (core * (self.model_term(0) - 2.0 * self.data_term(0))).sum(axis=(1, 2, 3))
 
+    def _grid(self, k: int) -> np.ndarray:
+        """The right sums at k + 1 in the (symbol, run at k) grid, shape (T, 4 * D_{k+1}, runs).
+
+        Row ``b * 4 + s`` holds bond index b of symbol s; a (symbol, run)
+        pair that no string has stays zero.
+        """
+        sums = self._right_sum[k + 1]
+        trials, dim, _ = sums.shape
+        parents = self.runs.prefix_starts[k].size
+        grid = np.zeros((trials, dim, 4 * parents))
+        grid[:, :, self.runs.prefix_slot[k + 1]] = sums
+        return grid.reshape(trials, dim * 4, parents)
+
     def data_term(self, k: int) -> np.ndarray:
         """Sample-weighted sum of left(k) x right(k+1) outer products per symbol at k.
 
-        The weighted right environments of the samples are summed over each
-        prefix run of length k + 1, then contracted with the left
-        environment of the run's parent prefix. Shape (T, 4, D_k, D_{k+1}).
+        The left environment of each run at k meets the right sums of its
+        children at k + 1. Shape (T, 4, D_k, D_{k+1}).
         """
         self._check_left(k)
         self._check_right(k + 1)
-        runs = self.runs
-        right = self._right_env[k + 1].take(runs.suffix_of_row[k + 1], axis=2)
-        right *= self._weights
-        sums = np.add.reduceat(right, runs.prefix_starts[k + 1], axis=2)
-        left = self._left_env[k]
-        trials, _, parents = left.shape
-        grid = np.zeros((trials, 4 * parents, sums.shape[1]))
-        grid[:, runs.prefix_slot[k + 1]] = sums.transpose(0, 2, 1)
-        return left[:, None] @ grid.reshape(trials, 4, parents, -1)
+        grid = self._grid(k)
+        trials, rows, _ = grid.shape
+        terms = (grid @ self._left_env[k].transpose(0, 2, 1)).reshape(trials, rows // 4, 4, -1)
+        return terms.transpose(0, 2, 3, 1)
 
     def model_term(self, k: int) -> np.ndarray:
         """Core k between the Grams of the rest of the chain, per symbol at k.
@@ -286,9 +290,10 @@ class EnvCache:
         core = _stacked(self.tt.cores[k])
         gram = self._left_gram[k][:, None]
         self._left_gram[k + 1] = (core.transpose(0, 1, 3, 2) @ gram @ core).sum(axis=1)
-        self._left_env[k + 1] = _extend(
-            self._left_env[k], core.transpose(0, 3, 1, 2), self.runs.prefix_slot[k + 1]
-        )
+        trials, _, d_in, d_out = core.shape
+        slabs = core.transpose(0, 3, 1, 2).reshape(trials, d_out * 4, d_in)
+        products = (slabs @ self._left_env[k]).reshape(trials, d_out, -1)
+        self._left_env[k + 1] = products.take(self.runs.prefix_slot[k + 1], axis=2)
         self._left_valid = k + 1
 
     def refresh_right(self, k: int) -> None:
@@ -299,14 +304,14 @@ class EnvCache:
         core = _stacked(self.tt.cores[k])
         gram = self._right_gram[k + 1][:, None]
         self._right_gram[k] = (core @ gram @ core.transpose(0, 1, 3, 2)).sum(axis=1)
-        self._right_env[k] = _extend(
-            self._right_env[k + 1], core.transpose(0, 2, 1, 3), self.runs.suffix_slot[k]
-        )
+        trials, _, d_in, d_out = core.shape
+        slabs = core.transpose(0, 2, 3, 1).reshape(trials, d_in, d_out * 4)
+        self._right_sum[k] = slabs @ self._grid(k)
         self._right_valid = k
 
     def keep_trials(self, rows: list) -> None:
         """Keep only the trials at ``rows`` of the trial axis of a stack, cores included."""
-        for store in (self._left_gram, self._right_gram, self._left_env, self._right_env):
+        for store in (self._left_gram, self._right_gram, self._left_env, self._right_sum):
             store[:] = [None if a is None else a[rows] for a in store]
         self.tt.cores[:] = [core[rows] for core in self.tt.cores]
 
@@ -499,8 +504,8 @@ def trial_blocks(trials: int, bond_dim: int, n_distinct: int, jobs: int = 1) -> 
     """Trial indices of each block ``fit`` runs, as consecutive ranges.
 
     A block holds at most ``_BLOCK_FLOATS // (bond_dim * n_distinct)`` trials
-    (at least one), so its largest temporary, the gathered right
-    environments of every trial, stays near ``_BLOCK_FLOATS`` floats. With
+    (at least one), so each position's stored environments and right sums,
+    over every trial of the block, stay near ``_BLOCK_FLOATS`` floats. With
     ``jobs > 1`` there are at least ``min(jobs, trials)`` blocks, one or more
     per worker. Blocks differ in size by at most one trial.
     """

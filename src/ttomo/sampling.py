@@ -22,57 +22,32 @@ def _first_differences(strings: np.ndarray) -> np.ndarray:
     return differs.argmax(axis=1)
 
 
-def _prefix_runs(strings: np.ndarray) -> tuple:
-    """Runs of sorted rows sharing ``strings[:, :p]``, for p = 0..L.
-
-    Returns per-level lists: the first row of each run, its slot (``None`` at
-    p = 0; see ``RunIndex``), and the run of every row.
-    """
-    n, L = strings.shape
-    first = _first_differences(strings)
-    start = np.zeros(1, dtype=np.intp)
-    row_run = np.zeros(n, dtype=np.intp)
-    starts, slots, row_runs = [start], [None], [row_run]
-    for p in range(1, L + 1):
-        is_start = np.concatenate([np.ones(min(n, 1), dtype=bool), first < p])
-        parent_count = start.size
-        start = np.flatnonzero(is_start)
-        slots.append(strings[start, p - 1].astype(np.intp) * parent_count + row_run[start])
-        row_run = np.cumsum(is_start) - 1
-        starts.append(start)
-        row_runs.append(row_run)
-    return starts, slots, row_runs
-
-
 class RunIndex:
-    """Rows of a sorted sample set grouped by shared prefix and shared suffix.
+    """Rows of a sorted sample set grouped by shared prefix.
 
     The strings are in lexicographic order, so the rows sharing
     ``strings[:, :p]`` form one contiguous run; prefix run r at boundary p
-    starts at row ``prefix_starts[p][r]``. One sort by the reversed string
-    makes the rows sharing ``strings[:, p:]`` contiguous too;
-    ``suffix_of_row[p]`` holds the suffix run of every row at p.
+    starts at row ``prefix_starts[p][r]``. The strings are distinct, so the
+    runs at p = L are the rows themselves.
 
-    Every run at one boundary is a run q at the neighbouring boundary (p - 1
-    for prefixes, p + 1 for suffixes) extended by the symbol s at the site in
-    between. Its slot ``s * m + q``, with m the number of runs at the
-    neighbour, is its column in a symbol-major (symbol, run) grid:
-    ``prefix_slot[p]`` for p >= 1 and ``suffix_slot[p]`` for p < L.
+    Every run at boundary p >= 1 is a run q at p - 1 extended by the symbol s
+    at site p - 1. Its slot ``prefix_slot[p] = s * m + q``, with m the number
+    of runs at p - 1, is its column in a symbol-major (symbol, parent run)
+    grid; both sides of the fit index their environments through it.
     """
 
     def __init__(self, strings: np.ndarray):
         n, L = strings.shape
         self.n_rows = n
-        self.prefix_starts, self.prefix_slot, _ = _prefix_runs(strings)
-        # Prefixes of the reversed strings are the suffixes, level p <-> L - p.
-        order = np.lexsort(strings.T)
-        _, slots, row_runs = _prefix_runs(strings[order, ::-1])
-        self.suffix_slot = slots[::-1]
-        self.suffix_of_row = []
-        for row_run in row_runs[::-1]:
-            of_row = np.empty(n, dtype=np.intp)
-            of_row[order] = row_run
-            self.suffix_of_row.append(of_row)
+        first = _first_differences(strings)
+        self.prefix_starts = [np.zeros(1, dtype=np.intp)]
+        self.prefix_slot = [None]
+        for p in range(1, L + 1):
+            parents = self.prefix_starts[-1]
+            starts = np.flatnonzero(np.concatenate([np.ones(min(n, 1), dtype=bool), first < p]))
+            parent = np.searchsorted(parents, starts, side="right") - 1
+            self.prefix_starts.append(starts)
+            self.prefix_slot.append(strings[starts, p - 1].astype(np.intp) * parents.size + parent)
 
     def prefix_of_row(self, p: int) -> np.ndarray:
         """Prefix run of every row at boundary p."""
@@ -148,7 +123,7 @@ class SampleSet:
 
     @cached_property
     def runs(self) -> RunIndex:
-        """Prefix and suffix runs of the strings, built on first use."""
+        """Prefix runs of the strings, built on first use."""
         return RunIndex(self.strings)
 
     def codes(self) -> np.ndarray:

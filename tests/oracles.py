@@ -92,9 +92,16 @@ def brute_left_overlaps(cores, samples, p) -> np.ndarray:
     return np.array([prefix_vector(cores, s, p) for s in samples.strings])
 
 
-def brute_right_overlaps(cores, samples, p) -> np.ndarray:
-    """Per-record suffix vectors against cores p.., shape (n, D_p)."""
-    return np.array([suffix_vector(cores, s, p) for s in samples.strings])
+def brute_right_sums(cores, samples, p) -> np.ndarray:
+    """Weighted suffix vectors against cores p.., summed per distinct prefix of length p.
+
+    One row per distinct prefix in lexicographic order, shape (prefixes, D_p).
+    """
+    sums = {}
+    for string, weight in zip(samples.strings, samples.weights):
+        prefix = tuple(int(sym) for sym in string[:p])
+        sums[prefix] = sums.get(prefix, 0.0) + weight * suffix_vector(cores, string, p)
+    return np.array([sums[prefix] for prefix in sorted(sums)])
 
 
 def brute_update_numer(cores, samples, k) -> np.ndarray:

@@ -17,6 +17,7 @@ from oracles import (
     brute_left_gram,
     brute_loss,
     brute_right_gram,
+    brute_right_sums,
     brute_update_denom,
     brute_update_numer,
     random_tt_cores,
@@ -202,13 +203,8 @@ def test_criterion_3_environments_match_brute_force(report):
         record(gr, brute_right_gram(tt.cores, k + 1))
         denom = np.stack([gl @ tt.cores[k][s] @ gr.T for s in range(4)])
         record(denom, brute_update_denom(tt.cores, k))
-        tl = cache.left_overlaps(k)
-        tr = cache.right_overlaps(k + 1)
-        numer = np.zeros_like(tt.cores[k])
-        for s in range(4):
-            mask = samples.strings[:, k] == s
-            numer[s] = (samples.weights[mask] * tl[mask].T) @ tr[mask]
-        record(numer, brute_update_numer(tt.cores, samples, k))
+        record(cache.right_sums(k + 1), brute_right_sums(tt.cores, samples, k + 1))
+        record(cache.data_term(k)[0], brute_update_numer(tt.cores, samples, k))
     report(3, worst <= 1e-10, f"20 instances, worst relative deviation {worst:.2e}")
 
 

@@ -550,3 +550,23 @@ def test_scan_min_n_search(tmp_path):
         assert int(row["min_n"]) >= 250
         assert int(row["n_train"]) == int(row["min_n"])
         assert float(row["i_c"]) <= 0.05
+
+
+def test_min_n_search_stops_at_n_max(tmp_path, monkeypatch):
+    budgets = []
+
+    def never_meets_target(point, train, test, rho, dist):
+        budgets.append(train.total)
+        return {"i_c": 1.0, "bond_dims": (1, 1, 1)}
+
+    monkeypatch.setattr(ttomo.cli, "_fit_and_score", never_meets_target)
+    cfg = tmp_path / "minn.cfg"
+    cfg.write_text(
+        f"L = 2\noutdir = {tmp_path / 'minn'}\n"
+        "min_n_search = true\nic_target = 0.05\nn_start = 3\nn_max = 10\n"
+    )
+    assert main(["scan", "--config", str(cfg)]) == 0
+    assert budgets == [3, 6, 10]
+    with open(tmp_path / "minn" / "scan.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["status"] == "threshold-not-reached" and row["min_n"] == ""

@@ -12,14 +12,13 @@ from oracles import (
     brute_left_overlaps,
     brute_loss,
     brute_right_gram,
-    brute_right_overlaps,
+    brute_right_sums,
     brute_update_denom,
     brute_update_numer,
     dense_tt_vector,
     prefix_vector,
     public_call_trial,
     random_tt_cores,
-    suffix_vector,
 )
 import ttomo.fitting
 from ttomo.density import normalize_tt
@@ -78,7 +77,7 @@ def test_cache_matches_brute_force_everywhere(L, bond_dim):
             cache.left_overlaps(p), brute_left_overlaps(tt.cores, samples, p), rtol=1e-12, atol=1e-14
         )
         assert np.allclose(
-            cache.right_overlaps(p), brute_right_overlaps(tt.cores, samples, p), rtol=1e-12, atol=1e-14
+            cache.right_sums(p), brute_right_sums(tt.cores, samples, p), rtol=1e-12, atol=1e-14
         )
 
 
@@ -119,7 +118,7 @@ def test_cache_stays_coherent_through_a_sweep():
         for p in cache.stored_right_overlap_positions:
             assert np.allclose(cache.right_gram(p), brute_right_gram(tt.cores, p), rtol=1e-10)
             assert np.allclose(
-                cache.right_overlaps(p), brute_right_overlaps(tt.cores, samples, p), rtol=1e-10
+                cache.right_sums(p), brute_right_sums(tt.cores, samples, p), rtol=1e-10
             )
 
     sweep(tt, cache, samples, eps=1e-16, on_update=check)
@@ -216,10 +215,11 @@ def test_long_chain_sample_set_and_overlaps():
     cache = EnvCache(tt, samples)
     for p in range(L + 1):
         left = cache.left_overlaps(p)
-        right = cache.right_overlaps(p)
         for row, string in enumerate(strings):
             assert np.allclose(left[row], prefix_vector(tt.cores, string, p), rtol=1e-12)
-            assert np.allclose(right[row], suffix_vector(tt.cores, string, p), rtol=1e-12)
+        assert np.allclose(
+            cache.right_sums(p), brute_right_sums(tt.cores, samples, p), rtol=1e-12
+        )
 
 
 def test_single_site_update_lands_on_frequencies():

@@ -22,7 +22,7 @@ from oracles import (
     brute_left_overlaps,
     brute_loss,
     brute_right_gram,
-    brute_right_overlaps,
+    brute_right_sums,
     brute_update_denom,
     brute_update_numer,
     public_call_trial,
@@ -69,17 +69,25 @@ def _valid_ops(cache, L):
 
 
 def _check_cache(cache, tt, samples):
-    for p in cache.stored_left_overlap_positions:
+    left = cache.stored_left_overlap_positions
+    right = cache.stored_right_overlap_positions
+    for p in left:
         assert np.allclose(cache.left_gram(p), brute_left_gram(tt.cores, p), rtol=1e-12, atol=0)
         assert np.allclose(
             cache.left_overlaps(p), brute_left_overlaps(tt.cores, samples, p), rtol=1e-12, atol=0
         )
-    for p in cache.stored_right_overlap_positions:
+    for p in right:
         assert np.allclose(cache.right_gram(p), brute_right_gram(tt.cores, p), rtol=1e-12, atol=0)
         assert np.allclose(
-            cache.right_overlaps(p), brute_right_overlaps(tt.cores, samples, p), rtol=1e-12, atol=0
+            cache.right_sums(p), brute_right_sums(tt.cores, samples, p), rtol=1e-12, atol=0
         )
-    if 1 in cache.stored_right_overlap_positions:
+    for k in range(tt.length):
+        if k in left and k + 1 in right:
+            numer = brute_update_numer(tt.cores, samples, k)
+            denom = brute_update_denom(tt.cores, k)
+            assert np.allclose(cache.data_term(k)[0], numer, rtol=1e-12, atol=0)
+            assert np.allclose(cache.model_term(k)[0], denom, rtol=1e-12, atol=0)
+    if 1 in right:
         assert np.isclose(cache.losses()[0], brute_loss(tt.cores, samples), rtol=1e-12, atol=1e-14)
 
 
@@ -107,18 +115,28 @@ def test_random_update_and_refresh_sequences_match_the_oracles(instance, data):
 
 
 @given(instances())
-def test_runs_are_the_distinct_prefixes_and_suffixes(instance):
+def test_runs_are_the_distinct_prefixes(instance):
     _, samples = instance
-    runs = samples.runs
     for p in range(samples.L + 1):
-        for of_row, part in (
-            (runs.prefix_of_row(p), lambda s: tuple(s[:p])),
-            (runs.suffix_of_row[p], lambda s: tuple(s[p:])),
-        ):
-            pairs = {(int(run), part(s)) for run, s in zip(of_row, samples.strings)}
-            # one run per distinct prefix (suffix), numbered 0..m-1
-            assert len(pairs) == len({r for r, _ in pairs}) == len({s for _, s in pairs})
-            assert {r for r, _ in pairs} == set(range(len(pairs)))
+        of_row = samples.runs.prefix_of_row(p)
+        pairs = {(int(run), tuple(s[:p])) for run, s in zip(of_row, samples.strings)}
+        # one run per distinct prefix, numbered 0..m-1
+        assert len(pairs) == len({r for r, _ in pairs}) == len({s for _, s in pairs})
+        assert {r for r, _ in pairs} == set(range(len(pairs)))
+
+
+@given(instances())
+def test_prefix_slots_are_symbol_major_and_distinct(instance):
+    _, samples = instance
+    prefixes = [sorted({tuple(s[:p]) for s in samples.strings}) for p in range(samples.L + 1)]
+    for p in range(1, samples.L + 1):
+        parents = prefixes[p - 1]
+        expected = [
+            prefix[-1] * len(parents) + parents.index(prefix[:-1]) for prefix in prefixes[p]
+        ]
+        slots = samples.runs.prefix_slot[p]
+        assert slots.tolist() == expected
+        assert len(set(slots.tolist())) == len(slots)
 
 
 @st.composite
