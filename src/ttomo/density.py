@@ -44,7 +44,8 @@ def mpo_to_dense(mpo: MpoDensity) -> np.ndarray:
     """Contract an operator chain into a dense 2^L x 2^L matrix.
 
     Site 0 is the most significant bit of both the row and column index.
-    Guarded to L <= 10.
+    Guarded to L <= 10; a result that overflows to non-finite entries raises
+    CapacityError.
     """
     if mpo.length > MAX_OUTCOME_SITES:
         raise CapacityError(
@@ -54,6 +55,8 @@ def mpo_to_dense(mpo: MpoDensity) -> np.ndarray:
     for core in mpo.cores:
         acc = np.einsum("rcb,xybd->rxcyd", acc, core)
         acc = acc.reshape(acc.shape[0] * 2, acc.shape[2] * 2, acc.shape[4])
+    if not np.isfinite(acc).all():
+        raise CapacityError(f"the dense operator overflows at L={mpo.length}")
     return acc[:, :, 0]
 
 
@@ -74,7 +77,8 @@ def diagnose(rho: np.ndarray) -> ReconstructionReport:
     """
     rho = np.asarray(rho, dtype=complex)
     trace_dev = float(abs(np.trace(rho) - 1.0))
-    herm = float(np.linalg.norm(rho - rho.conj().T))
+    skew = rho - rho.conj().T  # summed with np.sum, not BLAS, for any thread count
+    herm = float(np.sqrt(np.sum(skew.real**2 + skew.imag**2)))
     min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
     return ReconstructionReport(
         trace_deviation=trace_dev,

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .networks import TTDistribution
+from .networks import TTDistribution, extend_left
 from .sampling import SampleSet
 
 DEFAULT_EPS = 1e-16
@@ -290,10 +290,7 @@ class EnvCache:
         core = _stacked(self.tt.cores[k])
         gram = self._left_gram[k][:, None]
         self._left_gram[k + 1] = (core.transpose(0, 1, 3, 2) @ gram @ core).sum(axis=1)
-        trials, _, d_in, d_out = core.shape
-        slabs = core.transpose(0, 3, 1, 2).reshape(trials, d_out * 4, d_in)
-        products = (slabs @ self._left_env[k]).reshape(trials, d_out, -1)
-        self._left_env[k + 1] = products.take(self.runs.prefix_slot[k + 1], axis=2)
+        self._left_env[k + 1] = extend_left(core, self._left_env[k], self.runs.prefix_slot[k + 1])
         self._left_valid = k + 1
 
     def refresh_right(self, k: int) -> None:

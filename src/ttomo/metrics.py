@@ -91,5 +91,6 @@ def classical_fidelity(model, ideal, test: SampleSet) -> FidelityResult:
         )
     # Model values can round off to tiny negatives on exactly-mapped trains.
     ratio = np.clip(p_model, 0.0, None) / p_ideal
-    fidelity = float(test.weights @ np.sqrt(ratio))
+    # np.sum, not a BLAS dot, so the value does not depend on the BLAS thread count
+    fidelity = float(np.sum(test.weights * np.sqrt(ratio)))
     return FidelityResult(fidelity=fidelity)

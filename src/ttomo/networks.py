@@ -28,6 +28,52 @@ def _check_chain(cores, phys_shape, what: str) -> None:
             )
 
 
+def _first_differences(strings: np.ndarray) -> np.ndarray:
+    """Column where each row first differs from the row before it; L if equal."""
+    differs = np.ones((max(len(strings) - 1, 0), strings.shape[1] + 1), dtype=bool)
+    differs[:, :-1] = strings[1:] != strings[:-1]
+    return differs.argmax(axis=1)
+
+
+class RunIndex:
+    """Rows of a lexicographically sorted string array grouped by shared prefix.
+
+    The rows sharing ``strings[:, :p]`` form one contiguous run; prefix run r
+    at boundary p starts at row ``prefix_starts[p][r]``. Repeated rows share
+    every run, so the runs at p = L are the distinct strings.
+
+    Every run at boundary p >= 1 is a run q at p - 1 extended by the symbol s
+    at site p - 1. Its slot ``prefix_slot[p] = s * m + q``, with m the number
+    of runs at p - 1, is its column in a symbol-major (symbol, parent run)
+    grid; the fit's two sides and ``TTDistribution.evaluate`` index through it.
+    """
+
+    def __init__(self, strings: np.ndarray):
+        n, L = strings.shape
+        self.n_rows = n
+        first = _first_differences(strings)
+        self.prefix_starts = [np.zeros(1, dtype=np.intp)]
+        self.prefix_slot = [None]
+        for p in range(1, L + 1):
+            parents = self.prefix_starts[-1]
+            starts = np.flatnonzero(np.concatenate([np.ones(min(n, 1), dtype=bool), first < p]))
+            parent = np.searchsorted(parents, starts, side="right") - 1
+            self.prefix_starts.append(starts)
+            self.prefix_slot.append(strings[starts, p - 1].astype(np.intp) * parents.size + parent)
+
+    def prefix_of_row(self, p: int) -> np.ndarray:
+        """Prefix run of every row at boundary p."""
+        starts = self.prefix_starts[p]
+        return np.repeat(np.arange(starts.size), np.diff(starts, append=self.n_rows))
+
+
+def extend_left(core: np.ndarray, env: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """Left environments at p + 1: core p's slabs times ``env`` at p, gathered at ``slot``."""
+    trials, _, d_in, d_out = core.shape
+    products = core.transpose(0, 3, 1, 2).reshape(trials, d_out * 4, d_in) @ env
+    return products.reshape(trials, d_out, 4 * env.shape[2]).take(slot, axis=2)
+
+
 @dataclass
 class TTDistribution:
     """Tensor train over length-L strings with four outcomes per site.
@@ -60,7 +106,7 @@ class TTDistribution:
         return TTDistribution([c.copy() for c in self.cores])
 
     def evaluate(self, strings: np.ndarray) -> np.ndarray:
-        """Weight of each row of ``strings`` (shape (n, L), symbols 0..3)."""
+        """Weight of each row of ``strings`` (shape (n, L), symbols 0..3), once per prefix run."""
         strings = np.asarray(strings)
         if strings.ndim != 2 or strings.shape[1] != self.length:
             raise ValidationError(
@@ -68,16 +114,14 @@ class TTDistribution:
             )
         if not np.isin(strings, np.arange(4)).all():
             raise ValidationError("string symbols must be the integers 0..3")
-        vec = np.ones((strings.shape[0], 1))
-        for l, core in enumerate(self.cores):
-            sym = strings[:, l]
-            nxt = np.empty((strings.shape[0], core.shape[2]))
-            for s in range(4):
-                mask = sym == s
-                if mask.any():
-                    nxt[mask] = vec[mask] @ core[s]
-            vec = nxt
-        return vec[:, 0]
+        order = np.lexsort(strings.T[::-1])
+        runs = RunIndex(strings[order])
+        env = np.ones((1, 1, 1))
+        for k, core in enumerate(self.cores):
+            env = extend_left(core[None], env, runs.prefix_slot[k + 1])
+        values = np.empty(strings.shape[0])
+        values[order] = env[0, 0, runs.prefix_of_row(self.length)]
+        return values
 
     def total_mass(self) -> float:
         """Sum of all string weights, contracted core by core."""

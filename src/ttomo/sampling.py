@@ -8,51 +8,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
+from .networks import RunIndex, _first_differences
 from .storage import fail, read_header, read_lines, write_lines
 
 _MAGIC = "ttsamples 1"
 _MAX_CODE_SITES = 31  # base-4 string codes must fit in int64
-
-
-def _first_differences(strings: np.ndarray) -> np.ndarray:
-    """Column where each row first differs from the row before it; L if equal."""
-    n, L = strings.shape
-    differs = np.ones((max(n - 1, 0), L + 1), dtype=bool)
-    differs[:, :L] = strings[1:] != strings[:-1]
-    return differs.argmax(axis=1)
-
-
-class RunIndex:
-    """Rows of a sorted sample set grouped by shared prefix.
-
-    The strings are in lexicographic order, so the rows sharing
-    ``strings[:, :p]`` form one contiguous run; prefix run r at boundary p
-    starts at row ``prefix_starts[p][r]``. The strings are distinct, so the
-    runs at p = L are the rows themselves.
-
-    Every run at boundary p >= 1 is a run q at p - 1 extended by the symbol s
-    at site p - 1. Its slot ``prefix_slot[p] = s * m + q``, with m the number
-    of runs at p - 1, is its column in a symbol-major (symbol, parent run)
-    grid; both sides of the fit index their environments through it.
-    """
-
-    def __init__(self, strings: np.ndarray):
-        n, L = strings.shape
-        self.n_rows = n
-        first = _first_differences(strings)
-        self.prefix_starts = [np.zeros(1, dtype=np.intp)]
-        self.prefix_slot = [None]
-        for p in range(1, L + 1):
-            parents = self.prefix_starts[-1]
-            starts = np.flatnonzero(np.concatenate([np.ones(min(n, 1), dtype=bool), first < p]))
-            parent = np.searchsorted(parents, starts, side="right") - 1
-            self.prefix_starts.append(starts)
-            self.prefix_slot.append(strings[starts, p - 1].astype(np.intp) * parents.size + parent)
-
-    def prefix_of_row(self, p: int) -> np.ndarray:
-        """Prefix run of every row at boundary p."""
-        starts = self.prefix_starts[p]
-        return np.repeat(np.arange(starts.size), np.diff(starts, append=self.n_rows))
 
 
 def _string_codes(strings: np.ndarray, L: int) -> np.ndarray:

@@ -36,6 +36,10 @@ seed = 17
 """
 
 
+# report.json fields that may differ between BLAS thread counts
+LAPACK_AND_TIMING_FIELDS = ("runtime_s", "f_q", "i_q", "min_eigenvalue")
+
+
 @pytest.fixture()
 def small_cfg(tmp_path):
     path = tmp_path / "small.cfg"
@@ -263,6 +267,21 @@ def test_evaluate_above_the_dense_guard_exits_with_the_capacity_code(tmp_path, s
     assert not (tmp_path / "run" / "report.json").exists()
 
 
+def test_evaluate_of_an_overflowing_reconstruction_exits_with_the_capacity_code(
+    tmp_path, small_cfg, capsys
+):
+    # unit total mass, but the dense reconstruction overflows to inf and nan
+    assert main(["synth", "--config", str(small_cfg)]) == 0
+    assert main(["sample", "--config", str(small_cfg)]) == 0
+    core = np.array([1e300, -1e300, 1.0, 0.0]).reshape(4, 1, 1)
+    fit_dir = tmp_path / "run" / "fit"
+    fit_dir.mkdir(parents=True)
+    save_tensor(fit_dir / "best.tt", TTDistribution([core, core]))
+    assert main(["evaluate", "--config", str(small_cfg)]) == 2
+    assert "the dense operator overflows at L=2" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
 def test_fit_beyond_the_float_range_exits_with_the_capacity_code(tmp_path, small_cfg, capsys):
     data = tmp_path / "long.samples"
     strings = np.unique(np.random.default_rng(0).integers(0, 4, size=(8, 200)), axis=0)
@@ -333,6 +352,34 @@ def test_fit_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
         outputs.append(files)
     assert len(outputs[0]) == 4
     assert outputs[1] == outputs[0]
+
+
+def test_evaluate_report_does_not_depend_on_the_blas_thread_count(tmp_path, small_cfg):
+    # an L = 8 test set of some 60k distinct strings, long enough for a threaded
+    # BLAS to split a dot over it. f_q, i_q and min_eigenvalue come from LAPACK
+    # eigensolvers, which still differ in their last digits between thread
+    # counts, so they are left out; runtime_s is a timing
+    flags = ["--config", str(small_cfg), "--L", "8", "--train", "1000000", "--test", "1000000"]
+    assert main(["synth", *flags]) == 0
+    assert main(["sample", *flags]) == 0
+    assert main(["fit", *flags, "--trials", "1", "--max-sweeps", "2"]) == 0
+    assert ttomo.sampling.load_samples(tmp_path / "run" / "data" / "test.samples").n_distinct > 50_000
+    src = str(Path(ttomo.cli.__file__).parents[1])
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        env.update(dict.fromkeys(blas, threads))
+        outdir = tmp_path / f"threads{threads}"
+        command = [sys.executable, "-m", "ttomo.cli", "evaluate", *flags, "--outdir", str(outdir)]
+        command += ["--tt", str(tmp_path / "run" / "fit" / "best.tt")]
+        command += ["--snapshot", str(tmp_path / "run" / "target")]
+        command += ["--data", str(tmp_path / "run" / "data" / "test.samples")]
+        subprocess.run(command, env=env, check=True, capture_output=True, timeout=300)
+        report = json.loads((outdir / "report.json").read_text())
+        reports.append({k: v for k, v in report.items() if k not in LAPACK_AND_TIMING_FIELDS})
+    assert set(reports[0]) >= {"f_c", "i_c", "hermiticity_residual", "trace_deviation"}
+    assert reports[1] == reports[0]
 
 
 def test_degenerate_fit_exits_with_code_four(tmp_path, small_cfg):

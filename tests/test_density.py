@@ -89,6 +89,16 @@ def test_mpo_to_dense_capacity_guard():
         mpo_to_dense(mpo)
 
 
+def test_mpo_to_dense_overflow_raises_capacity_error():
+    # each core sums to 1 over its symbols, so the total mass is exactly 1,
+    # but the inverted cores carry entries near 1e300 and their product overflows
+    core = np.array([1e300, -1e300, 1.0, 0.0]).reshape(4, 1, 1)
+    tt = normalize_tt(TTDistribution([core, core]))
+    assert tt.total_mass() == 1.0
+    with pytest.raises(CapacityError, match="dense operator overflows at L=2"):
+        mpo_to_dense(tt_to_mpo(tt, tetrahedral_povm()))
+
+
 def test_exact_snapshot_roundtrips_through_tt():
     # density -> operator chain -> outcome TT -> operator chain -> density
     povm = tetrahedral_povm()

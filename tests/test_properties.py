@@ -4,7 +4,9 @@ Hypothesis draws small chains (L 1..5, D 1..4) and sample sets that include
 the shapes the run index treats specially: a single string, strings that all
 share a prefix, and strings that all share a suffix. A random valid sequence
 of updates and refreshes then runs on the cache, and every step is checked
-against brute-force enumeration from oracles.py. Whole fits are checked
+against brute-force enumeration from oracles.py. ``TTDistribution.evaluate``
+is checked string by string on unsorted rows with repeats, one row and no
+rows, and the run index on repeated rows. Whole fits are checked
 trial by trial against the public single-train calls. The quantum fidelity
 is checked on pure arguments, under rounding-level perturbations and against
 scipy matrix square roots for d in {2, 4, 8, 16}. The profile registered in
@@ -29,11 +31,12 @@ from oracles import (
     random_density,
     random_tt_cores,
     sqrtm_fidelity,
+    tt_value,
 )
 import ttomo.fitting
 from ttomo.fitting import EnvCache, FitConfig, fit, loss, update_core
 from ttomo.metrics import quantum_fidelity
-from ttomo.networks import TTDistribution
+from ttomo.networks import RunIndex, TTDistribution
 from ttomo.sampling import SampleSet
 
 EPS = 1e-16
@@ -137,6 +140,35 @@ def test_prefix_slots_are_symbol_major_and_distinct(instance):
         slots = samples.runs.prefix_slot[p]
         assert slots.tolist() == expected
         assert len(set(slots.tolist())) == len(slots)
+
+
+def _picks_with_a_repeat(samples, data):
+    """Sorted row indices into ``samples.strings``, at least one of them twice."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="picks seed"))
+    picks = rng.integers(0, samples.n_distinct, size=data.draw(st.integers(1, 60), label="picks"))
+    return np.sort(np.append(picks, picks[0]))
+
+
+@given(instances(), st.data())
+def test_evaluate_matches_the_oracle_on_unsorted_repeated_single_and_empty_rows(instance, data):
+    tt, samples = instance
+    picks = _picks_with_a_repeat(samples, data)
+    shuffled = samples.strings[np.random.default_rng(picks.size).permutation(picks)]
+    for strings in (shuffled, shuffled[:1], shuffled[:0]):
+        values = tt.evaluate(strings)
+        assert values.shape == (len(strings),)
+        expected = [tt_value(tt.cores, s) for s in strings]
+        assert np.allclose(values, expected, rtol=1e-12, atol=0)
+
+
+@given(instances(), st.data())
+def test_runs_of_repeated_rows_end_at_the_distinct_strings(instance, data):
+    _, samples = instance
+    rows = samples.strings[_picks_with_a_repeat(samples, data)]
+    runs = RunIndex(rows)
+    distinct = np.unique(rows, axis=0)
+    assert np.array_equal(rows[runs.prefix_starts[samples.L]], distinct)
+    assert np.array_equal(distinct[runs.prefix_of_row(samples.L)], rows)
 
 
 @st.composite
