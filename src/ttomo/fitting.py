@@ -27,18 +27,21 @@ per prefix run:
   strings, of cores ``p .. L-1`` contracted with each string's suffix. At
   p = L every run is one string, so the right sums there are the weights.
 
-Each run at p + 1 is a run at p extended by the symbol at site p, so both
-sides meet in one (symbol, parent run) grid per site. A left environment at
-p + 1 is gathered from core p's products with the runs at p; the right sums
-at p are the right sums at p + 1 scattered into the grid and contracted with
-core p. The data term of the update of core p is the left environments at p
-against that same grid. Each of the three is one GEMM over the runs, and no
-update sums over the samples; the loss is core 0's update form.
+Each run at p >= 1 is a run q at p - 1 extended by the symbol s at site
+p - 1. Left environments are stored one row per run; at p >= 1 the right
+sums are stored in the (run at p - 1, symbol) grid, at row ``q * 4 + s``
+(``RunIndex.prefix_slot``) with zeros where no string has the pair, so on a
+dense level the grid is the right sums in order. A left environment at p + 1
+is gathered from the runs at p times core p; the right sums at p are the
+grid at p + 1 times core p, scattered once into the grid at p; the data term
+of core p's update is the left environments at p against the grid at p + 1.
+Each of the three is one GEMM over the runs, and no update sums over the
+samples; the loss is core 0's update form.
 
 The trials of a fit share the sample set and its runs, so ``fit`` runs them
 in blocks through one cache whose cores, Grams and environments carry a
 leading trial axis. Every GEMM is then batched over the trials, while the
-gather and the scatter stay on the last (run) axis; a block pays the
+gather and the scatter stay on the run axis; a block pays the
 per-call overhead of numpy once for all its trials. Each trial's arithmetic
 is the same as alone, so its losses and cores do not depend on its block. A
 trial that meets its stopping rule leaves the block, and its wall times
@@ -150,16 +153,18 @@ class EnvCache:
     """Partial contractions of a train with itself and with the samples.
 
     Gram matrices (train against train) are stored at every boundary
-    position. On the sample side, position p stores one column per prefix
-    run of ``samples.runs``: the left environment of the run's prefix, and
-    the right sum, the sample-weighted sum of the right environments of the
-    run's strings. Refreshing either side across one core, and the update's
-    data term, are each one batched GEMM against the (symbol, parent run)
-    grid of ``_grid``.
+    position. On the sample side, position p stores one row per prefix run
+    of ``samples.runs``: the left environment of the run's prefix, and the
+    right sum, the sample-weighted sum of the right environments of the
+    run's strings. At p >= 1 the right sums are kept in their (run at p - 1,
+    symbol) grid (``_scatter``), built once by the refresh that computes
+    them. Refreshing either side across one core, and the update's data
+    term, are each one batched GEMM against such a grid.
 
     ``tt`` is one train or, inside ``fit``, a stack of trials whose cores
     carry a leading trial axis. Every stored quantity carries that axis:
-    Grams are (T, D, D) and environments and right sums (T, D, runs), with
+    Grams are (T, D, D), left environments (T, runs, D_p), the right sums at
+    p = 0 (T, 1, 1) and the right grids (T, runs at p - 1, 4 * D_p), with
     T = 1 for one train. ``losses()`` reads every trial from core 0's update
     terms; the Gram and environment reads serve one-train caches and read
     trial 0.
@@ -182,8 +187,8 @@ class EnvCache:
         self._left_gram = [ones] + [None] * L
         self._right_gram = [None] * L + [ones]
         self._left_env = [ones] + [None] * L
-        weights = np.broadcast_to(samples.weights, (trials, 1, samples.n_distinct))
-        self._right_sum = [None] * L + [weights]
+        weights = np.broadcast_to(samples.weights[:, None], (trials, samples.n_distinct, 1))
+        self._right = [None] * L + [self._scatter(L, weights)]
         self._left_valid = 0
         self._right_valid = L
         for k in range(L):
@@ -222,12 +227,13 @@ class EnvCache:
     def left_overlaps(self, p: int) -> np.ndarray:
         """Per-sample left overlap at position p, expanded from the prefix runs."""
         self._check_left(p)
-        return self._left_env[p][0][:, self.runs.prefix_of_row(p)].T
+        return self._left_env[p][0][self.runs.prefix_of_row(p)]
 
     def right_sums(self, p: int) -> np.ndarray:
         """Right sum of every prefix run at position p, shape (runs, D_p)."""
         self._check_right(p)
-        return self._right_sum[p][0].T
+        grid = self._right[p][0]
+        return grid if p == 0 else grid.reshape(-1, grid.shape[1] // 4)[self.runs.prefix_slot[p]]
 
     def losses(self) -> np.ndarray:
         """Each trial's shifted quadratic loss <P, P> - 2 <P, P_s>, from core 0's update terms.
@@ -237,18 +243,18 @@ class EnvCache:
         core = _stacked(self.tt.cores[0])
         return (core * (self.model_term(0) - 2.0 * self.data_term(0))).sum(axis=(1, 2, 3))
 
-    def _grid(self, k: int) -> np.ndarray:
-        """The right sums at k + 1 in the (symbol, run at k) grid, shape (T, 4 * D_{k+1}, runs).
+    def _scatter(self, p: int, sums: np.ndarray) -> np.ndarray:
+        """Right sums (T, runs, D_p) at p >= 1 in their (run at p - 1, symbol) grid.
 
-        Row ``b * 4 + s`` holds bond index b of symbol s; a (symbol, run)
-        pair that no string has stays zero.
+        The grid has shape (T, runs at p - 1, 4 * D_p): column ``s * D_p + b``
+        of row q holds bond index b of run q's child by symbol s, and a
+        (run, symbol) pair that no string has stays zero.
         """
-        sums = self._right_sum[k + 1]
-        trials, dim, _ = sums.shape
-        parents = self.runs.prefix_starts[k].size
-        grid = np.zeros((trials, dim, 4 * parents))
-        grid[:, :, self.runs.prefix_slot[k + 1]] = sums
-        return grid.reshape(trials, dim * 4, parents)
+        trials, _, dim = sums.shape
+        parents = self.runs.prefix_starts[p - 1].size
+        grid = np.zeros((trials, parents * 4, dim))
+        grid[:, self.runs.prefix_slot[p]] = sums
+        return grid.reshape(trials, parents, 4 * dim)
 
     def data_term(self, k: int) -> np.ndarray:
         """Sample-weighted sum of left(k) x right(k+1) outer products per symbol at k.
@@ -258,10 +264,9 @@ class EnvCache:
         """
         self._check_left(k)
         self._check_right(k + 1)
-        grid = self._grid(k)
-        trials, rows, _ = grid.shape
-        terms = (grid @ self._left_env[k].transpose(0, 2, 1)).reshape(trials, rows // 4, 4, -1)
-        return terms.transpose(0, 2, 3, 1)
+        env = self._left_env[k]
+        terms = env.transpose(0, 2, 1) @ self._right[k + 1]
+        return terms.reshape(env.shape[0], env.shape[2], 4, -1).transpose(0, 2, 1, 3)
 
     def model_term(self, k: int) -> np.ndarray:
         """Core k between the Grams of the rest of the chain, per symbol at k.
@@ -302,13 +307,13 @@ class EnvCache:
         gram = self._right_gram[k + 1][:, None]
         self._right_gram[k] = (core @ gram @ core.transpose(0, 1, 3, 2)).sum(axis=1)
         trials, _, d_in, d_out = core.shape
-        slabs = core.transpose(0, 2, 3, 1).reshape(trials, d_in, d_out * 4)
-        self._right_sum[k] = slabs @ self._grid(k)
+        sums = self._right[k + 1] @ core.transpose(0, 1, 3, 2).reshape(trials, 4 * d_out, d_in)
+        self._right[k] = sums if k == 0 else self._scatter(k, sums)
         self._right_valid = k
 
     def keep_trials(self, rows: list) -> None:
         """Keep only the trials at ``rows`` of the trial axis of a stack, cores included."""
-        for store in (self._left_gram, self._right_gram, self._left_env, self._right_sum):
+        for store in (self._left_gram, self._right_gram, self._left_env, self._right):
             store[:] = [None if a is None else a[rows] for a in store]
         self.tt.cores[:] = [core[rows] for core in self.tt.cores]
 

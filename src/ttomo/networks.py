@@ -43,9 +43,10 @@ class RunIndex:
     every run, so the runs at p = L are the distinct strings.
 
     Every run at boundary p >= 1 is a run q at p - 1 extended by the symbol s
-    at site p - 1. Its slot ``prefix_slot[p] = s * m + q``, with m the number
-    of runs at p - 1, is its column in a symbol-major (symbol, parent run)
-    grid; the fit's two sides and ``TTDistribution.evaluate`` index through it.
+    at site p - 1. Its slot ``prefix_slot[p] = q * 4 + s`` is its row in a
+    parent-major (parent run, symbol) grid; the fit's two sides and
+    ``TTDistribution.evaluate`` index through it. Where every parent run has
+    all four children the slots are ``arange``.
     """
 
     def __init__(self, strings: np.ndarray):
@@ -59,7 +60,7 @@ class RunIndex:
             starts = np.flatnonzero(np.concatenate([np.ones(min(n, 1), dtype=bool), first < p]))
             parent = np.searchsorted(parents, starts, side="right") - 1
             self.prefix_starts.append(starts)
-            self.prefix_slot.append(strings[starts, p - 1].astype(np.intp) * parents.size + parent)
+            self.prefix_slot.append(parent * 4 + strings[starts, p - 1])
 
     def prefix_of_row(self, p: int) -> np.ndarray:
         """Prefix run of every row at boundary p."""
@@ -68,10 +69,11 @@ class RunIndex:
 
 
 def extend_left(core: np.ndarray, env: np.ndarray, slot: np.ndarray) -> np.ndarray:
-    """Left environments at p + 1: core p's slabs times ``env`` at p, gathered at ``slot``."""
-    trials, _, d_in, d_out = core.shape
-    products = core.transpose(0, 3, 1, 2).reshape(trials, d_out * 4, d_in) @ env
-    return products.reshape(trials, d_out, 4 * env.shape[2]).take(slot, axis=2)
+    """Left environments (T, runs, D) at p + 1: ``env`` at p times core p's slabs, at ``slot``."""
+    trials, runs, d_in = env.shape
+    d_out = core.shape[3]
+    products = env @ core.transpose(0, 2, 1, 3).reshape(trials, d_in, 4 * d_out)
+    return products.reshape(trials, runs * 4, d_out).take(slot, axis=1)
 
 
 @dataclass
@@ -120,7 +122,7 @@ class TTDistribution:
         for k, core in enumerate(self.cores):
             env = extend_left(core[None], env, runs.prefix_slot[k + 1])
         values = np.empty(strings.shape[0])
-        values[order] = env[0, 0, runs.prefix_of_row(self.length)]
+        values[order] = env[0, runs.prefix_of_row(self.length), 0]
         return values
 
     def total_mass(self) -> float:

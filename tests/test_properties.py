@@ -129,14 +129,12 @@ def test_runs_are_the_distinct_prefixes(instance):
 
 
 @given(instances())
-def test_prefix_slots_are_symbol_major_and_distinct(instance):
+def test_prefix_slots_are_parent_major_and_distinct(instance):
     _, samples = instance
     prefixes = [sorted({tuple(s[:p]) for s in samples.strings}) for p in range(samples.L + 1)]
     for p in range(1, samples.L + 1):
         parents = prefixes[p - 1]
-        expected = [
-            prefix[-1] * len(parents) + parents.index(prefix[:-1]) for prefix in prefixes[p]
-        ]
+        expected = [parents.index(prefix[:-1]) * 4 + prefix[-1] for prefix in prefixes[p]]
         slots = samples.runs.prefix_slot[p]
         assert slots.tolist() == expected
         assert len(set(slots.tolist())) == len(slots)
