@@ -61,10 +61,10 @@ from .networks import TTDistribution, extend_left
 from .sampling import SampleSet
 
 DEFAULT_EPS = 1e-16
-# Budget of a trial block in floats, on T * bond_dim * n_distinct, which bounds
-# each position's stored environments and right sums (T x D_p x runs floats):
-# wide sets (L = 8, 65534 strings at D = 10) run one trial per block, and
-# small sets run a whole fit as one block.
+# Budget of a trial block in floats, on T * bond_dim * the widest right grid's
+# 4 x (runs at p - 1), which bounds each position's stored environments and
+# right grids: wide sets (L = 8, 65534 strings, width 65536 at D = 10) run one
+# trial per block, and small sets run a whole fit as one block.
 _BLOCK_FLOATS = 1 << 20
 
 
@@ -502,16 +502,19 @@ def _fit_block(samples: SampleSet, config: FitConfig, block: range) -> list:
     return results
 
 
-def trial_blocks(trials: int, bond_dim: int, n_distinct: int, jobs: int = 1) -> list:
+def trial_blocks(trials: int, bond_dim: int, width: int, jobs: int = 1) -> list:
     """Trial indices of each block ``fit`` runs, as consecutive ranges.
 
-    A block holds at most ``_BLOCK_FLOATS // (bond_dim * n_distinct)`` trials
-    (at least one), so each position's stored environments and right sums,
-    over every trial of the block, stay near ``_BLOCK_FLOATS`` floats. With
-    ``jobs > 1`` there are at least ``min(jobs, trials)`` blocks, one or more
-    per worker. Blocks differ in size by at most one trial.
+    The right grid at p >= 1 holds 4 x (runs at p - 1) x D_p floats per
+    trial, and no position stores more; ``width`` is the largest 4 x (runs
+    at p - 1). A block holds at most ``_BLOCK_FLOATS // (bond_dim * width)``
+    trials (at least one), so each position's stored environments and right
+    grids, over every trial of the block, stay near ``_BLOCK_FLOATS``
+    floats. With ``jobs > 1`` there are at least ``min(jobs, trials)``
+    blocks, one or more per worker. Blocks differ in size by at most one
+    trial.
     """
-    per_block = max(1, _BLOCK_FLOATS // max(bond_dim * n_distinct, 1))
+    per_block = max(1, _BLOCK_FLOATS // max(bond_dim * width, 1))
     count = max(-(-trials // per_block), min(jobs, trials))
     size, extra = divmod(trials, count)
     bounds = [b * size + min(b, extra) for b in range(count + 1)]
@@ -539,6 +542,7 @@ def fit(samples: SampleSet, config: FitConfig, jobs: int = 1) -> FitResult:
     arithmetic does not depend on its block, so the results, collected in
     trial order, are the same for any block plan and any ``jobs``.
     """
-    blocks = trial_blocks(config.trials, config.bond_dim, samples.n_distinct, jobs)
+    width = max(4 * starts.size for starts in samples.runs.prefix_starts[:-1])
+    blocks = trial_blocks(config.trials, config.bond_dim, width, jobs)
     tasks = [(samples, config, block) for block in blocks]
     return FitResult(trials=[r for block in map_jobs(_fit_block, tasks, jobs) for r in block])

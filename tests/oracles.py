@@ -104,6 +104,21 @@ def brute_right_sums(cores, samples, p) -> np.ndarray:
     return np.array([sums[prefix] for prefix in sorted(sums)])
 
 
+def brute_right_grid(cores, samples, p) -> np.ndarray:
+    """``brute_right_sums`` at p >= 1 in rows ``q * 4 + s`` of a (4 x parents, D_p) grid.
+
+    q numbers the distinct prefixes of length p - 1 in lexicographic order and
+    s is the last symbol of the length-p prefix; a pair no string has is a
+    zero row.
+    """
+    prefixes = sorted({tuple(int(sym) for sym in string[:p]) for string in samples.strings})
+    parents = {parent: q for q, parent in enumerate(sorted({pre[:-1] for pre in prefixes}))}
+    grid = np.zeros((4 * len(parents), cores[p - 1].shape[2]))
+    rows = [parents[prefix[:-1]] * 4 + prefix[-1] for prefix in prefixes]
+    grid[rows] = brute_right_sums(cores, samples, p)
+    return grid
+
+
 def brute_update_numer(cores, samples, k) -> np.ndarray:
     """Weighted outer products of record environments, per symbol."""
     numer = np.zeros_like(cores[k])

@@ -19,7 +19,8 @@ import pytest
 
 import ttomo.cli
 from ttomo.cli import ExperimentConfig, build_config, build_parser, load_config_file, main
-from ttomo.errors import DataFormatError
+from ttomo.errors import CapacityError, DataFormatError
+from ttomo.fitting import FitResult, TrialResult
 from ttomo.networks import TTDistribution
 from ttomo.sampling import SampleSet, sample_dataset, save_samples
 from ttomo.storage import load_tensor, save_tensor
@@ -280,6 +281,50 @@ def test_evaluate_of_an_overflowing_reconstruction_exits_with_the_capacity_code(
     assert main(["evaluate", "--config", str(small_cfg)]) == 2
     assert "the dense operator overflows at L=2" in capsys.readouterr().err
     assert not (tmp_path / "run" / "report.json").exists()
+
+
+# unit total mass, but the inversion cancels 1e300-sized terms: max |rho_hat| is
+# 4e300 and the trace is off by about 6e284
+RUINED = TTDistribution([np.array([1e150, -1e150, 1.0, 0.0]).reshape(4, 1, 1)] * 2)
+
+
+def test_a_reconstruction_ruined_by_cancellation_is_not_scored():
+    rho = np.eye(4) / 4
+    test = SampleSet(L=2, total=1, strings=np.zeros((1, 2), dtype=np.uint8), counts=[1])
+    with pytest.raises(CapacityError, match="L=2 has trace deviation 5.9"):
+        ttomo.cli._evaluate_tt(RUINED, rho, np.full(16, 1 / 16), test)
+
+
+def test_evaluate_of_a_reconstruction_ruined_by_cancellation_exits_with_the_capacity_code(
+    tmp_path, small_cfg, capsys
+):
+    assert main(["synth", "--config", str(small_cfg)]) == 0
+    assert main(["sample", "--config", str(small_cfg)]) == 0
+    fit_dir = tmp_path / "run" / "fit"
+    fit_dir.mkdir(parents=True)
+    save_tensor(fit_dir / "best.tt", RUINED)
+    assert main(["evaluate", "--config", str(small_cfg)]) == 2
+    assert "trace deviation 5.9" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
+def test_a_scan_records_a_ruined_reconstruction_and_goes_on(tmp_path, small_cfg, monkeypatch):
+    real_fit = ttomo.cli.fit
+
+    def ruined_at_bond_dim_one(train, config, jobs):
+        if config.bond_dim > 1:
+            return real_fit(train, config, jobs)
+        trial = TrialResult(0, config.seed, RUINED, np.zeros(1), np.zeros(1), True)
+        return FitResult([trial])
+
+    monkeypatch.setattr(ttomo.cli, "fit", ruined_at_bond_dim_one)
+    assert main(["scan", "--config", str(small_cfg), "--scan-bond-dim", "1,2"]) == 0
+    with open(tmp_path / "run" / "scan.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["status"] for row in rows] == ["error", "ok"]
+    assert rows[0]["message"].startswith("CapacityError: the reconstruction at L=2")
+    assert not (tmp_path / "run" / "scan" / "point_000" / "report.json").exists()
+    assert (tmp_path / "run" / "scan" / "point_001" / "report.json").exists()
 
 
 def test_fit_beyond_the_float_range_exits_with_the_capacity_code(tmp_path, small_cfg, capsys):

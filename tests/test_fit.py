@@ -12,6 +12,7 @@ from oracles import (
     brute_left_overlaps,
     brute_loss,
     brute_right_gram,
+    brute_right_grid,
     brute_right_sums,
     brute_update_denom,
     brute_update_numer,
@@ -330,6 +331,11 @@ def test_fit_runs_trials_with_distinct_seeds():
     assert np.array_equal(result.final_losses, rerun.final_losses)
 
 
+def _widest_grid(samples):
+    """The width ``fit`` plans its blocks on: the largest 4 x (runs at p - 1) over p >= 1."""
+    return max(4 * starts.size for starts in samples.runs.prefix_starts[:-1])
+
+
 def _assert_same_trials(first, second):
     assert len(first) == len(second)
     for a, b in zip(first, second):
@@ -342,17 +348,17 @@ def test_fit_parallel_matches_sequential():
     _, samples = _random_instance(2, 2, 200, seed=180)
     config = FitConfig(bond_dim=2, max_sweeps=15, trials=3, seed=8)
     # two workers get uneven blocks of two trials and one
-    assert trial_blocks(3, 2, samples.n_distinct, jobs=2) == [range(0, 2), range(2, 3)]
+    assert trial_blocks(3, 2, _widest_grid(samples), jobs=2) == [range(0, 2), range(2, 3)]
     sequential = fit(samples, config, jobs=1)
     parallel = fit(samples, config, jobs=2)
     _assert_same_trials(sequential.trials, parallel.trials)
 
 
 def test_trial_blocks_follow_the_float_budget():
-    # wide-L8 sized (65534 strings, D = 10): D * n exceeds half the budget,
-    # so every trial is its own block
-    assert trial_blocks(2, 10, 65534) == [range(0, 1), range(1, 2)]
-    # flagship sized (256 strings) and the L = 6 slice (4096): one block
+    # wide-L8 sized (65534 strings, a widest grid of 4 x 16384 at D = 10):
+    # D * width exceeds half the budget, so every trial is its own block
+    assert trial_blocks(2, 10, 65536) == [range(0, 1), range(1, 2)]
+    # flagship sized (width 256) and the L = 6 slice (4096): one block
     assert trial_blocks(20, 10, 256) == [range(0, 20)]
     assert trial_blocks(2, 10, 4096) == [range(0, 2)]
     # the full-scale config's 100 trials on 4096 strings: four even blocks
@@ -367,7 +373,7 @@ def test_one_block_equals_each_trial_alone(L, bond_dim, stop_rtol, monkeypatch):
     dist = np.full(4**L, 1.0 / 4**L)
     samples = sample_dataset(dist, 3000, seed=210 + L)
     config = FitConfig(bond_dim=bond_dim, max_sweeps=120, stop_rtol=stop_rtol, trials=4, seed=L)
-    assert trial_blocks(config.trials, bond_dim, samples.n_distinct) == [range(0, 4)]
+    assert trial_blocks(config.trials, bond_dim, _widest_grid(samples)) == [range(0, 4)]
     batched = fit(samples, config)
     # some trials stop early and leave the block while others run on
     assert len({t.sweeps_run for t in batched.trials}) > 1
@@ -380,7 +386,7 @@ def test_one_block_equals_each_trial_alone(L, bond_dim, stop_rtol, monkeypatch):
         assert all(np.array_equal(a, b) for a, b in zip(tt.cores, trial.tt.cores))
     # a budget of one float makes every trial its own block
     monkeypatch.setattr(ttomo.fitting, "_BLOCK_FLOATS", 1)
-    assert len(trial_blocks(config.trials, bond_dim, samples.n_distinct)) == config.trials
+    assert len(trial_blocks(config.trials, bond_dim, _widest_grid(samples))) == config.trials
     _assert_same_trials(batched.trials, fit(samples, config).trials)
 
 
@@ -424,6 +430,20 @@ def test_long_chains_fit_without_collapse(L):
     assert all(np.all(np.isfinite(c)) and c.min() >= 0.0 for c in model.cores)
     if L == 24:
         assert final == pytest.approx(-(4.0 ** (-L / 2)), rel=0.1)
+
+
+def test_stored_right_grids_of_a_sparse_long_chain():
+    # the L = 40 copy-pair set with fewer draws, to bound the oracle's cost: past
+    # p = 10 almost every run has one child, so about three grid rows in four are zero
+    samples = _copy_pair_samples(40, 1000, seed=40)
+    tt = init_tt(40, 10, seed=0)
+    cache = EnvCache(tt, samples)
+    for p in range(1, 41):
+        stored = cache._right[p][0].reshape(-1, tt.bond_dims[p])
+        # atol = 0: a (run, symbol) pair that no string has must be exactly zero
+        assert np.allclose(stored, brute_right_grid(tt.cores, samples, p), rtol=1e-12, atol=0)
+        assert np.count_nonzero(stored.any(axis=1)) == samples.runs.prefix_starts[p].size
+    assert stored.shape[0] == 4 * samples.n_distinct
 
 
 @pytest.mark.parametrize("L, jobs", [(200, 1), (200, 2), (122, 1)])

@@ -20,10 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    all_strings,
     brute_left_gram,
     brute_left_overlaps,
     brute_loss,
     brute_right_gram,
+    brute_right_grid,
     brute_right_sums,
     brute_update_denom,
     brute_update_numer,
@@ -138,6 +140,25 @@ def test_prefix_slots_are_parent_major_and_distinct(instance):
         slots = samples.runs.prefix_slot[p]
         assert slots.tolist() == expected
         assert len(set(slots.tolist())) == len(slots)
+
+
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_prefix_slots_of_a_set_holding_every_string_are_arange(L, seed):
+    strings = all_strings(L)
+    counts = np.random.default_rng(seed).integers(1, 50, size=strings.shape[0])
+    samples = SampleSet(L=L, total=int(counts.sum()), strings=strings, counts=counts)
+    for p in range(1, L + 1):
+        assert np.array_equal(samples.runs.prefix_slot[p], np.arange(4**p))
+
+
+@given(instances())
+def test_stored_right_grids_are_the_right_sums_at_their_parent_major_rows(instance):
+    tt, samples = instance
+    cache = EnvCache(tt, samples)
+    for p in range(1, samples.L + 1):
+        stored = cache._right[p][0].reshape(-1, tt.bond_dims[p])
+        # atol = 0: a (run, symbol) pair that no string has must be exactly zero
+        assert np.allclose(stored, brute_right_grid(tt.cores, samples, p), rtol=1e-12, atol=0)
 
 
 def _picks_with_a_repeat(samples, data):
