@@ -43,7 +43,7 @@ from .storage import fail, load_array, load_tensor, read_lines, read_text, save_
 _MANIFEST_MAGIC = "ttsnapshot 1"
 # Config fields that define the target; the manifest records them and its
 # parameter hash covers them.
-_TARGET_FIELDS = ("L", "J", "gamma", "h", "p", "mpo_tol")
+_TARGET_FIELDS = tuple(f.name for f in fields(XxzParams)) + ("mpo_tol",)
 # Spacing between the base seeds of successive scan grid points; larger than
 # any realistic trial count so per-trial seeds never collide across points.
 _POINT_SEED_STRIDE = 10007
@@ -54,8 +54,9 @@ _TRACE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Desk-scale defaults for the full pipeline."""
+class ExperimentConfig(FitConfig):
+    """Desk-scale defaults for the full pipeline. The fit settings and their checks
+    are ``FitConfig``'s, so building a config checks them; only the seed default differs."""
 
     L: int = 4
     J: float = 1.0
@@ -64,12 +65,6 @@ class ExperimentConfig:
     p: float = 0.6
     train: int = 1_000_000
     test: int = 1_000_000
-    bond_dim: int = FitConfig.bond_dim
-    trials: int = FitConfig.trials
-    max_sweeps: int = FitConfig.max_sweeps
-    stop_window: int = FitConfig.stop_window
-    stop_rtol: float = FitConfig.stop_rtol
-    eps: float = FitConfig.eps
     mpo_tol: float = 1e-14
     seed: int = 1234
     outdir: str = "runs/exp"
@@ -83,9 +78,6 @@ class ExperimentConfig:
     ic_target: float = 0.01
     n_start: int = 1000
     n_max: int = 10_000_000
-
-    def fit_config(self) -> FitConfig:
-        return FitConfig(**{f.name: getattr(self, f.name) for f in fields(FitConfig)})
 
 
 def _parse_bool(text: str) -> bool:
@@ -203,7 +195,7 @@ def _read_snapshot(cfg: ExperimentConfig, snapshot) -> tuple:
 
 def _target(cfg: ExperimentConfig) -> tuple:
     """The target density of ``cfg`` and its exact outcome distribution."""
-    params = XxzParams(L=cfg.L, J=cfg.J, gamma=cfg.gamma, h=cfg.h, p=cfg.p)
+    params = XxzParams(**{f.name: getattr(cfg, f.name) for f in fields(XxzParams)})
     check_outcome_sites(cfg.L)  # before the dense target, which costs minutes and GBs above it
     rho = synth_target(params)
     return rho, exact_outcome_distribution(rho, tetrahedral_povm())
@@ -268,7 +260,7 @@ def cmd_fit(cfg: ExperimentConfig, data) -> int:
     """Fit trains to a training dataset and keep the best trial."""
     data_path = Path(data) if data else Path(cfg.outdir) / "data" / "train.samples"
     samples = load_samples(data_path)
-    result = fit(samples, cfg.fit_config(), jobs=cfg.jobs)
+    result = fit(samples, cfg, jobs=cfg.jobs)
     out = Path(cfg.outdir) / "fit"
     out.mkdir(parents=True, exist_ok=True)
     masses = [trial.tt.total_mass() for trial in result.trials]
@@ -386,12 +378,13 @@ def _scan_grid(cfg: ExperimentConfig) -> list:
 
 
 def _run_point(cfg: ExperimentConfig, index: int, overrides: dict, point_dir: Path) -> dict:
-    point = replace(cfg, seed=cfg.seed + _POINT_SEED_STRIDE * (index + 1), **overrides)
-    names = ("L", "J", "gamma", "h", "p", "bond_dim", "trials", "seed")
-    row = {name: getattr(point, name) for name in names}
-    row.update(point=index, n_train=point.train, n_test=point.test, status="ok", message="")
+    """One scan row; an axis value that fails a config check is this point's error."""
+    values = {**vars(cfg), **overrides, "seed": cfg.seed + _POINT_SEED_STRIDE * (index + 1)}
+    row = {name: values[name] for name in _SCAN_COLUMNS if name in values}
+    row.update(point=index, n_train=values["train"], n_test=values["test"], status="ok", message="")
     start = time.perf_counter()
     try:
+        point = replace(cfg, **values)
         rho, dist = _target(point)
         if point.min_n_search:
             report, row["min_n"] = _min_n_search(point, rho, dist)
@@ -409,7 +402,7 @@ def _run_point(cfg: ExperimentConfig, index: int, overrides: dict, point_dir: Pa
 
 
 def _fit_and_score(point: ExperimentConfig, train, test, rho, dist) -> dict:
-    result = fit(train, point.fit_config(), jobs=1)
+    result = fit(train, point, jobs=1)
     report = _evaluate_tt(result.best.tt, rho, dist, test)
     report["best_loss"] = result.best.final_loss
     report["best_trial"] = result.best.trial

@@ -174,6 +174,51 @@ def test_exit_codes(tmp_path, small_cfg):
     assert main(["synth", "--config", str(bad)]) == 3
 
 
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """A synth, sample and fit run of SMALL, for the path flags of other runs."""
+    tmp = tmp_path_factory.mktemp("finished")
+    path = tmp / "small.cfg"
+    path.write_text(SMALL + f"outdir = {tmp / 'run'}\n")
+    for command in ("synth", "sample", "fit"):
+        assert main([command, "--config", str(path)]) == 0
+    return tmp / "run"
+
+
+# Each FitConfig check: a flag value that fails it, and its message.
+_BAD_FIT_SETTINGS = {
+    "bond-dim": ("0", "bond dimension must be >= 1, got 0"),
+    "trials": ("0", "trials must be >= 1, got 0"),
+    "max-sweeps": ("0", "max_sweeps must be >= 1, got 0"),
+    "stop-window": ("0", "stop_window must be >= 1, got 0"),
+    "stop-rtol": ("-1", "stop_rtol must be finite and >= 0, got -1.0"),
+    "eps": ("nan", "eps must be finite and > 0, got nan"),
+    "seed": ("-1", "seed must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("command", ["synth", "sample", "fit", "evaluate", "scan"])
+@pytest.mark.parametrize("flag", list(_BAD_FIT_SETTINGS))
+def test_a_bad_fit_setting_exits_before_the_command_writes_anything(
+    tmp_path, finished_run, capsys, flag, command
+):
+    # every command is pointed at complete inputs, so only the config check stops it
+    target, data = finished_run / "target", finished_run / "data"
+    inputs = {
+        "sample": ["--snapshot", target],
+        "fit": ["--data", data / "train.samples"],
+        "evaluate": ["--tt", finished_run / "fit" / "best.tt", "--snapshot", target,
+                     "--data", data / "test.samples"],
+        "scan": ["--scan-p", "0.5"],
+    }
+    value, message = _BAD_FIT_SETTINGS[flag]
+    out = tmp_path / "out"
+    argv = [command, "--L", "2", "--outdir", out, f"--{flag}={value}", *inputs.get(command, [])]
+    assert main([str(arg) for arg in argv]) == 1
+    assert capsys.readouterr().err == f"ttomo: error: {message}\n"
+    assert not out.exists()
+
+
 def test_negative_seed_exits_with_a_validation_error(tmp_path, small_cfg, capsys):
     assert main(["synth", "--config", str(small_cfg)]) == 0
     assert main(["sample", "--config", str(small_cfg), "--seed", "-1"]) == 1
@@ -327,6 +372,29 @@ def test_a_scan_records_a_ruined_reconstruction_and_goes_on(tmp_path, small_cfg,
     assert (tmp_path / "run" / "scan" / "point_001" / "report.json").exists()
 
 
+def test_a_fit_whose_best_trial_has_no_mass_exits_with_code_four(
+    tmp_path, small_cfg, monkeypatch, capsys
+):
+    def zero_mass_best(train, config, jobs):
+        healthy = TTDistribution([np.full((4, 1, 1), 0.25)] * 2)
+        zero = TTDistribution([np.zeros((4, 1, 1))] * 2)
+        return FitResult([
+            TrialResult(0, config.seed, healthy, np.ones(1), np.zeros(1), True),
+            TrialResult(1, config.seed + 1, zero, np.zeros(1), np.zeros(1), True),
+        ])
+
+    assert main(["synth", "--config", str(small_cfg)]) == 0
+    assert main(["sample", "--config", str(small_cfg)]) == 0
+    monkeypatch.setattr(ttomo.cli, "fit", zero_mass_best)
+    assert main(["fit", "--config", str(small_cfg)]) == 4
+    assert "best trial has total mass 0.0" in capsys.readouterr().err
+    fit_dir = tmp_path / "run" / "fit"
+    assert load_tensor(fit_dir / "best.tt").total_mass() == 0.0
+    with open(fit_dir / "trials.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["trial"], row["degenerate"]) for row in rows] == [("1", "True"), ("0", "False")]
+
+
 def test_fit_beyond_the_float_range_exits_with_the_capacity_code(tmp_path, small_cfg, capsys):
     data = tmp_path / "long.samples"
     strings = np.unique(np.random.default_rng(0).integers(0, 4, size=(8, 200)), axis=0)
@@ -435,6 +503,16 @@ def test_degenerate_fit_exits_with_code_four(tmp_path, small_cfg):
     zero = TTDistribution([np.zeros((4, 1, 1)), np.zeros((4, 1, 1))])
     save_tensor(fit_dir / "best.tt", zero)
     assert main(["evaluate", "--config", str(small_cfg)]) == 4
+
+
+def test_evaluate_of_a_file_that_is_not_a_tensor_train_exits_with_the_validation_code(
+    tmp_path, small_cfg, capsys
+):
+    assert main(["synth", "--config", str(small_cfg)]) == 0
+    mpo = tmp_path / "run" / "target" / "mpo.tt"
+    assert main(["evaluate", "--config", str(small_cfg), "--tt", str(mpo)]) == 1
+    assert capsys.readouterr().err == f"ttomo: error: {mpo} does not hold a tensor train\n"
+    assert not (tmp_path / "run" / "report.json").exists()
 
 
 def test_evaluate_rejects_length_mismatch(tmp_path, small_cfg):
@@ -556,15 +634,37 @@ def test_scan_grid_and_error_recovery(tmp_path):
     assert point_report.exists()
 
 
-def test_scan_records_a_negative_point_seed_as_an_error(tmp_path):
+def test_a_scan_with_a_negative_base_seed_exits_before_any_point_runs(
+    tmp_path, monkeypatch, capsys
+):
+    def unreachable(params):
+        raise AssertionError("a scan point ran")
+
+    monkeypatch.setattr(ttomo.cli, "synth_target", unreachable)
     out = tmp_path / "neg"
     flags = ["--L", "2", "--train", "100", "--test", "100", "--outdir", str(out)]
-    assert main(["scan", *flags, "--seed", "-30000", "--scan-p", "0.5"]) == 0
-    with open(out / "scan.csv") as fh:
+    assert main(["scan", *flags, "--seed", "-30000", "--scan-p", "0.5"]) == 1
+    assert capsys.readouterr().err == "ttomo: error: seed must be >= 0, got -30000\n"
+    assert not (out / "scan.csv").exists()
+
+
+def test_a_bad_axis_value_fails_its_own_scan_point_only(tmp_path, small_cfg):
+    assert main(["scan", "--config", str(small_cfg), "--scan-bond-dim", "2,0"]) == 0
+    with open(tmp_path / "run" / "scan.csv") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 1
-    assert rows[0]["status"] == "error"
-    assert rows[0]["message"].startswith("ValidationError: seed must be >= 0")
+    assert [row["status"] for row in rows] == ["ok", "error"]
+    assert [row["bond_dim"] for row in rows] == ["2", "0"]
+    assert [row["seed"] for row in rows] == [str(17 + 10007), str(17 + 2 * 10007)]
+    assert rows[1]["message"] == "ValidationError: bond dimension must be >= 1, got 0"
+    assert (tmp_path / "run" / "scan" / "point_000" / "report.json").exists()
+    assert not (tmp_path / "run" / "scan" / "point_001").exists()
+
+
+def test_an_empty_scan_axis_exits_with_the_validation_code(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["scan", "--scan-p", "", "--outdir", str(out)]) == 1
+    assert capsys.readouterr().err == "ttomo: error: scan axis 'scan_p' is empty\n"
+    assert not out.exists()
 
 
 def _scan_outputs(outdir):

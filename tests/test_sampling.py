@@ -167,6 +167,7 @@ def test_save_is_byte_deterministic(tmp_path):
         lambda lines: lines + ["99 5"],  # symbol out of range
         lambda lines: lines[:-1],  # drop a record: totals disagree
         lambda lines: lines[:5] + ["source tr\u00e4in"] + lines[6:],  # not ASCII
+        lambda lines: lines[:-1] + [lines[-1].split()[0] + " 2.5"],  # non-integer count
     ],
 )
 def test_load_rejects_malformed_files(tmp_path, mutation):

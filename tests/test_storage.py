@@ -54,6 +54,10 @@ def test_save_is_byte_deterministic(tmp_path):
         lambda lines: lines + ["core 1 2 3"],  # trailing content
         lambda lines: lines[:4] + [lines[4] + " 0.5"] + lines[5:],  # extra entry
         lambda lines: lines[:1] + ["kind \u00b5"] + lines[2:],  # not ASCII
+        lambda lines: lines[:4] + [lines[4].rsplit(" ", 1)[0] + " abc"] + lines[5:],  # non-float
+        lambda lines: lines[:3] + [lines[3] + " 1"] + lines[4:],  # bond list longer than L + 1
+        # an outer bond of 2, with the entry count core 0 then needs
+        lambda lines: lines[:3] + ["bonds 2 2 1", lines[4] + lines[4][4:]] + lines[5:],
     ],
 )
 def test_load_rejects_malformed_files(tmp_path, mutation):
