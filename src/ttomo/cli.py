@@ -29,7 +29,7 @@ from .fitting import FitConfig, fit, map_jobs
 from .metrics import classical_fidelity, quantum_fidelity
 from .networks import TTDistribution
 from .povm import tetrahedral_povm
-from .sampling import SampleSet, load_samples, sample_dataset, save_samples
+from .sampling import SampleSet, check_sample_count, load_samples, sample_dataset, save_samples
 from .states import (
     XxzParams,
     check_mpo_tol,
@@ -56,7 +56,8 @@ _TRACE_TOL = 1e-8
 @dataclass(frozen=True)
 class ExperimentConfig(FitConfig):
     """Desk-scale defaults for the full pipeline. The fit settings and their checks
-    are ``FitConfig``'s, so building a config checks them; only the seed default differs."""
+    are ``FitConfig``'s, so building a config checks them; only the seed default differs.
+    The sample counts and ``jobs`` are checked at build time too."""
 
     L: int = 4
     J: float = 1.0
@@ -78,6 +79,13 @@ class ExperimentConfig(FitConfig):
     ic_target: float = 0.01
     n_start: int = 1000
     n_max: int = 10_000_000
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        check_sample_count(self.train)
+        check_sample_count(self.test)
+        if self.jobs < 1:
+            raise ValidationError(f"jobs must be >= 1, got {self.jobs}")
 
 
 def _parse_bool(text: str) -> bool:

@@ -30,13 +30,15 @@ per prefix run:
 Each run at p >= 1 is a run q at p - 1 extended by the symbol s at site
 p - 1. Left environments are stored one row per run; at p >= 1 the right
 sums are stored in the (run at p - 1, symbol) grid, at row ``q * 4 + s``
-(``RunIndex.prefix_slot``) with zeros where no string has the pair, so on a
-dense level the grid is the right sums in order. A left environment at p + 1
-is gathered from the runs at p times core p; the right sums at p are the
-grid at p + 1 times core p, scattered once into the grid at p; the data term
-of core p's update is the left environments at p against the grid at p + 1.
-Each of the three is one GEMM over the runs, and no update sums over the
-samples; the loss is core 0's update form.
+(``RunIndex.prefix_slot``) with zeros where no string has the pair. A left
+environment at p + 1 is gathered from the runs at p times core p; the right
+sums at p are the grid at p + 1 times core p, scattered once into the grid
+at p; the data term of core p's update is the left environments at p against
+the grid at p + 1. Each of the three is one GEMM over the runs, and no
+update sums over the samples; the loss is core 0's update form. On a full
+level, where every run at p - 1 has all four children, the slots are
+``arange`` and the grid at p is the right refresh's GEMM output itself, with
+no zero grid and no scatter.
 
 The trials of a fit share the sample set and its runs, so ``fit`` runs them
 in blocks through one cache whose cores, Grams and environments carry a
@@ -248,10 +250,14 @@ class EnvCache:
 
         The grid has shape (T, runs at p - 1, 4 * D_p): column ``s * D_p + b``
         of row q holds bond index b of run q's child by symbol s, and a
-        (run, symbol) pair that no string has stays zero.
+        (run, symbol) pair that no string has stays zero. On a full level,
+        where every run at p - 1 has all four children, the slots are
+        ``arange`` and the grid is ``sums`` itself, reshaped.
         """
-        trials, _, dim = sums.shape
+        trials, runs, dim = sums.shape
         parents = self.runs.prefix_starts[p - 1].size
+        if runs == 4 * parents:
+            return sums.reshape(trials, parents, 4 * dim)
         grid = np.zeros((trials, parents * 4, dim))
         grid[:, self.runs.prefix_slot[p]] = sums
         return grid.reshape(trials, parents, 4 * dim)

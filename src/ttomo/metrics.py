@@ -65,7 +65,7 @@ def _values_on(obj, test: SampleSet) -> np.ndarray:
             raise ValidationError(
                 f"train length {obj.length} does not match strings of length {test.L}"
             )
-        return obj.evaluate(test.strings)
+        return obj.run_values(test.runs)  # the set's rows are its sorted distinct strings
     dense = np.asarray(obj, dtype=float)
     if dense.ndim != 1 or dense.size != 4**test.L:
         raise ValidationError(f"dense distribution must have length {4**test.L}")

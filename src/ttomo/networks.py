@@ -107,6 +107,17 @@ class TTDistribution:
     def copy(self) -> "TTDistribution":
         return TTDistribution([c.copy() for c in self.cores])
 
+    def run_values(self, runs: RunIndex) -> np.ndarray:
+        """Weight of each run at p = L of a length-L ``runs``, one ``extend_left`` step per core.
+
+        The runs at p = L are the distinct strings in sorted order, so the runs
+        of a ``SampleSet`` get one value per row.
+        """
+        env = np.ones((1, 1, 1))
+        for k, core in enumerate(self.cores):
+            env = extend_left(core[None], env, runs.prefix_slot[k + 1])
+        return env[0, :, 0]
+
     def evaluate(self, strings: np.ndarray) -> np.ndarray:
         """Weight of each row of ``strings`` (shape (n, L), symbols 0..3), once per prefix run."""
         strings = np.asarray(strings)
@@ -118,11 +129,8 @@ class TTDistribution:
             raise ValidationError("string symbols must be the integers 0..3")
         order = np.lexsort(strings.T[::-1])
         runs = RunIndex(strings[order])
-        env = np.ones((1, 1, 1))
-        for k, core in enumerate(self.cores):
-            env = extend_left(core[None], env, runs.prefix_slot[k + 1])
         values = np.empty(strings.shape[0])
-        values[order] = env[0, runs.prefix_of_row(self.length), 0]
+        values[order] = self.run_values(runs)[runs.prefix_of_row(self.length)]
         return values
 
     def total_mass(self) -> float:

@@ -98,6 +98,14 @@ def _num_sites_from_size(size: int) -> int:
     return L
 
 
+def check_sample_count(n) -> None:
+    """Raise ValidationError unless ``n`` is a whole number of draws numpy can make."""
+    if n < 1 or int(n) != n:
+        raise ValidationError(f"sample count must be a positive integer, got {n}")
+    if n >= 2**63:  # numpy draws at most 2^63 - 1
+        raise ValidationError(f"sample count must be < 2^63, got {n}")
+
+
 def sample_dataset(
     dist: np.ndarray,
     n: int,
@@ -120,10 +128,7 @@ def sample_dataset(
     if not np.all(np.isfinite(dist)):
         raise ValidationError("distribution has non-finite entries")
     L = _num_sites_from_size(dist.size)
-    if n < 1 or int(n) != n:
-        raise ValidationError(f"sample count must be a positive integer, got {n}")
-    if n >= 2**63:  # numpy draws at most 2^63 - 1
-        raise ValidationError(f"sample count must be < 2^63, got {n}")
+    check_sample_count(n)
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     if dist.min() < -1e-12:

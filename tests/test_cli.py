@@ -197,11 +197,15 @@ _BAD_FIT_SETTINGS = {
 }
 
 
-@pytest.mark.parametrize("command", ["synth", "sample", "fit", "evaluate", "scan"])
-@pytest.mark.parametrize("flag", list(_BAD_FIT_SETTINGS))
-def test_a_bad_fit_setting_exits_before_the_command_writes_anything(
-    tmp_path, finished_run, capsys, flag, command
-):
+# The other checks made when the config is built, likewise.
+_BAD_RUN_SETTINGS = {
+    "train": ("-3", "sample count must be a positive integer, got -3"),
+    "test": ("0", "sample count must be a positive integer, got 0"),
+    "jobs": ("0", "jobs must be >= 1, got 0"),
+}
+
+
+def _exits_before_writing(tmp_path, finished_run, capsys, command, flag, value, message):
     # every command is pointed at complete inputs, so only the config check stops it
     target, data = finished_run / "target", finished_run / "data"
     inputs = {
@@ -211,12 +215,27 @@ def test_a_bad_fit_setting_exits_before_the_command_writes_anything(
                      "--data", data / "test.samples"],
         "scan": ["--scan-p", "0.5"],
     }
-    value, message = _BAD_FIT_SETTINGS[flag]
     out = tmp_path / "out"
     argv = [command, "--L", "2", "--outdir", out, f"--{flag}={value}", *inputs.get(command, [])]
     assert main([str(arg) for arg in argv]) == 1
     assert capsys.readouterr().err == f"ttomo: error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "sample", "fit", "evaluate", "scan"])
+@pytest.mark.parametrize("flag", list(_BAD_FIT_SETTINGS))
+def test_a_bad_fit_setting_exits_before_the_command_writes_anything(
+    tmp_path, finished_run, capsys, flag, command
+):
+    _exits_before_writing(tmp_path, finished_run, capsys, command, flag, *_BAD_FIT_SETTINGS[flag])
+
+
+@pytest.mark.parametrize("command", ["synth", "sample", "fit", "evaluate", "scan"])
+@pytest.mark.parametrize("flag", list(_BAD_RUN_SETTINGS))
+def test_a_bad_count_or_job_setting_exits_before_the_command_writes_anything(
+    tmp_path, finished_run, capsys, flag, command
+):
+    _exits_before_writing(tmp_path, finished_run, capsys, command, flag, *_BAD_RUN_SETTINGS[flag])
 
 
 def test_negative_seed_exits_with_a_validation_error(tmp_path, small_cfg, capsys):

@@ -2,15 +2,19 @@
 
 Hypothesis draws small chains (L 1..5, D 1..4) and sample sets that include
 the shapes the run index treats specially: a single string, strings that all
-share a prefix, and strings that all share a suffix. A random valid sequence
+share a prefix, strings that all share a suffix, and every string of length
+L <= 3 with a few rows dropped or none, whose full levels store the right
+refresh's output as their grid without a scatter. A random valid sequence
 of updates and refreshes then runs on the cache, and every step is checked
 against brute-force enumeration from oracles.py. ``TTDistribution.evaluate``
 is checked string by string on unsorted rows with repeats, one row and no
-rows, and the run index on repeated rows. Whole fits are checked
-trial by trial against the public single-train calls. The quantum fidelity
-is checked on pure arguments, under rounding-level perturbations and against
-scipy matrix square roots for d in {2, 4, 8, 16}. The profile registered in
-conftest.py derandomizes the draws and caps their number.
+rows, and the run index on repeated rows; a sample set's own runs give
+``evaluate``'s values bit for bit. Whole fits, on random sets and on sets
+of every string, are checked trial by trial against the public single-train
+calls. The quantum fidelity is checked on pure arguments, under
+rounding-level perturbations and against scipy matrix square roots for d in
+{2, 4, 8, 16}. The profile registered in conftest.py derandomizes the draws
+and caps their number.
 """
 
 from unittest import mock
@@ -44,22 +48,36 @@ from ttomo.sampling import SampleSet
 EPS = 1e-16
 
 
+def _with_counts(strings, rng):
+    """A sample set of the sorted distinct ``strings`` with random multiplicities."""
+    counts = rng.integers(1, 50, size=strings.shape[0])
+    return SampleSet(L=strings.shape[1], total=int(counts.sum()), strings=strings, counts=counts)
+
+
 @st.composite
 def instances(draw):
-    L = draw(st.integers(1, 5))
+    shape = draw(
+        st.sampled_from(["random", "single", "shared prefix", "shared suffix", "complete"])
+    )
+    # 3 first: hypothesis leans to the first choice, and L = 3 has a full interior level
+    L = draw(st.sampled_from([3, 2, 1]) if shape == "complete" else st.integers(1, 5))
     bond_dim = draw(st.integers(1, 4))
-    shape = draw(st.sampled_from(["random", "single", "shared prefix", "shared suffix"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = 1 if shape == "single" else draw(st.integers(2, 40))
-    rows = rng.integers(0, 4, size=(n, L))
-    cut = draw(st.integers(1, L))
-    if shape == "shared prefix":
-        rows[:, :cut] = rows[0, :cut]
-    elif shape == "shared suffix":
-        rows[:, L - cut :] = rows[0, L - cut :]
-    strings = np.unique(rows.astype(np.uint8), axis=0)
-    counts = rng.integers(1, 50, size=strings.shape[0])
-    samples = SampleSet(L=L, total=int(counts.sum()), strings=strings, counts=counts)
+    if shape == "complete":
+        # every level is full, up to the levels that lose a dropped row
+        strings = all_strings(L)
+        dropped = rng.choice(strings.shape[0], size=draw(st.integers(0, 3)), replace=False)
+        strings = np.delete(strings, dropped, axis=0)
+    else:
+        n = 1 if shape == "single" else draw(st.integers(2, 40))
+        rows = rng.integers(0, 4, size=(n, L))
+        cut = draw(st.integers(1, L))
+        if shape == "shared prefix":
+            rows[:, :cut] = rows[0, :cut]
+        elif shape == "shared suffix":
+            rows[:, L - cut :] = rows[0, L - cut :]
+        strings = np.unique(rows.astype(np.uint8), axis=0)
+    samples = _with_counts(strings, rng)
     tt = TTDistribution(random_tt_cores(L, bond_dim, rng))
     return tt, samples
 
@@ -144,9 +162,7 @@ def test_prefix_slots_are_parent_major_and_distinct(instance):
 
 @given(st.integers(1, 5), st.integers(0, 2**32 - 1))
 def test_prefix_slots_of_a_set_holding_every_string_are_arange(L, seed):
-    strings = all_strings(L)
-    counts = np.random.default_rng(seed).integers(1, 50, size=strings.shape[0])
-    samples = SampleSet(L=L, total=int(counts.sum()), strings=strings, counts=counts)
+    samples = _with_counts(all_strings(L), np.random.default_rng(seed))
     for p in range(1, L + 1):
         assert np.array_equal(samples.runs.prefix_slot[p], np.arange(4**p))
 
@@ -180,6 +196,12 @@ def test_evaluate_matches_the_oracle_on_unsorted_repeated_single_and_empty_rows(
         assert np.allclose(values, expected, rtol=1e-12, atol=0)
 
 
+@given(instances())
+def test_values_on_a_sample_sets_runs_are_evaluates_bit_for_bit(instance):
+    tt, samples = instance
+    assert np.array_equal(tt.run_values(samples.runs), tt.evaluate(samples.strings))
+
+
 @given(instances(), st.data())
 def test_runs_of_repeated_rows_end_at_the_distinct_strings(instance, data):
     _, samples = instance
@@ -194,10 +216,12 @@ def test_runs_of_repeated_rows_end_at_the_distinct_strings(instance, data):
 def fits(draw):
     L = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rows = rng.integers(0, 4, size=(draw(st.integers(1, 40)), L))
-    strings = np.unique(rows.astype(np.uint8), axis=0)
-    counts = rng.integers(1, 50, size=strings.shape[0])
-    samples = SampleSet(L=L, total=int(counts.sum()), strings=strings, counts=counts)
+    if draw(st.booleans(), label="every string"):
+        strings = all_strings(L)  # every level full
+    else:
+        rows = rng.integers(0, 4, size=(draw(st.integers(1, 40)), L))
+        strings = np.unique(rows.astype(np.uint8), axis=0)
+    samples = _with_counts(strings, rng)
     config = FitConfig(
         bond_dim=draw(st.integers(1, 4)),
         max_sweeps=draw(st.integers(1, 30)),
