@@ -12,6 +12,7 @@ from .density import (
     mpo_to_dense,
     mpo_to_tt,
     normalize_tt,
+    reconstruct,
     tt_to_mpo,
 )
 from .errors import (
@@ -100,6 +101,7 @@ __all__ = [
     "mpo_to_tt",
     "normalize_tt",
     "quantum_fidelity",
+    "reconstruct",
     "sample_dataset",
     "save_samples",
     "save_tensor",

@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .density import diagnose, mpo_to_dense, normalize_tt, tt_to_mpo
-from .errors import CapacityError, DataFormatError, DegenerateFitError, TomoError, ValidationError
+from .density import diagnose, reconstruct
+from .errors import DataFormatError, DegenerateFitError, TomoError, ValidationError
 from .fitting import FitConfig, fit, map_jobs
 from .metrics import classical_fidelity, quantum_fidelity
 from .networks import TTDistribution
@@ -47,10 +47,6 @@ _TARGET_FIELDS = tuple(f.name for f in fields(XxzParams)) + ("mpo_tol",)
 # Spacing between the base seeds of successive scan grid points; larger than
 # any realistic trial count so per-trial seeds never collide across points.
 _POINT_SEED_STRIDE = 10007
-# Largest |tr rho_hat - 1| that is scored. A unit-mass train inverts to trace 1
-# up to rounding; a larger deviation means cancellation between huge signed
-# entries has ruined the reconstruction.
-_TRACE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -301,20 +297,9 @@ def cmd_fit(cfg: ExperimentConfig, data) -> int:
 
 
 def _evaluate_tt(tt: TTDistribution, rho, dist, test: SampleSet) -> dict:
-    """Shared evaluation: normalize, invert, compare with the target.
-
-    A reconstruction whose trace is off by more than ``_TRACE_TOL`` raises
-    CapacityError before anything is scored.
-    """
+    """Shared evaluation: reconstruct (``density.reconstruct``), compare with the target."""
     start = time.perf_counter()
-    normalized = normalize_tt(tt)
-    rho_hat = mpo_to_dense(tt_to_mpo(normalized, tetrahedral_povm()))
-    deviation = abs(np.trace(rho_hat) - 1.0)
-    if not deviation <= _TRACE_TOL:
-        raise CapacityError(
-            f"the reconstruction at L={tt.length} has trace deviation {deviation:.3g} "
-            f"(bound {_TRACE_TOL:g}): cancellation exceeds the float64 precision"
-        )
+    normalized, rho_hat = reconstruct(tt, tetrahedral_povm())
     fq = quantum_fidelity(rho_hat, rho)
     fc = classical_fidelity(normalized, dist, test)
     return {

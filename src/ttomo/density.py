@@ -60,6 +60,20 @@ def mpo_to_dense(mpo: MpoDensity) -> np.ndarray:
     return acc[:, :, 0]
 
 
+def reconstruct(tt: TTDistribution, povm: Povm) -> tuple:
+    """``(model, rho_hat)`` by ``normalize_tt``, ``tt_to_mpo`` and ``mpo_to_dense``; a trace
+    off by more than 1e-8, reached only by cancellation, raises CapacityError."""
+    model = normalize_tt(tt)
+    rho_hat = mpo_to_dense(tt_to_mpo(model, povm))
+    deviation = abs(np.trace(rho_hat) - 1.0)
+    if not deviation <= 1e-8:
+        raise CapacityError(
+            f"the reconstruction at L={tt.length} has trace deviation {deviation:.3g} "
+            f"(bound 1e-08): cancellation exceeds the float64 precision"
+        )
+    return model, rho_hat
+
+
 @dataclass(frozen=True)
 class ReconstructionReport:
     """Sanity numbers of a reconstructed density matrix."""

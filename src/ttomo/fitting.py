@@ -34,11 +34,12 @@ sums are stored in the (run at p - 1, symbol) grid, at row ``q * 4 + s``
 environment at p + 1 is gathered from the runs at p times core p; the right
 sums at p are the grid at p + 1 times core p, scattered once into the grid
 at p; the data term of core p's update is the left environments at p against
-the grid at p + 1. Each of the three is one GEMM over the runs, and no
-update sums over the samples; the loss is core 0's update form. On a full
-level, where every run at p - 1 has all four children, the slots are
-``arange`` and the grid at p is the right refresh's GEMM output itself, with
-no zero grid and no scatter.
+the grid at p + 1. These three, the model term and the Grams are each one GEMM
+against core p as its bond-major matrix (D_p, 4 * D_{p+1}), whose row a holds the
+slabs ``core[s, a, :]``; no update sums over the samples, and the loss is core 0's
+update form. On a full level, where every run at p - 1 has all four children,
+the slots are ``arange`` and the grid at p is the right refresh's GEMM output
+itself, with no zero grid and no scatter.
 
 The trials of a fit share the sample set and its runs, so ``fit`` runs them
 in blocks through one cache whose cores, Grams and environments carry a
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .networks import TTDistribution, extend_left
+from .networks import TTDistribution, extend_left, matricized
 from .sampling import SampleSet
 
 DEFAULT_EPS = 1e-16
@@ -132,9 +133,9 @@ def init_tt(L: int, bond_dim: int, seed: int) -> TTDistribution:
     return TTDistribution(cores)
 
 
-def _stacked(core: np.ndarray) -> np.ndarray:
-    """A core with its leading trial axis; a single train's core gains one of length 1."""
-    return core if core.ndim == 4 else core[None]
+def _as_core(mat: np.ndarray) -> np.ndarray:
+    """The (T, 4, D_k, D_{k+1}) view of M_k (T, D_k, 4 * D_{k+1})."""
+    return mat.reshape(mat.shape[0], mat.shape[1], 4, -1).transpose(0, 2, 1, 3)
 
 
 @dataclass
@@ -160,8 +161,11 @@ class EnvCache:
     right sum, the sample-weighted sum of the right environments of the
     run's strings. At p >= 1 the right sums are kept in their (run at p - 1,
     symbol) grid (``_scatter``), built once by the refresh that computes
-    them. Refreshing either side across one core, and the update's data
-    term, are each one batched GEMM against such a grid.
+    them. Every contraction is one batched GEMM against core k as its
+    bond-major matrix M_k (``matricized``), and ``update_core`` stores
+    each new core as a view of its M_k. Core 0's update terms are kept until
+    a core changes or a right refresh runs: a sweep's loss and the next
+    sweep's first update share them.
 
     ``tt`` is one train or, inside ``fit``, a stack of trials whose cores
     carry a leading trial axis. Every stored quantity carries that axis:
@@ -184,8 +188,9 @@ class EnvCache:
         self.tt = tt
         self.runs = samples.runs
         L = tt.length
-        trials = _stacked(tt.cores[0]).shape[0]
+        trials = matricized(tt.cores[0]).shape[0]
         ones = np.ones((trials, 1, 1))
+        self._core0_terms = []
         self._left_gram = [ones] + [None] * L
         self._right_gram = [None] * L + [ones]
         self._left_env = [ones] + [None] * L
@@ -242,8 +247,8 @@ class EnvCache:
 
         Core 0 times ``model_term(0)`` sums to <P, P> and times ``data_term(0)`` to <P, P_s>.
         """
-        core = _stacked(self.tt.cores[0])
-        return (core * (self.model_term(0) - 2.0 * self.data_term(0))).sum(axis=(1, 2, 3))
+        numer, denom, mat = self._terms(0)
+        return (mat * (denom - 2.0 * numer)).sum(axis=(1, 2))
 
     def _scatter(self, p: int, sums: np.ndarray) -> np.ndarray:
         """Right sums (T, runs, D_p) at p >= 1 in their (run at p - 1, symbol) grid.
@@ -262,17 +267,27 @@ class EnvCache:
         grid[:, self.runs.prefix_slot[p]] = sums
         return grid.reshape(trials, parents, 4 * dim)
 
+    def _terms(self, k: int) -> list:
+        """Core k's update numerator and denominator, each shaped like M_k, and M_k itself."""
+        if k == 0 and self._core0_terms:
+            return self._core0_terms
+        self._check_left(k)
+        self._check_right(k + 1)
+        mat = matricized(self.tt.cores[k])
+        numer = self._left_env[k].transpose(0, 2, 1) @ self._right[k + 1]
+        rows = (self._left_gram[k] @ mat).reshape(len(mat), -1, mat.shape[2] // 4)
+        terms = [numer, (rows @ self._right_gram[k + 1].transpose(0, 2, 1)).reshape(mat.shape), mat]
+        if k == 0:
+            self._core0_terms = terms
+        return terms
+
     def data_term(self, k: int) -> np.ndarray:
         """Sample-weighted sum of left(k) x right(k+1) outer products per symbol at k.
 
         The left environment of each run at k meets the right sums of its
         children at k + 1. Shape (T, 4, D_k, D_{k+1}).
         """
-        self._check_left(k)
-        self._check_right(k + 1)
-        env = self._left_env[k]
-        terms = env.transpose(0, 2, 1) @ self._right[k + 1]
-        return terms.reshape(env.shape[0], env.shape[2], 4, -1).transpose(0, 2, 1, 3)
+        return _as_core(self._terms(k)[0])
 
     def model_term(self, k: int) -> np.ndarray:
         """Core k between the Grams of the rest of the chain, per symbol at k.
@@ -280,11 +295,7 @@ class EnvCache:
         Shape (T, 4, D_k, D_{k+1}); the core's entrywise product with it sums
         to the train's self overlap <P, P>.
         """
-        self._check_left(k)
-        self._check_right(k + 1)
-        core = _stacked(self.tt.cores[k])
-        right_t = self._right_gram[k + 1].transpose(0, 2, 1)
-        return self._left_gram[k][:, None] @ core @ right_t[:, None]
+        return _as_core(self._terms(k)[1])
 
     # -- writes ------------------------------------------------------------
 
@@ -292,16 +303,17 @@ class EnvCache:
         """Invalidate every cached quantity that depends on core ``k``."""
         self._left_valid = min(self._left_valid, k)
         self._right_valid = max(self._right_valid, k + 1)
+        self._core0_terms = []
 
     def refresh_left(self, k: int) -> None:
         """Recompute position k+1 left quantities from the current core k."""
         if not 0 <= k < self.tt.length:
             raise IndexError(f"core index {k} out of range")
         self._check_left(k)
-        core = _stacked(self.tt.cores[k])
-        gram = self._left_gram[k][:, None]
-        self._left_gram[k + 1] = (core.transpose(0, 1, 3, 2) @ gram @ core).sum(axis=1)
-        self._left_env[k + 1] = extend_left(core, self._left_env[k], self.runs.prefix_slot[k + 1])
+        mat = matricized(self.tt.cores[k])
+        rows = (self._left_gram[k] @ mat).reshape(len(mat), -1, mat.shape[2] // 4)
+        self._left_gram[k + 1] = mat.reshape(rows.shape).transpose(0, 2, 1) @ rows
+        self._left_env[k + 1] = extend_left(mat, self._left_env[k], self.runs.prefix_slot[k + 1])
         self._left_valid = k + 1
 
     def refresh_right(self, k: int) -> None:
@@ -309,17 +321,19 @@ class EnvCache:
         if not 0 <= k < self.tt.length:
             raise IndexError(f"core index {k} out of range")
         self._check_right(k + 1)
-        core = _stacked(self.tt.cores[k])
-        gram = self._right_gram[k + 1][:, None]
-        self._right_gram[k] = (core @ gram @ core.transpose(0, 1, 3, 2)).sum(axis=1)
-        trials, _, d_in, d_out = core.shape
-        sums = self._right[k + 1] @ core.transpose(0, 1, 3, 2).reshape(trials, 4 * d_out, d_in)
+        mat = matricized(self.tt.cores[k])
+        mat_t = np.ascontiguousarray(mat.transpose(0, 2, 1))  # a view slows the grid GEMM 2x
+        rows = mat.reshape(len(mat), -1, mat.shape[2] // 4) @ self._right_gram[k + 1]
+        self._right_gram[k] = rows.reshape(mat.shape) @ mat_t
+        sums = self._right[k + 1] @ mat_t
         self._right[k] = sums if k == 0 else self._scatter(k, sums)
         self._right_valid = k
+        self._core0_terms = []
 
     def keep_trials(self, rows: list) -> None:
         """Keep only the trials at ``rows`` of the trial axis of a stack, cores included."""
-        for store in (self._left_gram, self._right_gram, self._left_env, self._right):
+        stores = (self._left_gram, self._right_gram, self._left_env, self._right, self._core0_terms)
+        for store in stores:
             store[:] = [None if a is None else a[rows] for a in store]
         self.tt.cores[:] = [core[rows] for core in self.tt.cores]
 
@@ -348,13 +362,11 @@ def update_core(
         raise ValidationError("update_core needs the train its cache was built on")
     if not 0 <= k < tt.length:
         raise IndexError(f"core index {k} out of range for length {tt.length}")
-    core = tt.cores[k]
-    numer = cache.data_term(k)
-    denom = cache.model_term(k)
-    scale = denom.max(axis=(1, 2, 3), keepdims=True)
+    numer, denom, mat = cache._terms(k)
+    scale = denom.max(axis=(1, 2), keepdims=True)
     scale[scale == 0.0] = 1.0
-    new = _stacked(core) * (numer / (denom + eps * scale))
-    tt.cores[k] = new if core.ndim == 4 else new[0]
+    new = mat * (numer / (denom + eps * scale))
+    tt.cores[k] = _as_core(new) if tt.cores[k].ndim == 4 else _as_core(new)[0]
     cache.note_core_changed(k)
     return tt.cores[k]
 

@@ -68,12 +68,16 @@ class RunIndex:
         return np.repeat(np.arange(starts.size), np.diff(starts, append=self.n_rows))
 
 
-def extend_left(core: np.ndarray, env: np.ndarray, slot: np.ndarray) -> np.ndarray:
-    """Left environments (T, runs, D) at p + 1: ``env`` at p times core p's slabs, at ``slot``."""
-    trials, runs, d_in = env.shape
-    d_out = core.shape[3]
-    products = env @ core.transpose(0, 2, 1, 3).reshape(trials, d_in, 4 * d_out)
-    return products.reshape(trials, runs * 4, d_out).take(slot, axis=1)
+def matricized(core: np.ndarray) -> np.ndarray:
+    """A (T, 4, D_p, D_{p+1}) or one train's (4, D_p, D_{p+1}) core as (T, D_p, 4 * D_{p+1})."""
+    core = core if core.ndim == 4 else core[None]
+    return core.transpose(0, 2, 1, 3).reshape(core.shape[0], core.shape[2], -1)
+
+
+def extend_left(mat: np.ndarray, env: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """Left environments (T, runs, D) at p + 1: ``env`` @ ``matricized`` core p, at ``slot``."""
+    trials, runs, _ = env.shape
+    return (env @ mat).reshape(trials, runs * 4, mat.shape[2] // 4).take(slot, axis=1)
 
 
 @dataclass
@@ -115,7 +119,7 @@ class TTDistribution:
         """
         env = np.ones((1, 1, 1))
         for k, core in enumerate(self.cores):
-            env = extend_left(core[None], env, runs.prefix_slot[k + 1])
+            env = extend_left(matricized(core), env, runs.prefix_slot[k + 1])
         return env[0, :, 0]
 
     def evaluate(self, strings: np.ndarray) -> np.ndarray:

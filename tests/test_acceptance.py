@@ -23,7 +23,7 @@ from oracles import (
     random_tt_cores,
 )
 from ttomo.cli import ExperimentConfig
-from ttomo.density import mpo_to_dense, mpo_to_tt, normalize_tt, tt_to_mpo
+from ttomo.density import mpo_to_tt, reconstruct
 from ttomo.fitting import EnvCache, FitConfig, fit, init_tt, loss, sweep
 from ttomo.metrics import classical_fidelity, quantum_fidelity
 from ttomo.networks import TTDistribution
@@ -71,8 +71,7 @@ def datasets(target):
 
 
 def _score(tt, rho, dist, test, povm):
-    normalized = normalize_tt(tt)
-    rho_hat = mpo_to_dense(tt_to_mpo(normalized, povm))
+    normalized, rho_hat = reconstruct(tt, povm)
     i_q = quantum_fidelity(rho_hat, rho).infidelity
     i_c = classical_fidelity(normalized, dist, test).infidelity
     return i_q, i_c
@@ -145,8 +144,7 @@ def test_criterion_1_exact_pipeline_sentinel(target, povm, report):
     rho, dist = target
     start = time.perf_counter()
     mpo = density_to_mpo(rho)
-    tt = normalize_tt(mpo_to_tt(mpo, povm))
-    rho_back = mpo_to_dense(tt_to_mpo(tt, povm))
+    tt, rho_back = reconstruct(mpo_to_tt(mpo, povm), povm)
     i_q = quantum_fidelity(rho_back, rho).infidelity
     test = sample_dataset(dist, DRAWS, seed=99, stream=1, source="test")
     i_c = classical_fidelity(tt, dist, test).infidelity
@@ -219,7 +217,7 @@ def test_criterion_4_reconstruction_hermitian_unit_trace(flagship, povm, report)
     worst_herm = 0.0
     worst_trace = 0.0
     for tt in chains:
-        rho = mpo_to_dense(tt_to_mpo(normalize_tt(tt), povm))
+        _, rho = reconstruct(tt, povm)
         worst_herm = max(
             worst_herm, np.linalg.norm(rho - rho.conj().T) / np.linalg.norm(rho)
         )
@@ -308,7 +306,7 @@ def test_criterion_10_full_scale_supported_with_invariants(povm, report):
     loss_dev = abs(values[-1] - brute) / max(abs(brute), 1e-30)
     for _ in range(60):
         sweep(tt, cache, train, eps=1e-16)
-    rho_hat = mpo_to_dense(tt_to_mpo(normalize_tt(tt), povm))
+    _, rho_hat = reconstruct(tt, povm)
     herm = np.linalg.norm(rho_hat - rho_hat.conj().T) / np.linalg.norm(rho_hat)
     trace_dev = abs(np.trace(rho_hat).real - 1.0)
     passed = (

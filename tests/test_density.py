@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from oracles import brute_born_probs, brute_mpo_dense, dense_tt_vector, random_tt_cores
-from ttomo.density import diagnose, mpo_to_dense, mpo_to_tt, normalize_tt, tt_to_mpo
+from ttomo.density import (
+    diagnose,
+    mpo_to_dense,
+    mpo_to_tt,
+    normalize_tt,
+    reconstruct,
+    tt_to_mpo,
+)
 from ttomo.errors import CapacityError, DegenerateFitError
 from ttomo.networks import TTDistribution
 from ttomo.povm import tetrahedral_povm
@@ -97,6 +104,29 @@ def test_mpo_to_dense_overflow_raises_capacity_error():
     assert tt.total_mass() == 1.0
     with pytest.raises(CapacityError, match="dense operator overflows at L=2"):
         mpo_to_dense(tt_to_mpo(tt, tetrahedral_povm()))
+
+
+def test_reconstruct_refuses_a_reconstruction_ruined_by_cancellation():
+    # unit total mass and a finite dense operator, but the inversion cancels
+    # 1e150-sized terms and leaves the trace near -3.6e134 - 5.6e133j
+    ruined = TTDistribution(
+        [np.array([1e150, -1e150, 1.0, 0.0]).reshape(4, 1, 1), np.array([1.0, 0, 0, 0]).reshape(4, 1, 1)]
+    )
+    povm = tetrahedral_povm()
+    rho_hat = mpo_to_dense(tt_to_mpo(normalize_tt(ruined), povm))
+    assert np.isfinite(rho_hat).all() and abs(np.trace(rho_hat)) > 1e134
+    with pytest.raises(CapacityError, match=r"L=2 has trace deviation 3.68e\+134"):
+        reconstruct(ruined, povm)
+
+
+def test_reconstruct_is_normalize_invert_densify():
+    povm = tetrahedral_povm()
+    tt = _random_tt(3, 2, seed=51)
+    model, rho_hat = reconstruct(tt, povm)
+    expected = normalize_tt(tt)
+    assert all(np.array_equal(a, b) for a, b in zip(model.cores, expected.cores))
+    assert np.array_equal(rho_hat, mpo_to_dense(tt_to_mpo(expected, povm)))
+    assert abs(np.trace(rho_hat) - 1.0) <= 1e-12
 
 
 def test_exact_snapshot_roundtrips_through_tt():

@@ -38,6 +38,7 @@ from ttomo.fitting import (
 )
 from ttomo.networks import TTDistribution
 from ttomo.sampling import SampleSet, sample_dataset
+from ttomo.storage import load_tensor, save_tensor
 
 
 def _random_instance(L, bond_dim, n, seed):
@@ -170,6 +171,54 @@ def test_update_adds_eps_to_the_denominator_only():
         assert np.array_equal(tt.cores[0][:, 0, 0], core * (weights / (core + eps * 0.5)))
     # a zero denominator under observed mass stays finite: the entry stays zero
     assert tt.cores[0][2, 0, 0] == 0.0
+
+
+def test_core_0_update_after_a_hand_edit_equals_a_fresh_caches():
+    # losses() keeps core 0's update terms; editing core 0 must drop them
+    tt, samples = _random_instance(3, 3, 120, seed=81)
+    cache = EnvCache(tt, samples)
+    cache.losses()
+    tt.cores[0][1] *= 1.7
+    cache.note_core_changed(0)
+    fresh = tt.copy()
+    update_core(tt, cache, samples, 0)
+    update_core(fresh, EnvCache(fresh, samples), samples, 0)
+    assert tt.cores[0].tobytes() == fresh.cores[0].tobytes()
+
+
+def test_kept_trials_read_the_losses_they_had():
+    _, samples = _random_instance(3, 3, 120, seed=82)
+    inits = [init_tt(3, 3, seed).cores for seed in range(4)]
+    stack = ttomo.fitting._TrialStack([np.stack(cores) for cores in zip(*inits)])
+    cache = EnvCache(stack, samples)
+    sweep(stack, cache, samples)
+    before = cache.losses()
+    cache.keep_trials([0, 2, 3])
+    assert np.array_equal(cache.losses(), before[[0, 2, 3]])
+    # the next sweep's first update reads the kept terms
+    sweep(stack, cache, samples)
+    alone = init_tt(3, 3, seed=2)
+    alone_cache = EnvCache(alone, samples)
+    for _ in range(2):
+        sweep(alone, alone_cache, samples)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(stack.train(1).cores, alone.cores))
+
+
+def test_updated_cores_look_like_plain_cores(tmp_path):
+    # update_core stores each core as a view of its bond-major matrix
+    tt, samples = _random_instance(4, 3, 150, seed=83)
+    cache = EnvCache(tt, samples)
+    sweep(tt, cache, samples)
+    update_core(tt, cache, samples, 0)
+    assert not all(core.flags.c_contiguous for core in tt.cores)
+    for k, core in enumerate(tt.cores):
+        assert core.shape == (4, tt.bond_dims[k], tt.bond_dims[k + 1])
+        assert core.min() >= 0.0
+    save_tensor(tmp_path / "tt.tt", tt)
+    back = load_tensor(tmp_path / "tt.tt")
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(tt.cores, back.cores))
+    result = fit(samples, FitConfig(bond_dim=3, trials=3, max_sweeps=3))
+    assert all(core.flags.c_contiguous for trial in result.trials for core in trial.tt.cores)
 
 
 def test_update_rejects_a_train_other_than_the_caches():
