@@ -92,6 +92,11 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("bond_dim", "max_sweeps", "stop_window", "trials", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # numpy's unsigned ones wrap in arithmetic
         if self.bond_dim < 1:
             raise ValidationError(f"bond dimension must be >= 1, got {self.bond_dim}")
         if self.max_sweeps < 1:
@@ -155,25 +160,27 @@ class _TrialStack:
 class EnvCache:
     """Partial contractions of a train with itself and with the samples.
 
-    Gram matrices (train against train) are stored at every boundary
-    position. On the sample side, position p stores one row per prefix run
-    of ``samples.runs``: the left environment of the run's prefix, and the
+    Gram matrices (train against train) are stored at boundary positions.
+    On the sample side, position p stores one row per prefix run of
+    ``samples.runs``: the left environment of the run's prefix, and the
     right sum, the sample-weighted sum of the right environments of the
-    run's strings. At p >= 1 the right sums are kept in their (run at p - 1,
-    symbol) grid (``_scatter``), built once by the refresh that computes
-    them. Every contraction is one batched GEMM against core k as its
-    bond-major matrix M_k (``matricized``), and ``update_core`` stores
-    each new core as a view of its M_k. Core 0's update terms are kept until
-    a core changes or a right refresh runs: a sweep's loss and the next
-    sweep's first update share them.
+    run's strings. At p >= 1 the right sums are kept in their (run at
+    p - 1, symbol) grid (``_scatter``), built once by the refresh that
+    computes them. A fresh cache holds left position 0 and every right
+    position, all that ``losses()`` and a sweep's first pass read; each
+    further left position is built by the ``refresh_left`` that reaches it.
+    Every contraction is one batched GEMM against core k as its bond-major
+    matrix M_k (``matricized``), and ``update_core`` stores each new core as
+    a view of its M_k. Core 0's update terms are kept until a core changes or
+    a right refresh runs: a sweep's loss and the next sweep's first update
+    share them.
 
     ``tt`` is one train or, inside ``fit``, a stack of trials whose cores
     carry a leading trial axis. Every stored quantity carries that axis:
     Grams are (T, D, D), left environments (T, runs, D_p), the right sums at
     p = 0 (T, 1, 1) and the right grids (T, runs at p - 1, 4 * D_p), with
     T = 1 for one train. ``losses()`` reads every trial from core 0's update
-    terms; the Gram and environment reads serve one-train caches and read
-    trial 0.
+    terms.
 
     Entries invalidated by a core update are unreadable until a refresh
     recomputes them, so everything readable equals its from-scratch
@@ -187,7 +194,7 @@ class EnvCache:
             )
         self.tt = tt
         self.runs = samples.runs
-        L = tt.length
+        self.L = L = tt.length
         trials = matricized(tt.cores[0]).shape[0]
         ones = np.ones((trials, 1, 1))
         self._core0_terms = []
@@ -198,8 +205,6 @@ class EnvCache:
         self._right = [None] * L + [self._scatter(L, weights)]
         self._left_valid = 0
         self._right_valid = L
-        for k in range(L):
-            self.refresh_left(k)
         for k in range(L - 1, -1, -1):
             self.refresh_right(k)
 
@@ -211,41 +216,20 @@ class EnvCache:
 
     @property
     def stored_right_overlap_positions(self) -> list:
-        return list(range(self._right_valid, self.tt.length + 1))
+        return list(range(self._right_valid, self.L + 1))
 
     def _check_left(self, p: int) -> None:
         if not 0 <= p <= self._left_valid:
-            raise IndexError(f"left position {p} is not valid (have 0..{self._left_valid})")
+            raise IndexError(f"left position {p} is invalid (have 0..{self._left_valid})")
 
     def _check_right(self, p: int) -> None:
-        if not self._right_valid <= p <= self.tt.length:
-            raise IndexError(
-                f"right position {p} is not valid (have {self._right_valid}..{self.tt.length})"
-            )
-
-    def left_gram(self, p: int) -> np.ndarray:
-        self._check_left(p)
-        return self._left_gram[p][0]
-
-    def right_gram(self, p: int) -> np.ndarray:
-        self._check_right(p)
-        return self._right_gram[p][0]
-
-    def left_overlaps(self, p: int) -> np.ndarray:
-        """Per-sample left overlap at position p, expanded from the prefix runs."""
-        self._check_left(p)
-        return self._left_env[p][0][self.runs.prefix_of_row(p)]
-
-    def right_sums(self, p: int) -> np.ndarray:
-        """Right sum of every prefix run at position p, shape (runs, D_p)."""
-        self._check_right(p)
-        grid = self._right[p][0]
-        return grid if p == 0 else grid.reshape(-1, grid.shape[1] // 4)[self.runs.prefix_slot[p]]
+        if not self._right_valid <= p <= self.L:
+            raise IndexError(f"right position {p} is invalid (have {self._right_valid}..{self.L})")
 
     def losses(self) -> np.ndarray:
         """Each trial's shifted quadratic loss <P, P> - 2 <P, P_s>, from core 0's update terms.
 
-        Core 0 times ``model_term(0)`` sums to <P, P> and times ``data_term(0)`` to <P, P_s>.
+        Core 0 times its update denominator sums to <P, P> and times its numerator to <P, P_s>.
         """
         numer, denom, mat = self._terms(0)
         return (mat * (denom - 2.0 * numer)).sum(axis=(1, 2))
@@ -281,22 +265,6 @@ class EnvCache:
             self._core0_terms = terms
         return terms
 
-    def data_term(self, k: int) -> np.ndarray:
-        """Sample-weighted sum of left(k) x right(k+1) outer products per symbol at k.
-
-        The left environment of each run at k meets the right sums of its
-        children at k + 1. Shape (T, 4, D_k, D_{k+1}).
-        """
-        return _as_core(self._terms(k)[0])
-
-    def model_term(self, k: int) -> np.ndarray:
-        """Core k between the Grams of the rest of the chain, per symbol at k.
-
-        Shape (T, 4, D_k, D_{k+1}); the core's entrywise product with it sums
-        to the train's self overlap <P, P>.
-        """
-        return _as_core(self._terms(k)[1])
-
     # -- writes ------------------------------------------------------------
 
     def note_core_changed(self, k: int) -> None:
@@ -307,7 +275,7 @@ class EnvCache:
 
     def refresh_left(self, k: int) -> None:
         """Recompute position k+1 left quantities from the current core k."""
-        if not 0 <= k < self.tt.length:
+        if not 0 <= k < self.L:
             raise IndexError(f"core index {k} out of range")
         self._check_left(k)
         mat = matricized(self.tt.cores[k])
@@ -318,7 +286,7 @@ class EnvCache:
 
     def refresh_right(self, k: int) -> None:
         """Recompute position k right quantities from the current core k."""
-        if not 0 <= k < self.tt.length:
+        if not 0 <= k < self.L:
             raise IndexError(f"core index {k} out of range")
         self._check_right(k + 1)
         mat = matricized(self.tt.cores[k])
@@ -348,7 +316,8 @@ def update_core(
     """Multiplicative update of core ``k`` in place; returns the new core.
 
     The cache, built on ``samples``, must hold valid left quantities at
-    position ``k`` and right quantities at position ``k + 1``. ``eps`` is
+    position ``k`` and right quantities at position ``k + 1``, or it raises
+    IndexError, as it does for a ``k`` outside 0 .. L-1. ``eps`` is
     relative: ``eps`` times the trial's largest denominator entry is added
     to the denominator only. It keeps the ratio finite where the model term
     underflows to zero, and because it scales with the model it stays
@@ -360,8 +329,6 @@ def update_core(
     """
     if tt is not cache.tt:
         raise ValidationError("update_core needs the train its cache was built on")
-    if not 0 <= k < tt.length:
-        raise IndexError(f"core index {k} out of range for length {tt.length}")
     numer, denom, mat = cache._terms(k)
     scale = denom.max(axis=(1, 2), keepdims=True)
     scale[scale == 0.0] = 1.0
@@ -401,7 +368,7 @@ def sweep(
 
 
 def loss(tt: TTDistribution, samples: SampleSet) -> float:
-    """Shifted quadratic loss <P, P> - 2 <P, P_s>, read from a fresh ``EnvCache``.
+    """Shifted quadratic loss <P, P> - 2 <P, P_s>, read from a fresh ``EnvCache``'s right side.
 
     It is core 0's update form (``EnvCache.losses``): the self term comes from
     the Gram chain and the data term from the observed strings only, so
@@ -459,7 +426,7 @@ def _finite_losses(cache: EnvCache, config: FitConfig) -> np.ndarray:
     values = cache.losses()
     if not np.isfinite(values).all():
         raise CapacityError(
-            f"the train's self overlap overflows at L={cache.tt.length}, "
+            f"the train's self overlap overflows at L={cache.L}, "
             f"D={config.bond_dim}; fit a shorter chain or a smaller bond dimension"
         )
     return values

@@ -1,15 +1,18 @@
 """Brute-force reference implementations used to cross-check the fast paths.
 
 Everything here enumerates outcome strings or loops over records directly and
-shares no code with the library internals, so agreement is meaningful. The
-one exception is ``public_call_trial``, the reference for ``fit``'s batched
-trial blocks: it runs one trial through the public single-train calls.
+shares no code with the library internals, so agreement is meaningful. Two
+helpers call the library: ``public_call_trial``, the reference for ``fit``'s
+batched trial blocks, runs one trial through the public single-train calls,
+and ``assert_cache_matches_oracles`` compares an ``EnvCache``'s stores with
+the oracles laid out as the stores are.
 """
 
 import numpy as np
 import scipy.linalg
 
 from ttomo.fitting import EnvCache, init_tt, loss, update_core
+from ttomo.networks import matricized
 
 
 def all_strings(L: int) -> np.ndarray:
@@ -61,7 +64,7 @@ def suffix_vector(cores, string, k) -> np.ndarray:
     return vec
 
 
-def brute_left_gram(cores, p) -> np.ndarray:
+def brute_prefix_gram(cores, p) -> np.ndarray:
     """Self-overlap of cores 0..p-1 summed over all 4^p prefixes."""
     if p == 0:
         return np.ones((1, 1))
@@ -73,7 +76,7 @@ def brute_left_gram(cores, p) -> np.ndarray:
     return gram
 
 
-def brute_right_gram(cores, p) -> np.ndarray:
+def brute_suffix_gram(cores, p) -> np.ndarray:
     """Self-overlap of cores p..L-1 summed over all suffixes."""
     L = len(cores)
     if p == L:
@@ -87,12 +90,12 @@ def brute_right_gram(cores, p) -> np.ndarray:
     return gram
 
 
-def brute_left_overlaps(cores, samples, p) -> np.ndarray:
+def brute_prefix_vectors(cores, samples, p) -> np.ndarray:
     """Per-record prefix vectors against cores 0..p-1, shape (n, D_p)."""
     return np.array([prefix_vector(cores, s, p) for s in samples.strings])
 
 
-def brute_right_sums(cores, samples, p) -> np.ndarray:
+def brute_suffix_sums(cores, samples, p) -> np.ndarray:
     """Weighted suffix vectors against cores p.., summed per distinct prefix of length p.
 
     One row per distinct prefix in lexicographic order, shape (prefixes, D_p).
@@ -105,17 +108,19 @@ def brute_right_sums(cores, samples, p) -> np.ndarray:
 
 
 def brute_right_grid(cores, samples, p) -> np.ndarray:
-    """``brute_right_sums`` at p >= 1 in rows ``q * 4 + s`` of a (4 x parents, D_p) grid.
+    """``brute_suffix_sums`` in rows ``q * 4 + s`` of a (4 x parents, D_p) grid.
 
     q numbers the distinct prefixes of length p - 1 in lexicographic order and
     s is the last symbol of the length-p prefix; a pair no string has is a
-    zero row.
+    zero row. At p = 0, with no shorter prefix, it is the one run's sum.
     """
+    if p == 0:
+        return brute_suffix_sums(cores, samples, 0)
     prefixes = sorted({tuple(int(sym) for sym in string[:p]) for string in samples.strings})
     parents = {parent: q for q, parent in enumerate(sorted({pre[:-1] for pre in prefixes}))}
     grid = np.zeros((4 * len(parents), cores[p - 1].shape[2]))
     rows = [parents[prefix[:-1]] * 4 + prefix[-1] for prefix in prefixes]
-    grid[rows] = brute_right_sums(cores, samples, p)
+    grid[rows] = brute_suffix_sums(cores, samples, p)
     return grid
 
 
@@ -140,6 +145,36 @@ def brute_update_denom(cores, k) -> np.ndarray:
         value = tl @ core[s] @ tr
         denom[s] += value * np.outer(tl, tr)
     return denom
+
+
+def assert_cache_matches_oracles(cache, samples, rtol, atol) -> None:
+    """Assert that every readable entry of a one-train ``cache`` equals its oracle.
+
+    The oracles are laid out as the stores are: a run's left environment is the
+    oracle's row at the run's first string, the right side is
+    ``brute_right_grid``, and the update terms are ``matricized``, the
+    (D_k, 4 * D_{k+1}) layout that ``EnvCache._terms`` returns.
+    """
+    cores = cache.tt.cores
+    left = cache.stored_left_overlap_positions
+    right = cache.stored_right_overlap_positions
+    for p in left:
+        gram = brute_prefix_gram(cores, p)
+        assert np.allclose(cache._left_gram[p][0], gram, rtol=rtol, atol=atol)
+        envs = brute_prefix_vectors(cores, samples, p)[samples.runs.prefix_starts[p]]
+        assert np.allclose(cache._left_env[p][0], envs, rtol=rtol, atol=atol)
+    for p in right:
+        gram = brute_suffix_gram(cores, p)
+        assert np.allclose(cache._right_gram[p][0], gram, rtol=rtol, atol=atol)
+        grid = brute_right_grid(cores, samples, p)
+        assert np.allclose(cache._right[p][0].reshape(grid.shape), grid, rtol=rtol, atol=atol)
+    for k in range(len(cores)):
+        if k in left and k + 1 in right:
+            numer, denom, _ = cache._terms(k)
+            expected = matricized(brute_update_numer(cores, samples, k))[0]
+            assert np.allclose(numer[0], expected, rtol=rtol, atol=atol)
+            expected = matricized(brute_update_denom(cores, k))[0]
+            assert np.allclose(denom[0], expected, rtol=rtol, atol=atol)
 
 
 def brute_mpo_dense(cores) -> np.ndarray:

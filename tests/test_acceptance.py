@@ -14,10 +14,10 @@ import pytest
 from scipy import stats
 
 from oracles import (
-    brute_left_gram,
     brute_loss,
-    brute_right_gram,
-    brute_right_sums,
+    brute_prefix_gram,
+    brute_right_grid,
+    brute_suffix_gram,
     brute_update_denom,
     brute_update_numer,
     random_tt_cores,
@@ -26,7 +26,7 @@ from ttomo.cli import ExperimentConfig
 from ttomo.density import mpo_to_tt, reconstruct
 from ttomo.fitting import EnvCache, FitConfig, fit, init_tt, loss, sweep
 from ttomo.metrics import classical_fidelity, quantum_fidelity
-from ttomo.networks import TTDistribution
+from ttomo.networks import TTDistribution, matricized
 from ttomo.povm import tetrahedral_povm
 from ttomo.sampling import sample_dataset, split_train_test
 from ttomo.states import XxzParams, density_to_mpo, exact_outcome_distribution, synth_target
@@ -195,14 +195,18 @@ def test_criterion_3_environments_match_brute_force(report):
         cache = EnvCache(tt, samples)
         record(loss(tt, samples), brute_loss(tt.cores, samples))
         k = int(rng.integers(0, L))
-        gl = cache.left_gram(k)
-        gr = cache.right_gram(k + 1)
-        record(gl, brute_left_gram(tt.cores, k))
-        record(gr, brute_right_gram(tt.cores, k + 1))
+        for j in range(k):
+            cache.refresh_left(j)
+        gl = cache._left_gram[k][0]
+        gr = cache._right_gram[k + 1][0]
+        record(gl, brute_prefix_gram(tt.cores, k))
+        record(gr, brute_suffix_gram(tt.cores, k + 1))
         denom = np.stack([gl @ tt.cores[k][s] @ gr.T for s in range(4)])
         record(denom, brute_update_denom(tt.cores, k))
-        record(cache.right_sums(k + 1), brute_right_sums(tt.cores, samples, k + 1))
-        record(cache.data_term(k)[0], brute_update_numer(tt.cores, samples, k))
+        # the stores' own layouts: the right grid at k + 1 and core k's bond-major matrix
+        grid = brute_right_grid(tt.cores, samples, k + 1)
+        record(cache._right[k + 1][0].reshape(grid.shape), grid)
+        record(cache._terms(k)[0][0], matricized(brute_update_numer(tt.cores, samples, k))[0])
     report(3, worst <= 1e-10, f"20 instances, worst relative deviation {worst:.2e}")
 
 

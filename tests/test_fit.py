@@ -8,12 +8,9 @@ import numpy as np
 import pytest
 
 from oracles import (
-    brute_left_gram,
-    brute_left_overlaps,
+    assert_cache_matches_oracles,
     brute_loss,
-    brute_right_gram,
     brute_right_grid,
-    brute_right_sums,
     brute_update_denom,
     brute_update_numer,
     dense_tt_vector,
@@ -50,6 +47,14 @@ def _random_instance(L, bond_dim, n, seed):
     return tt, samples
 
 
+def _cache_with_left_to(tt, samples, k):
+    """A fresh cache with its left side refreshed up to position k, as ``update_core(k)`` needs."""
+    cache = EnvCache(tt, samples)
+    for j in range(k):
+        cache.refresh_left(j)
+    return cache
+
+
 def test_bond_profile_frozen():
     assert bond_profile(4, 10) == (1, 4, 10, 4, 1)
     assert bond_profile(2, 5) == (1, 4, 1)
@@ -71,38 +76,37 @@ def test_init_tt_deterministic_and_positive():
 @pytest.mark.parametrize("L,bond_dim", [(1, 1), (2, 2), (3, 3), (4, 2)])
 def test_cache_matches_brute_force_everywhere(L, bond_dim):
     tt, samples = _random_instance(L, bond_dim, 200, seed=10 * L + bond_dim)
-    cache = EnvCache(tt, samples)
-    for p in range(L + 1):
-        assert np.allclose(cache.left_gram(p), brute_left_gram(tt.cores, p), rtol=1e-12, atol=1e-14)
-        assert np.allclose(cache.right_gram(p), brute_right_gram(tt.cores, p), rtol=1e-12, atol=1e-14)
-        assert np.allclose(
-            cache.left_overlaps(p), brute_left_overlaps(tt.cores, samples, p), rtol=1e-12, atol=1e-14
-        )
-        assert np.allclose(
-            cache.right_sums(p), brute_right_sums(tt.cores, samples, p), rtol=1e-12, atol=1e-14
-        )
+    cache = _cache_with_left_to(tt, samples, L)
+    assert cache.stored_left_overlap_positions == cache.stored_right_overlap_positions
+    assert_cache_matches_oracles(cache, samples, rtol=1e-12, atol=1e-14)
 
 
 def test_cache_invalidation_tracks_core_changes():
     tt, samples = _random_instance(4, 3, 100, seed=21)
-    cache = EnvCache(tt, samples)
+    cache = _cache_with_left_to(tt, samples, 4)
+    # a core index outside 0..L-1 fails the left check (k < 0) or the right one (k = L)
+    for k in (-1, 4):
+        with pytest.raises(IndexError):
+            update_core(tt, cache, samples, k)
     tt.cores[2][:] *= 1.7
     cache.note_core_changed(2)
     assert cache.stored_left_overlap_positions == [0, 1, 2]
     assert cache.stored_right_overlap_positions == [3, 4]
+    # core 3 reads left position 3, core 1 right position 2; both are invalid now
+    for k in (3, 1):
+        with pytest.raises(IndexError):
+            update_core(tt, cache, samples, k)
     with pytest.raises(IndexError):
-        cache.left_gram(3)
+        cache.refresh_left(3)
     with pytest.raises(IndexError):
-        cache.right_gram(2)
+        cache.refresh_right(1)
     # still-valid reads are unaffected and match brute force on the new cores
-    assert np.allclose(cache.left_gram(2), brute_left_gram(tt.cores, 2), rtol=1e-12)
+    assert_cache_matches_oracles(cache, samples, rtol=1e-12, atol=1e-14)
     cache.refresh_left(2)
-    assert np.allclose(cache.left_gram(3), brute_left_gram(tt.cores, 3), rtol=1e-12)
-    assert np.allclose(
-        cache.left_overlaps(3), brute_left_overlaps(tt.cores, samples, 3), rtol=1e-12
-    )
     cache.refresh_right(2)
-    assert np.allclose(cache.right_gram(2), brute_right_gram(tt.cores, 2), rtol=1e-12)
+    assert cache.stored_left_overlap_positions == [0, 1, 2, 3]
+    assert cache.stored_right_overlap_positions == [2, 3, 4]
+    assert_cache_matches_oracles(cache, samples, rtol=1e-12, atol=1e-14)
 
 
 def test_cache_stays_coherent_through_a_sweep():
@@ -112,16 +116,7 @@ def test_cache_stays_coherent_through_a_sweep():
 
     def check(k):
         seen.append(k)
-        for p in cache.stored_left_overlap_positions:
-            assert np.allclose(cache.left_gram(p), brute_left_gram(tt.cores, p), rtol=1e-10)
-            assert np.allclose(
-                cache.left_overlaps(p), brute_left_overlaps(tt.cores, samples, p), rtol=1e-10
-            )
-        for p in cache.stored_right_overlap_positions:
-            assert np.allclose(cache.right_gram(p), brute_right_gram(tt.cores, p), rtol=1e-10)
-            assert np.allclose(
-                cache.right_sums(p), brute_right_sums(tt.cores, samples, p), rtol=1e-10
-            )
+        assert_cache_matches_oracles(cache, samples, rtol=1e-10, atol=1e-14)
 
     sweep(tt, cache, samples, eps=1e-16, on_update=check)
     assert seen == [0, 1, 2, 1]
@@ -134,7 +129,7 @@ def test_update_matches_brute_force_factors():
         numer = brute_update_numer(tt.cores, samples, k)
         denom = brute_update_denom(tt.cores, k)
         expected = tt.cores[k] * numer / (denom + 1e-16)
-        cache = EnvCache(tt, samples)
+        cache = _cache_with_left_to(tt, samples, k)
         update_core(tt, cache, samples, k, eps=1e-16)
         assert np.allclose(tt.cores[k], expected, rtol=1e-10, atol=1e-14)
 
@@ -143,7 +138,7 @@ def test_update_never_increases_loss():
     for seed in range(8):
         tt, samples = _random_instance(3, 3, 80, seed=70 + seed)
         before = loss(tt, samples)
-        cache = EnvCache(tt, samples)
+        cache = _cache_with_left_to(tt, samples, seed % 3)
         update_core(tt, cache, samples, seed % 3, eps=1e-16)
         after = loss(tt, samples)
         assert after <= before + 1e-9
@@ -228,7 +223,7 @@ def test_update_rejects_a_train_other_than_the_caches():
     with pytest.raises(ValidationError, match="the train its cache was built on"):
         update_core(other, cache, samples, 1)
     assert all(np.array_equal(a, b) for a, b in zip(other.cores, tt.cores))
-    assert cache.stored_left_overlap_positions == [0, 1, 2, 3]
+    assert cache.stored_left_overlap_positions == [0]
     assert cache.stored_right_overlap_positions == [0, 1, 2, 3]
 
 
@@ -240,7 +235,7 @@ def test_update_preserves_zero_support():
     assert np.all(tt.cores[0][1, 0, :] == 0.0)
     # a core that is zero everywhere has a zero model term; it stays zero
     tt.cores[1][:] = 0.0
-    update_core(tt, EnvCache(tt, samples), samples, 1, eps=1e-16)
+    update_core(tt, _cache_with_left_to(tt, samples, 1), samples, 1, eps=1e-16)
     assert np.all(tt.cores[1] == 0.0)
 
 
@@ -262,14 +257,13 @@ def test_long_chain_sample_set_and_overlaps():
         doubled = np.concatenate([strings[:1], strings[:-1]])
         SampleSet(L=L, total=int(counts.sum()), strings=doubled, counts=counts)
     tt = init_tt(L, 3, seed=41)
-    cache = EnvCache(tt, samples)
+    cache = _cache_with_left_to(tt, samples, L)
     for p in range(L + 1):
-        left = cache.left_overlaps(p)
-        for row, string in enumerate(strings):
-            assert np.allclose(left[row], prefix_vector(tt.cores, string, p), rtol=1e-12)
-        assert np.allclose(
-            cache.right_sums(p), brute_right_sums(tt.cores, samples, p), rtol=1e-12
-        )
+        # each run's left environment is that of its first string
+        for env, start in zip(cache._left_env[p][0], samples.runs.prefix_starts[p]):
+            assert np.allclose(env, prefix_vector(tt.cores, strings[start], p), rtol=1e-12)
+        grid = brute_right_grid(tt.cores, samples, p)
+        assert np.allclose(cache._right[p][0].reshape(grid.shape), grid, rtol=1e-12)
 
 
 def test_single_site_update_lands_on_frequencies():
@@ -312,6 +306,17 @@ def test_loss_matches_brute_force():
 def test_cache_loss_on_a_fresh_cache_matches_brute_force(L):
     tt, samples = _random_instance(L, 3, 300, seed=190 + L)
     assert EnvCache(tt, samples).losses()[0] == pytest.approx(brute_loss(tt.cores, samples), rel=1e-12)
+
+
+def test_a_fresh_cache_holds_left_position_zero_and_the_whole_right_side():
+    tt, samples = _random_instance(4, 3, 200, seed=196)
+    cache = EnvCache(tt, samples)
+    assert cache.stored_left_overlap_positions == [0]
+    assert cache.stored_right_overlap_positions == [0, 1, 2, 3, 4]
+    assert_cache_matches_oracles(cache, samples, rtol=1e-12, atol=1e-14)
+    # loss() reads a fresh cache; a fully refreshed left side does not change it
+    full = _cache_with_left_to(tt, samples, 4)
+    assert loss(tt, samples) == full.losses()[0]
 
 
 def test_cache_losses_need_left_position_zero_and_right_position_one():
@@ -462,9 +467,8 @@ def test_long_chains_fit_without_collapse(L):
 
     def record(k):
         # the loss after the update at k, from that update's quadratic form
-        core = tt.cores[k]
-        self_term = np.sum(core * cache.model_term(k))
-        values.append(float(self_term - 2.0 * np.sum(core * cache.data_term(k))))
+        numer, denom, mat = cache._terms(k)
+        values.append(float(np.sum(mat * (denom - 2.0 * numer))))
 
     for _ in range(10):
         sweep(tt, cache, samples, on_update=record)
@@ -517,6 +521,14 @@ def test_fit_config_validation():
         FitConfig(stop_rtol=-1.0)
     with pytest.raises(ValidationError):
         FitConfig(seed=-1)
+    # a count that is not an integer is named, not left to crash the fit
+    counts = {"max_sweeps": 5.0, "bond_dim": 2.5, "trials": 2.0, "stop_window": 2.5, "seed": 1.5}
+    for name, bad in counts.items():
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            FitConfig(**{name: bad})
+    # numpy integers are counts too, unsigned ones included
+    config = FitConfig(bond_dim=np.int64(3), max_sweeps=np.int32(2), trials=np.uint8(2))
+    assert [t.sweeps_run for t in fit(_random_instance(2, 3, 50, seed=5)[1], config).trials] == [2, 2]
     for bad in (float("nan"), float("inf"), 0.0, -1e-16):
         with pytest.raises(ValidationError):
             FitConfig(eps=bad)

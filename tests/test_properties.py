@@ -25,12 +25,9 @@ from hypothesis import strategies as st
 
 from oracles import (
     all_strings,
-    brute_left_gram,
-    brute_left_overlaps,
+    assert_cache_matches_oracles,
     brute_loss,
-    brute_right_gram,
     brute_right_grid,
-    brute_right_sums,
     brute_update_denom,
     brute_update_numer,
     public_call_trial,
@@ -92,25 +89,8 @@ def _valid_ops(cache, L):
 
 
 def _check_cache(cache, tt, samples):
-    left = cache.stored_left_overlap_positions
-    right = cache.stored_right_overlap_positions
-    for p in left:
-        assert np.allclose(cache.left_gram(p), brute_left_gram(tt.cores, p), rtol=1e-12, atol=0)
-        assert np.allclose(
-            cache.left_overlaps(p), brute_left_overlaps(tt.cores, samples, p), rtol=1e-12, atol=0
-        )
-    for p in right:
-        assert np.allclose(cache.right_gram(p), brute_right_gram(tt.cores, p), rtol=1e-12, atol=0)
-        assert np.allclose(
-            cache.right_sums(p), brute_right_sums(tt.cores, samples, p), rtol=1e-12, atol=0
-        )
-    for k in range(tt.length):
-        if k in left and k + 1 in right:
-            numer = brute_update_numer(tt.cores, samples, k)
-            denom = brute_update_denom(tt.cores, k)
-            assert np.allclose(cache.data_term(k)[0], numer, rtol=1e-12, atol=0)
-            assert np.allclose(cache.model_term(k)[0], denom, rtol=1e-12, atol=0)
-    if 1 in right:
+    assert_cache_matches_oracles(cache, samples, rtol=1e-12, atol=0)
+    if 1 in cache.stored_right_overlap_positions:
         assert np.isclose(cache.losses()[0], brute_loss(tt.cores, samples), rtol=1e-12, atol=1e-14)
 
 
