@@ -25,7 +25,7 @@ import numpy as np
 
 from .density import diagnose, reconstruct
 from .errors import DataFormatError, DegenerateFitError, TomoError, ValidationError
-from .fitting import FitConfig, fit, map_jobs
+from .fitting import FitConfig, check_jobs, fit, map_jobs
 from .metrics import classical_fidelity, quantum_fidelity
 from .networks import TTDistribution
 from .povm import tetrahedral_povm
@@ -50,15 +50,12 @@ _POINT_SEED_STRIDE = 10007
 
 
 @dataclass(frozen=True)
-class ExperimentConfig(FitConfig):
-    """Desk-scale defaults for the full pipeline. The fit settings and their checks
-    are ``FitConfig``'s, so building a config checks them; only the seed default differs.
-    The sample counts and ``jobs`` are checked at build time too."""
+class ExperimentConfig(XxzParams, FitConfig):
+    """Desk-scale defaults for the full pipeline: the target's ``XxzParams``, the fit's
+    ``FitConfig`` and the run's own settings, each declared once and checked when a config
+    is built; only L, p and seed change their bases' defaults. Size guards run later."""
 
     L: int = 4
-    J: float = 1.0
-    gamma: float = 1.0
-    h: float = 1.0
     p: float = 0.6
     train: int = 1_000_000
     test: int = 1_000_000
@@ -77,11 +74,22 @@ class ExperimentConfig(FitConfig):
     n_max: int = 10_000_000
 
     def __post_init__(self) -> None:
-        super().__post_init__()
+        FitConfig.__post_init__(self)  # first: its integer check covers every int field
+        XxzParams.__post_init__(self)
         check_sample_count(self.train)
         check_sample_count(self.test)
-        if self.jobs < 1:
-            raise ValidationError(f"jobs must be >= 1, got {self.jobs}")
+        check_jobs(self.jobs)
+        check_mpo_tol(self.mpo_tol)
+        for axis in _AXIS_FIELDS:
+            if getattr(self, axis) is not None and len(getattr(self, axis)) == 0:
+                raise ValidationError(f"scan axis '{axis}' is empty")
+        if self.min_n_search and not (
+            np.isfinite(self.ic_target) and self.ic_target > 0.0 and 1 <= self.n_start <= self.n_max
+        ):
+            raise ValidationError(
+                "the minimum-N search needs a finite ic_target > 0 and 1 <= n_start <= n_max, got "
+                f"ic_target={self.ic_target}, n_start={self.n_start}, n_max={self.n_max}"
+            )
 
 
 def _parse_bool(text: str) -> bool:
@@ -199,9 +207,8 @@ def _read_snapshot(cfg: ExperimentConfig, snapshot) -> tuple:
 
 def _target(cfg: ExperimentConfig) -> tuple:
     """The target density of ``cfg`` and its exact outcome distribution."""
-    params = XxzParams(**{f.name: getattr(cfg, f.name) for f in fields(XxzParams)})
     check_outcome_sites(cfg.L)  # before the dense target, which costs minutes and GBs above it
-    rho = synth_target(params)
+    rho = synth_target(cfg)
     return rho, exact_outcome_distribution(rho, tetrahedral_povm())
 
 
@@ -214,7 +221,6 @@ def _datasets(cfg: ExperimentConfig, dist) -> tuple:
 
 def cmd_synth(cfg: ExperimentConfig) -> int:
     """Synthesize the target state, its operator chain, and exact distribution."""
-    check_mpo_tol(cfg.mpo_tol)  # before the dense target, like the outcome guard
     rho, dist = _target(cfg)
     mpo = density_to_mpo(rho, cfg.mpo_tol)
     out = _snapshot_dir(cfg)
@@ -346,24 +352,14 @@ def cmd_evaluate(cfg: ExperimentConfig, tt, snapshot, data) -> int:
 
 
 def _scan_grid(cfg: ExperimentConfig) -> list:
-    """The config field overrides of every grid point, checked before any point runs."""
-    axes = []
-    for axis, targets in _AXIS_FIELDS.items():
-        values = getattr(cfg, axis)
-        if values is None:
-            continue
-        if len(values) == 0:
-            raise ValidationError(f"scan axis '{axis}' is empty")
-        axes.append([dict.fromkeys(targets, value) for value in values])
+    """The config field overrides of every grid point."""
+    axes = [
+        [dict.fromkeys(targets, value) for value in getattr(cfg, axis)]
+        for axis, targets in _AXIS_FIELDS.items()
+        if getattr(cfg, axis) is not None
+    ]
     if not axes and not cfg.min_n_search:
         raise ValidationError("scan requires at least one axis (or the minimum-N search)")
-    if cfg.min_n_search and not (
-        np.isfinite(cfg.ic_target) and cfg.ic_target > 0.0 and 1 <= cfg.n_start <= cfg.n_max
-    ):
-        raise ValidationError(
-            "the minimum-N search needs a finite ic_target > 0 and 1 <= n_start <= n_max, got "
-            f"ic_target={cfg.ic_target}, n_start={cfg.n_start}, n_max={cfg.n_max}"
-        )
     return [
         {name: value for part in combo for name, value in part.items()}
         for combo in itertools.product(*axes)

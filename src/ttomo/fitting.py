@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -92,7 +92,8 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("bond_dim", "max_sweeps", "stop_window", "trials", "seed"):
+        # Every int-annotated field, a subclass's too; the annotation may be a string.
+        for name in (f.name for f in fields(self) if f.type in ("int", int)):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
@@ -506,13 +507,20 @@ def trial_blocks(trials: int, bond_dim: int, width: int, jobs: int = 1) -> list:
     return [range(bounds[b], bounds[b + 1]) for b in range(count)]
 
 
+def check_jobs(jobs) -> None:
+    """Raise ``ValidationError`` unless ``jobs`` is a positive integer."""
+    if not isinstance(jobs, (int, np.integer)):
+        raise ValidationError(f"jobs must be an integer, got {jobs!r}")
+    if jobs < 1:
+        raise ValidationError(f"jobs must be >= 1, got {jobs}")
+
+
 def map_jobs(fn, tasks: list, jobs: int) -> list:
     """``[fn(*task) for task in tasks]``, in ``jobs`` worker processes when ``jobs > 1``.
 
     Results come back in task order either way.
     """
-    if jobs < 1:
-        raise ValidationError(f"jobs must be >= 1, got {jobs}")
+    check_jobs(jobs)
     if jobs == 1 or len(tasks) <= 1:
         return [fn(*task) for task in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -527,6 +535,7 @@ def fit(samples: SampleSet, config: FitConfig, jobs: int = 1) -> FitResult:
     arithmetic does not depend on its block, so the results, collected in
     trial order, are the same for any block plan and any ``jobs``.
     """
+    check_jobs(jobs)
     width = max(4 * starts.size for starts in samples.runs.prefix_starts[:-1])
     blocks = trial_blocks(config.trials, config.bond_dim, width, jobs)
     tasks = [(samples, config, block) for block in blocks]

@@ -129,7 +129,7 @@ class TTDistribution:
             raise ValidationError(
                 f"strings shape {strings.shape} does not match length {self.length}"
             )
-        if not np.isin(strings, np.arange(4)).all():
+        if strings.dtype.kind not in "iu" or not np.isin(strings, np.arange(4)).all():
             raise ValidationError("string symbols must be the integers 0..3")
         order = np.lexsort(strings.T[::-1])
         runs = RunIndex(strings[order])

@@ -46,18 +46,22 @@ class SampleSet:
     source: str = "-"
 
     def __post_init__(self) -> None:
-        strings = np.ascontiguousarray(np.asarray(self.strings, dtype=np.uint8))
-        counts = np.ascontiguousarray(np.asarray(self.counts, dtype=np.int64))
+        # checked before the casts, which would wrap, truncate or overflow a bad entry
+        strings, counts = np.asarray(self.strings), np.asarray(self.counts)
+        if strings.size and not (
+            strings.dtype.kind in "iu" and strings.min() >= 0 and strings.max() <= 3
+        ):
+            raise ValidationError("strings contain symbols outside 0..3")
+        if counts.size and not (counts.dtype.kind in "iu" and counts.min() >= 1):
+            raise ValidationError("multiplicities must be positive")
+        strings = np.ascontiguousarray(strings, dtype=np.uint8)
+        counts = np.ascontiguousarray(counts, dtype=np.int64)
         object.__setattr__(self, "strings", strings)
         object.__setattr__(self, "counts", counts)
         if strings.ndim != 2 or strings.shape[1] != self.L:
             raise ValidationError(f"strings shape {strings.shape} does not match L={self.L}")
         if counts.shape != (strings.shape[0],):
             raise ValidationError("counts and strings lengths differ")
-        if strings.size and strings.max() > 3:
-            raise ValidationError("strings contain symbols outside 0..3")
-        if counts.size and counts.min() < 1:
-            raise ValidationError("multiplicities must be positive")
         if int(counts.sum()) != self.total:
             raise ValidationError(
                 f"multiplicities sum to {int(counts.sum())}, recorded total is {self.total}"

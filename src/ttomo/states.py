@@ -45,8 +45,9 @@ class XxzParams:
     p: float = 0.0
 
     def __post_init__(self) -> None:
-        if int(self.L) != self.L or self.L < 2:
-            raise ValidationError(f"chain length must be an integer >= 2, got {self.L}")
+        if not isinstance(self.L, (int, np.integer)) or self.L < 2:
+            raise ValidationError(f"chain length must be an integer >= 2, got {self.L!r}")
+        object.__setattr__(self, "L", int(self.L))
         for name in ("J", "gamma", "h"):
             if not np.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")

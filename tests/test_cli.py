@@ -19,7 +19,7 @@ import pytest
 
 import ttomo.cli
 from ttomo.cli import ExperimentConfig, build_config, build_parser, load_config_file, main
-from ttomo.errors import CapacityError, DataFormatError
+from ttomo.errors import CapacityError, DataFormatError, ValidationError
 from ttomo.fitting import FitResult, TrialResult
 from ttomo.networks import TTDistribution
 from ttomo.sampling import SampleSet, sample_dataset, save_samples
@@ -205,7 +205,16 @@ _BAD_RUN_SETTINGS = {
 }
 
 
-def _exits_before_writing(tmp_path, finished_run, capsys, command, flag, value, message):
+# The target's settings (XxzParams and the truncation tolerance), likewise.
+_BAD_TARGET_SETTINGS = {
+    "p": ("2", "depolarizing strength must lie in [0, 1], got 2.0"),
+    "gamma": ("nan", "gamma must be finite, got nan"),
+    "L": ("1", "chain length must be an integer >= 2, got 1"),
+    "mpo-tol": ("nan", "truncation tolerance must be finite and >= 0, got nan"),
+}
+
+
+def _exits_before_writing(tmp_path, finished_run, capsys, command, settings, message):
     # every command is pointed at complete inputs, so only the config check stops it
     target, data = finished_run / "target", finished_run / "data"
     inputs = {
@@ -216,7 +225,7 @@ def _exits_before_writing(tmp_path, finished_run, capsys, command, flag, value, 
         "scan": ["--scan-p", "0.5"],
     }
     out = tmp_path / "out"
-    argv = [command, "--L", "2", "--outdir", out, f"--{flag}={value}", *inputs.get(command, [])]
+    argv = [command, "--L", "2", "--outdir", out, *settings, *inputs.get(command, [])]
     assert main([str(arg) for arg in argv]) == 1
     assert capsys.readouterr().err == f"ttomo: error: {message}\n"
     assert not out.exists()
@@ -227,7 +236,8 @@ def _exits_before_writing(tmp_path, finished_run, capsys, command, flag, value, 
 def test_a_bad_fit_setting_exits_before_the_command_writes_anything(
     tmp_path, finished_run, capsys, flag, command
 ):
-    _exits_before_writing(tmp_path, finished_run, capsys, command, flag, *_BAD_FIT_SETTINGS[flag])
+    value, message = _BAD_FIT_SETTINGS[flag]
+    _exits_before_writing(tmp_path, finished_run, capsys, command, [f"--{flag}={value}"], message)
 
 
 @pytest.mark.parametrize("command", ["synth", "sample", "fit", "evaluate", "scan"])
@@ -235,7 +245,37 @@ def test_a_bad_fit_setting_exits_before_the_command_writes_anything(
 def test_a_bad_count_or_job_setting_exits_before_the_command_writes_anything(
     tmp_path, finished_run, capsys, flag, command
 ):
-    _exits_before_writing(tmp_path, finished_run, capsys, command, flag, *_BAD_RUN_SETTINGS[flag])
+    value, message = _BAD_RUN_SETTINGS[flag]
+    _exits_before_writing(tmp_path, finished_run, capsys, command, [f"--{flag}={value}"], message)
+
+
+@pytest.mark.parametrize("command", ["synth", "sample", "fit", "evaluate", "scan"])
+@pytest.mark.parametrize("flag", list(_BAD_TARGET_SETTINGS))
+def test_a_bad_target_setting_exits_before_the_command_writes_anything(
+    tmp_path, finished_run, capsys, flag, command
+):
+    value, message = _BAD_TARGET_SETTINGS[flag]
+    _exits_before_writing(tmp_path, finished_run, capsys, command, [f"--{flag}={value}"], message)
+
+
+@pytest.mark.parametrize("command", ["synth", "fit"])
+def test_a_min_n_search_that_cannot_meet_its_target_exits_before_any_command_writes(
+    tmp_path, finished_run, capsys, command
+):
+    message = (
+        "the minimum-N search needs a finite ic_target > 0 and 1 <= n_start <= n_max, got "
+        "ic_target=0.0, n_start=1000, n_max=10000000"
+    )
+    settings = ["--min-n-search", "true", "--ic-target", "0"]
+    _exits_before_writing(tmp_path, finished_run, capsys, command, settings, message)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(ExperimentConfig) if f.type == "int"])
+def test_a_non_integer_value_of_an_integer_field_is_rejected_when_the_config_is_built(name):
+    default = getattr(ExperimentConfig(), name)
+    for bad in (float(default), default + 0.5):
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got {bad!r}$"):
+            ExperimentConfig(**{name: bad})
 
 
 def test_negative_seed_exits_with_a_validation_error(tmp_path, small_cfg, capsys):

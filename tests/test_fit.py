@@ -538,3 +538,19 @@ def test_fit_config_validation():
     for bad in (0, -1):
         with pytest.raises(ValidationError):
             map_jobs(abs, [(1,), (2,)], bad)
+
+
+@pytest.mark.parametrize(
+    "jobs, message",
+    [(2.0, "jobs must be an integer, got 2.0"), ("2", "jobs must be an integer, got '2'"),
+     (0, "jobs must be >= 1, got 0"), (-1, "jobs must be >= 1, got -1")],
+    ids=["float", "str", "zero", "negative"],
+)
+def test_fit_rejects_a_bad_job_count_before_planning_blocks(monkeypatch, jobs, message):
+    def unreachable(*args):
+        raise AssertionError("a block was planned")
+
+    monkeypatch.setattr(ttomo.fitting, "trial_blocks", unreachable)
+    samples = SampleSet(L=1, total=4, strings=[[0], [1], [2]], counts=[2, 1, 1])
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        fit(samples, FitConfig(bond_dim=1, max_sweeps=2, trials=2), jobs=jobs)

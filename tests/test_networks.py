@@ -60,8 +60,9 @@ def test_tt_evaluate_single_string():
     assert tt.evaluate(string)[0] == pytest.approx(expected[0, 0], rel=1e-14)
 
 
-@pytest.mark.parametrize("bad", [4, -1, 0.5, np.nan])
+@pytest.mark.parametrize("bad", [4, -1, 0.5, np.nan, 1.0])
 def test_tt_evaluate_rejects_symbols_outside_0_to_3(bad):
+    # a float array is rejected even where its values are 0..3
     tt = TTDistribution(random_tt_cores(2, 2, np.random.default_rng(4)))
     with pytest.raises(ValidationError, match="symbols must be the integers 0..3"):
         tt.evaluate(np.array([[bad, 0], [0, 0]]))

@@ -137,6 +137,30 @@ def test_sampleset_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "strings, counts, message",
+    [
+        # uint8 would wrap 256 to 0, truncate 1.7 to 1, and overflow on -1
+        ([[256, 0], [256, 1]], [1, 1], "strings contain symbols outside 0..3"),
+        ([[1.7, 2.2]], [1], "strings contain symbols outside 0..3"),
+        ([[1.0, 2.0]], [1], "strings contain symbols outside 0..3"),
+        ([[-1, 0]], [1], "strings contain symbols outside 0..3"),
+        ([[0, 1]], [1.5], "multiplicities must be positive"),
+        ([[0, 1]], [1.0], "multiplicities must be positive"),
+    ],
+    ids=["wraps", "truncates", "float-valued", "overflows", "fractional-count", "float-count"],
+)
+def test_sampleset_checks_its_arrays_before_casting_them(strings, counts, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        SampleSet(L=2, total=1 if len(strings) == 1 else 2, strings=strings, counts=counts)
+
+
+def test_an_empty_sampleset_of_any_dtype_is_valid():
+    samples = SampleSet(L=2, total=0, strings=np.zeros((0, 2)), counts=[])
+    assert samples.n_distinct == 0
+    assert samples.strings.dtype == np.uint8 and samples.counts.dtype == np.int64
+
+
 def test_save_load_roundtrip(tmp_path):
     samples = sample_dataset(_uniform_dist(3), 12345, seed=13, stream=1, source="test")
     path = tmp_path / "x.samples"

@@ -33,6 +33,14 @@ def _assert_hermitian_unit_trace(rho):
 def test_params_validation():
     with pytest.raises(ValidationError):
         XxzParams(L=1)
+    # an integer-valued float would reach the bit arithmetic of the Hamiltonian
+    for bad in (4.0, 3.5, "4", None):
+        with pytest.raises(ValidationError, match="chain length must be an integer >= 2"):
+            XxzParams(L=bad)
+    # numpy integers are lengths too, and are stored as ints
+    for good in (np.int64(3), np.uint8(3)):
+        params = XxzParams(L=good)
+        assert type(params.L) is int and params.L == 3
     with pytest.raises(ValidationError):
         XxzParams(L=3, p=1.5)
     with pytest.raises(ValidationError):
