@@ -1,4 +1,7 @@
-"""Exception types raised by this package, with their process exit codes."""
+"""Exception types raised by this package, with their process exit codes,
+and the integer check that raises one."""
+
+import numpy as np
 
 
 class TomoError(Exception):
@@ -41,3 +44,11 @@ class IntegrityError(TomoError):
     """Inputs that must be mutually consistent are not."""
 
     exit_code = 1
+
+
+def check_integer(name: str, value) -> int:
+    """``value`` as a plain int; ValidationError naming ``name`` unless it is a
+    Python or numpy integer (numpy's unsigned ones wrap in arithmetic)."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)

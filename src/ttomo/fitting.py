@@ -59,7 +59,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, check_integer
 from .networks import TTDistribution, extend_left, matricized
 from .sampling import SampleSet
 
@@ -94,10 +94,7 @@ class FitConfig:
     def __post_init__(self) -> None:
         # Every int-annotated field, a subclass's too; the annotation may be a string.
         for name in (f.name for f in fields(self) if f.type in ("int", int)):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # numpy's unsigned ones wrap in arithmetic
+            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         if self.bond_dim < 1:
             raise ValidationError(f"bond dimension must be >= 1, got {self.bond_dim}")
         if self.max_sweeps < 1:
@@ -129,10 +126,15 @@ def init_tt(L: int, bond_dim: int, seed: int) -> TTDistribution:
     Entries are uniform on (0, 1); a strictly positive start keeps the
     multiplicative updates from freezing entries at zero from the outset.
     """
+    L = check_integer("L", L)
+    bond_dim = check_integer("bond_dim", bond_dim)
+    seed = check_integer("seed", seed)
     if L < 1:
         raise ValidationError(f"length must be >= 1, got {L}")
     if bond_dim < 1:
         raise ValidationError(f"bond dimension must be >= 1, got {bond_dim}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     dims = bond_profile(L, bond_dim)
     rng = np.random.default_rng(seed)
     cores = [rng.random((4, dims[p], dims[p + 1])) for p in range(L)]
@@ -509,9 +511,7 @@ def trial_blocks(trials: int, bond_dim: int, width: int, jobs: int = 1) -> list:
 
 def check_jobs(jobs) -> None:
     """Raise ``ValidationError`` unless ``jobs`` is a positive integer."""
-    if not isinstance(jobs, (int, np.integer)):
-        raise ValidationError(f"jobs must be an integer, got {jobs!r}")
-    if jobs < 1:
+    if check_integer("jobs", jobs) < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
 
 

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_integer
 from .networks import RunIndex, _first_differences
 from .storage import fail, read_header, read_lines, write_lines
 
@@ -133,8 +134,10 @@ def sample_dataset(
         raise ValidationError("distribution has non-finite entries")
     L = _num_sites_from_size(dist.size)
     check_sample_count(n)
-    if seed < 0:
+    if check_integer("seed", seed) < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
+    if check_integer("stream", stream) < 0:
+        raise ValidationError(f"stream must be >= 0, got {stream}")
     if dist.min() < -1e-12:
         raise ValidationError(f"distribution has negative mass {dist.min():.3e}")
     dist = np.clip(dist, 0.0, None)
@@ -172,11 +175,16 @@ def save_samples(sset: SampleSet, path) -> None:
         "stream": sset.stream,
         "source": sset.source or "-",
     }
-    body = (
-        "".join(str(int(d)) for d in row) + f" {int(count)}"
-        for row, count in zip(sset.strings, sset.counts)
-    )
-    write_lines(path, _MAGIC, header, body)
+    # A row per record: its symbols, a space, its count's digits padded with zero bytes,
+    # and a newline. Dropping the zero bytes leaves the records back to back.
+    rows = np.zeros((sset.n_distinct, sset.L + 21), dtype=np.uint8)
+    rows[:, : sset.L] = sset.strings + ord("0")
+    rows[:, sset.L] = ord(" ")
+    rows[:, sset.L + 1 : -1] = sset.counts.astype("S19").view(np.uint8).reshape(-1, 19)
+    rows[:, -1] = ord("\n")
+    records = rows[rows > 0].tobytes().decode("ascii")
+    # write_lines ends the last line itself
+    write_lines(path, _MAGIC, header, [records[:-1]] if records else [])
 
 
 def _positive_int(text: str) -> int:
@@ -196,34 +204,101 @@ _HEADER_PARSERS = {
 }
 
 
+# The ASCII bytes str.split() separates tokens at.
+_SPACE = np.array([chr(b).isspace() for b in range(128)])
+
+
+def _tokens(lines: list) -> tuple:
+    """Bytes of ``lines`` (each after a newline), the [start, end) offsets of
+    their whitespace-separated tokens, as ``str.split`` finds them, and the
+    number of tokens on each line."""
+    data = np.frombuffer("\n".join(["", *lines, ""]).encode("ascii"), dtype=np.uint8)
+    edges = np.flatnonzero(np.diff(_SPACE[data])) + 1
+    starts, ends = edges[0::2], edges[1::2]
+    return data, starts, ends, np.diff(np.searchsorted(starts, np.flatnonzero(data == 10)))
+
+
+def _inside(starts: np.ndarray, ends: np.ndarray, size: int) -> np.ndarray:
+    """Mask of the ``size`` bytes that lie in one of the disjoint [start, end) spans."""
+    edges = np.zeros(size + 1, dtype=np.int8)
+    edges[starts] = 1
+    edges[ends] = -1
+    return np.cumsum(edges[:-1], dtype=np.int8) > 0
+
+
+def _parse_ints(data: np.ndarray, starts: np.ndarray, ends: np.ndarray, pick: slice) -> tuple:
+    """``int()`` of the tokens ``pick`` selects, as int64, and a mask of the
+    ones ``int()`` rejects or int64 cannot hold."""
+    digit = (data - ord("0")) < 10
+    other = ~(digit | _SPACE[data])  # token bytes that are not digits
+    # int()'s grammar: an optional sign, then digits with single underscores between them
+    under = data == ord("_")
+    stray = other & ~under
+    stray[starts] &= (data[starts] != ord("+")) & (data[starts] != ord("-"))
+    stray[1:-1] |= under[1:-1] & ~(digit[:-2] & digit[2:])  # the first and last bytes are spaces
+    # few tokens hold other bytes than digits: in a valid file, a count's sign and underscores
+    holder = np.searchsorted(starts, np.flatnonzero(other), side="right") - 1
+    n_digits = ends - starts - np.bincount(holder, minlength=starts.size)
+    last = np.cumsum(n_digits)[pick]  # where each token's digits end among all digits
+    n_digits = n_digits[pick]
+    bad = np.logical_or.reduceat(stray, starts)[pick] | (n_digits == 0)
+    limit = sys.get_int_max_str_digits()  # int() refuses more digits; 0 lifts the limit
+    bad |= (n_digits > limit) & (limit > 0)
+    digits = np.append(data[digit] - ord("0"), np.uint8(0))  # the 0 stands in for missing ones
+    magnitude = np.zeros(n_digits.size, dtype=np.uint64)
+    for power in range(19):
+        magnitude += digits[np.where(n_digits > power, last - 1 - power, -1)] * np.uint64(10**power)
+    # a digit before the last 19 overflows int64 unless it is 0
+    long = np.flatnonzero(n_digits > 19)
+    spans = np.column_stack([last[long] - n_digits[long], last[long] - 19]).ravel()
+    bad[long] |= np.logical_or.reduceat(digits > 0, spans)[::2]
+    negative = data[starts[pick]] == ord("-")
+    bad |= magnitude > np.uint64(2**63 - 1) + negative
+    return np.where(negative, -magnitude, magnitude).view(np.int64), bad
+
+
+def _read_records(path, lines: list, lineno: int, L: int) -> tuple:
+    """Symbols (n, L) and counts of the records ``lines``, the first on line ``lineno``."""
+    data, starts, ends, n_tokens = _tokens(lines)
+    # the lines before the first that does not hold two tokens hold the first tokens in pairs
+    pairs = n_tokens == 2
+    n = len(lines) if pairs.all() else int(pairs.argmin())
+    word, count = slice(0, 2 * n, 2), slice(1, 2 * n, 2)
+    top_symbol = np.maximum.reduceat(np.where(_SPACE[data], 0, data - ord("0")), starts)
+    bad_word = (ends[word] - starts[word] != L) | (top_symbol[word] > 3)
+    counts, bad_count = _parse_ints(data, starts, ends, count)
+    bad = bad_word | bad_count
+    if n < len(lines) or bad.any():
+        row = int(bad.argmax()) if bad.any() else n
+        lineno, parts = lineno + row, lines[row].split()
+        if row == n:
+            fail(path, lineno, "expected '<string> <count>'")
+        if bad_word[row]:
+            fail(path, lineno, f"'{parts[0]}' is not a length-{L} string over symbols 0..3")
+        fail(path, lineno, f"bad multiplicity '{parts[1]}'")
+    return (data[_inside(starts[word], ends[word], data.size)] - ord("0")).reshape(-1, L), counts
+
+
+# Records parsed at a time. Small blocks keep the parse's arrays to tens of kB, so that
+# reading a set does not lift the process's peak memory above what the fit needs.
+_BLOCK_LINES = 1024
+
+
 def load_samples(path) -> SampleSet:
     """Read a sample set, validating the format and every invariant."""
     lines = read_lines(path, _MAGIC)
     header = read_header(path, lines, _HEADER_PARSERS)
     L = header["L"]
     body_start = len(header) + 2
-    strings = []
-    counts = []
-    for lineno, line in enumerate(lines[body_start - 1 :], start=body_start):
-        parts = line.split()
-        if len(parts) != 2:
-            fail(path, lineno, "expected '<string> <count>'")
-        word, count_text = parts
-        if len(word) != L or any(ch not in "0123" for ch in word):
-            fail(path, lineno, f"'{word}' is not a length-{L} string over symbols 0..3")
-        try:
-            count = int(count_text)
-        except ValueError:
-            fail(path, lineno, f"bad multiplicity '{count_text}'")
-        strings.append([int(ch) for ch in word])
-        counts.append(count)
-    arr = np.array(strings, dtype=np.uint8).reshape(len(strings), L)
+    # the first line of each block; an empty body is one empty block
+    firsts = range(body_start - 1, len(lines), _BLOCK_LINES) or [body_start - 1]
+    blocks = [_read_records(path, lines[i : i + _BLOCK_LINES], i + 1, L) for i in firsts]
     try:
         return SampleSet(
             L=L,
             total=header["N"],
-            strings=arr,
-            counts=np.array(counts, dtype=np.int64),
+            strings=np.concatenate([strings for strings, _ in blocks]),
+            counts=np.concatenate([counts for _, counts in blocks]),
             seed=header["seed"],
             stream=header["stream"],
             source=header["source"],

@@ -13,8 +13,9 @@ name the offending ``path:lineno``. The tensor container is:
 Core entries are flattened row-major. Trains store one decimal per entry;
 operator chains (physical extent 2x2, flagged by ``kind mpo``) store real and
 imaginary parts as consecutive decimals. Floats are written with ``repr`` so
-reading them back is exact. ``load_array`` reads the snapshot's ``.npy``
-arrays and reports a malformed one as a DataFormatError too.
+reading them back is exact; reading rejects a non-finite entry. ``load_array``
+reads the snapshot's ``.npy`` arrays and reports a malformed one as a
+DataFormatError too.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def save_tensor(path, obj) -> None:
         flat = np.asarray(core).reshape(-1)
         if kind == "mpo":
             flat = np.column_stack([flat.real, flat.imag]).reshape(-1)
-        body.append("core " + " ".join(repr(float(v)) for v in flat))
+        body.append("core " + " ".join(map(repr, flat.astype(float).tolist())))
     bonds = " ".join(str(d) for d in obj.bond_dims)
     write_lines(path, _MAGIC, {"kind": kind, "L": obj.length, "bonds": bonds}, body)
 
@@ -132,9 +133,11 @@ def load_tensor(path):
         if len(parts) - 1 != expected:
             fail(path, lineno, f"core {l} has {len(parts) - 1} entries, expected {expected}")
         try:
-            values = np.array([float(tok) for tok in parts[1:]])
+            values = np.array(parts[1:], dtype=object).astype(float)  # float() of each token
         except ValueError as exc:
             fail(path, lineno, f"bad entry in core {l}: {exc}")
+        if not np.isfinite(values).all():
+            fail(path, lineno, f"core {l} has a non-finite entry")
         if kind == "mpo":
             values = values.reshape(-1, 2)
             core = (values[:, 0] + 1j * values[:, 1]).reshape(2, 2, bonds[l], bonds[l + 1])

@@ -1,8 +1,9 @@
 """Brute-force reference implementations used to cross-check the fast paths.
 
 Everything here enumerates outcome strings or loops over records directly and
-shares no code with the library internals, so agreement is meaningful. Two
-helpers call the library: ``public_call_trial``, the reference for ``fit``'s
+shares no code with the library internals, so agreement is meaningful; the
+text-file references format and parse one record at a time. Two helpers
+call the library: ``public_call_trial``, the reference for ``fit``'s
 batched trial blocks, runs one trial through the public single-train calls,
 and ``assert_cache_matches_oracles`` compares an ``EnvCache``'s stores with
 the oracles laid out as the stores are.
@@ -12,7 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from ttomo.fitting import EnvCache, init_tt, loss, update_core
-from ttomo.networks import matricized
+from ttomo.networks import MpoDensity, matricized
 
 
 def all_strings(L: int) -> np.ndarray:
@@ -282,3 +283,48 @@ def public_call_trial(samples, config, seed):
             if gain <= config.stop_rtol * max(abs(losses[-1]), 1e-300):
                 return tt, np.array(losses), True
     return tt, np.array(losses), False
+
+
+def reference_samples_text(samples) -> str:
+    """A sample file as the per-row formatter writes it."""
+    seed = "-" if samples.seed is None else samples.seed
+    lines = ["ttsamples 1", f"L {samples.L}", f"N {samples.total}", f"seed {seed}"]
+    lines += [f"stream {samples.stream}", f"source {samples.source or '-'}"]
+    for row, count in zip(samples.strings, samples.counts):
+        lines.append("".join(str(int(d)) for d in row) + f" {int(count)}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_samples_body(lines, L, body_start) -> tuple:
+    """The body lines parsed one at a time: ``("ok", strings, counts)``, or
+    ``("error", lineno, message)`` for the first bad line."""
+    strings, counts = [], []
+    for lineno, line in enumerate(lines, start=body_start):
+        parts = line.split()
+        if len(parts) != 2:
+            return "error", lineno, "expected '<string> <count>'"
+        word, count_text = parts
+        if len(word) != L or any(ch not in "0123" for ch in word):
+            return "error", lineno, f"'{word}' is not a length-{L} string over symbols 0..3"
+        try:
+            count = int(count_text)
+        except ValueError:
+            count = None
+        if count is None or not -(2**63) <= count < 2**63:
+            return "error", lineno, f"bad multiplicity '{count_text}'"
+        strings.append([int(ch) for ch in word])
+        counts.append(count)
+    return "ok", np.array(strings, dtype=np.uint8).reshape(len(strings), L), np.array(counts)
+
+
+def reference_tensor_text(chain) -> str:
+    """A tensor file as the per-entry formatter writes it."""
+    kind = "mpo" if isinstance(chain, MpoDensity) else "tt"
+    lines = ["tttensor 1", f"kind {kind}", f"L {chain.length}"]
+    lines.append("bonds " + " ".join(str(d) for d in chain.bond_dims))
+    for core in chain.cores:
+        flat = np.asarray(core).reshape(-1)
+        if kind == "mpo":
+            flat = np.column_stack([flat.real, flat.imag]).reshape(-1)
+        lines.append("core " + " ".join(repr(float(v)) for v in flat))
+    return "\n".join(lines) + "\n"

@@ -169,6 +169,10 @@ def test_exit_codes(tmp_path, small_cfg):
     assert main(["synth", "--config", str(small_cfg), "--p", "1.5"]) == 1
     assert main(["synth", "--config", str(small_cfg), "--L", "15"]) == 2
     assert main(["fit", "--config", str(small_cfg), "--data", str(tmp_path / "nope")]) == 3
+    overflowing = tmp_path / "overflowing.samples"
+    header = "ttsamples 1\nL 3\nN 1\nseed -\nstream 0\nsource -\n"
+    overflowing.write_text(header + "012 99999999999999999999\n")
+    assert main(["fit", "--config", str(small_cfg), "--data", str(overflowing)]) == 3
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense = 1\n")
     assert main(["synth", "--config", str(bad)]) == 3

@@ -73,6 +73,27 @@ def test_init_tt_deterministic_and_positive():
     assert all(core.min() > 0.0 for core in a.cores)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((3.0, 2, 0), "L must be an integer, got 3.0"),
+        ((3, 2.5, 0), "bond_dim must be an integer, got 2.5"),
+        ((3, 2, 0.5), "seed must be an integer, got 0.5"),
+        ((3, 2, -1), "seed must be >= 0, got -1"),
+    ],
+)
+def test_init_tt_rejects_a_non_integer_or_negative_argument(args, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        init_tt(*args)
+
+
+def test_init_tt_accepts_numpy_integers():
+    a = init_tt(np.uint8(8), np.int64(10), np.uint8(3))
+    b = init_tt(8, 10, 3)
+    assert a.bond_dims == b.bond_dims == (1, 4, 10, 10, 10, 10, 10, 4, 1)
+    assert all(np.array_equal(x, y) for x, y in zip(a.cores, b.cores))
+
+
 @pytest.mark.parametrize("L,bond_dim", [(1, 1), (2, 2), (3, 3), (4, 2)])
 def test_cache_matches_brute_force_everywhere(L, bond_dim):
     tt, samples = _random_instance(L, bond_dim, 200, seed=10 * L + bond_dim)

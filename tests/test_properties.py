@@ -13,13 +13,18 @@ rows, and the run index on repeated rows; a sample set's own runs give
 of every string, are checked trial by trial against the public single-train
 calls. The quantum fidelity is checked on pure arguments, under
 rounding-level perturbations and against scipy matrix square roots for d in
-{2, 4, 8, 16}. The profile registered in conftest.py derandomizes the draws
-and caps their number.
+{2, 4, 8, 16}. The text codecs must write the per-record formatter's bytes
+for sample sets of L 1..12 with totals up to 2^63 - 1 and for trains and
+operator chains, read them back exactly, and read respelled, corrupted and
+random sample bodies as the per-line parser does, naming the same line. The
+profile registered in conftest.py derandomizes the draws and caps their
+number.
 """
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,14 +38,20 @@ from oracles import (
     public_call_trial,
     random_density,
     random_tt_cores,
+    reference_samples_body,
+    reference_samples_text,
+    reference_tensor_text,
     sqrtm_fidelity,
     tt_value,
 )
 import ttomo.fitting
+import ttomo.sampling
+from ttomo.errors import DataFormatError, ValidationError
 from ttomo.fitting import EnvCache, FitConfig, fit, loss, update_core
 from ttomo.metrics import quantum_fidelity
-from ttomo.networks import RunIndex, TTDistribution
-from ttomo.sampling import SampleSet
+from ttomo.networks import MpoDensity, RunIndex, TTDistribution
+from ttomo.sampling import SampleSet, load_samples, save_samples
+from ttomo.storage import load_tensor, save_tensor
 
 EPS = 1e-16
 
@@ -275,3 +286,203 @@ def test_fidelity_of_full_rank_pairs_matches_the_sqrtm_oracle(instance):
     dim, rng = instance
     rho1, rho2 = random_density(dim, rng), random_density(dim, rng)
     assert abs(quantum_fidelity(rho1, rho2).fidelity - sqrtm_fidelity(rho1, rho2)) <= 1e-10
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("codecs")
+
+
+@st.composite
+def sample_sets(draw, min_distinct=0):
+    """Sets of L 1..12 with counts from 1 up to a total of 2^63 - 1."""
+    L = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(0, 4, size=(draw(st.integers(min_distinct, 60)), L))
+    strings = np.unique(rows.astype(np.uint8), axis=0)
+    n = strings.shape[0]
+    scale = draw(st.sampled_from(["small", "int32", "int64"]))
+    high = {"small": 50, "int32": 2**31, "int64": (2**63 - 1) // max(n, 1)}[scale]
+    counts = rng.integers(1, high, size=n, endpoint=True)
+    if scale == "int64" and n:
+        counts[-1] = 2**63 - 1 - int(counts[:-1].sum())  # the largest total a set can hold
+    return SampleSet(
+        L=L,
+        total=int(counts.sum()),
+        strings=strings,
+        counts=counts,
+        seed=draw(st.none() | st.integers(0, 2**63 - 1)),
+        stream=draw(st.integers(0, 2**63 - 1)),
+        source=draw(st.sampled_from(["train", "test", "-", "run_2"])),
+    )
+
+
+def _same_samples(a, b):
+    assert (a.L, a.total, a.seed, a.stream, a.source) == (b.L, b.total, b.seed, b.stream, b.source)
+    assert np.array_equal(a.strings, b.strings) and np.array_equal(a.counts, b.counts)
+
+
+@given(sample_sets())
+def test_sample_files_hold_the_per_row_formatters_bytes_and_load_back_equal(scratch, samples):
+    path = scratch / "x.samples"
+    save_samples(samples, path)
+    assert path.read_bytes() == reference_samples_text(samples).encode("ascii")
+    _same_samples(load_samples(path), samples)
+    with mock.patch.object(ttomo.sampling, "_BLOCK_LINES", 3):
+        _same_samples(load_samples(path), samples)
+
+
+@st.composite
+def chains(draw):
+    """Trains and operator chains whose entries span the float range, signed zeros included."""
+    L, bond_dim = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = [1] + [bond_dim] * (L - 1) + [1]
+    mpo = draw(st.booleans(), label="operator chain")
+
+    def entries(shape):
+        values = rng.normal(size=shape) * 10.0 ** rng.integers(-320, 300, size=shape)
+        return np.where(rng.random(shape) < 0.1, rng.choice([0.0, -0.0], size=shape), values)
+
+    if mpo:
+        shapes = [(2, 2, dims[p], dims[p + 1]) for p in range(L)]
+        return MpoDensity([entries(shape) + 1j * entries(shape) for shape in shapes])
+    return TTDistribution([entries((4, dims[p], dims[p + 1])) for p in range(L)])
+
+
+@given(chains())
+def test_tensor_files_hold_the_per_entry_formatters_bytes_and_load_back_equal(scratch, chain):
+    path = scratch / "x.tt"
+    save_tensor(path, chain)
+    assert path.read_bytes() == reference_tensor_text(chain).encode("ascii")
+    back = load_tensor(path)
+    assert type(back) is type(chain) and back.bond_dims == chain.bond_dims
+    assert all(np.array_equal(a, b) for a, b in zip(back.cores, chain.cores))
+
+
+def _outcome(path, lines, block_lines):
+    """Loading ``lines``, ``block_lines`` records at a time: the set, or the error's text."""
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        with mock.patch.object(ttomo.sampling, "_BLOCK_LINES", block_lines):
+            return load_samples(path)
+    except DataFormatError as exc:
+        return str(exc)
+
+
+def _reference_outcome(path, lines):
+    """What the per-line parser, then ``SampleSet``'s checks, make of ``lines``."""
+    L, total, seed, stream, source = (line.split(maxsplit=1)[1] for line in lines[1:6])
+    result = reference_samples_body(lines[6:], int(L), body_start=7)
+    if result[0] == "error":
+        return f"{path}:{result[1]}: {result[2]}"
+    try:
+        return SampleSet(
+            L=int(L),
+            total=int(total),
+            strings=result[1],
+            counts=result[2],
+            seed=None if seed == "-" else int(seed),
+            stream=int(stream),
+            source=source,
+        )
+    except ValidationError as exc:
+        return f"{path}:6: {exc}"
+
+
+def _check_against_the_reference(path, lines):
+    expected = _reference_outcome(path, lines)
+    for block_lines in (ttomo.sampling._BLOCK_LINES, 3):  # blocks of 3 put many lines at an edge
+        got = _outcome(path, lines, block_lines)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            _same_samples(got, expected)
+    return got
+
+
+_BAD_COUNTS = ["0x1", "1.5", "1e3", "1__0", "_1", "1_", "+-1", "+", "abc", "1\x00"] + [
+    str(2**63),
+    str(-(2**63) - 1),
+    "99999999999999999999",
+]
+
+
+@given(sample_sets(min_distinct=1), st.data())
+def test_a_corrupted_record_is_the_line_reported(scratch, samples, data):
+    lines = reference_samples_text(samples).splitlines()
+    row = data.draw(st.integers(7, len(lines)), label="line")
+    word, count = lines[row - 1].split()
+    corruption = data.draw(st.sampled_from(["word length", "symbol", "count", "third token"]))
+    if corruption == "word length":
+        longer_or_shorter = [word + "0", word[:-1]] if samples.L > 1 else [word + "0"]
+        word = data.draw(st.sampled_from(longer_or_shorter))
+    elif corruption == "symbol":
+        at = data.draw(st.integers(0, samples.L - 1), label="symbol at")
+        word = word[:at] + data.draw(st.sampled_from("456789+-_a.")) + word[at + 1 :]
+    elif corruption == "count":
+        count = data.draw(st.sampled_from(_BAD_COUNTS))
+    else:
+        count += " " + data.draw(st.sampled_from(["1", "0123", "x"]))
+    lines[row - 1] = f"{word} {count}"
+    got = _check_against_the_reference(scratch / "x.samples", lines)
+    assert got.startswith(f"{scratch / 'x.samples'}:{row}: ")
+
+
+_SPACES = st.text(alphabet=" \t\x1f", max_size=3)
+
+
+@given(sample_sets(min_distinct=1), st.integers(0, 2**32 - 1))
+def test_respelled_records_load_as_the_set_they_spell(scratch, samples, seed):
+    # any whitespace around and between the fields, and any spelling int() reads
+    rng = np.random.default_rng(seed)
+    spaces = ["", " ", "\t", "\x1f", " \t "]
+    lines = reference_samples_text(samples).splitlines()
+    for i in range(6, len(lines)):
+        word, count = lines[i].split()
+        n_cuts = min(rng.integers(0, 3), len(count) - 1)
+        cuts = sorted(rng.choice(np.arange(1, len(count)), size=n_cuts, replace=False).tolist())
+        digits = "_".join(count[a:b] for a, b in zip([0] + cuts, cuts + [len(count)]))
+        spelled = rng.choice(["", "+"]) + "0" * rng.integers(0, 4) + digits
+        lines[i] = rng.choice(spaces) + word + rng.choice(spaces[1:]) + spelled + rng.choice(spaces)
+    got = _check_against_the_reference(scratch / "x.samples", lines)
+    _same_samples(got, samples)
+
+
+_COUNTS = st.from_regex(r"[-+]?[0-9_]{0,21}[.ex]?", fullmatch=True)
+
+
+@given(st.integers(1, 3), st.data())
+def test_random_bodies_load_as_the_per_line_parser_reads_them(scratch, L, data):
+    # mostly well-formed words, so that the count and the line shape are reached
+    words = st.text("0123", min_size=L, max_size=L) | st.from_regex(r"[0-4]{0,4}", fullmatch=True)
+    body = []
+    for fields in data.draw(st.lists(st.tuples(words, _COUNTS, st.just("") | _COUNTS), max_size=6)):
+        gaps = [data.draw(_SPACES.filter(bool), label="separator") for _ in fields]
+        body.append(data.draw(_SPACES) + "".join(f + g for f, g in zip(fields, gaps) if f))
+    total = data.draw(st.integers(0, 20), label="N")
+    lines = ["ttsamples 1", f"L {L}", f"N {total}", "seed -", "stream 0", "source -"] + body
+    _check_against_the_reference(scratch / "x.samples", lines)
+
+
+_SPELLINGS_OF_01_5 = ["01\t5", "  01 5  ", "01 \t 5", "\t01\t+5", "01 005", "01 +0_0_5", "01\x1f5"]
+
+
+@pytest.mark.parametrize(
+    "record",
+    _SPELLINGS_OF_01_5
+    + ["01 _5", "01 5_", "01 1__0", "01 +-5", "01 -5", "01 -0", "01 0", "01 5.0", "01 0x5"]
+    + ["01 -9223372036854775808", "01 -9223372036854775809", "01 9223372036854775808"]
+    # leading zeros past the 19 digits int64 holds, and past the 4300 digits int() reads
+    + [
+        pytest.param("01 " + "0" * 30 + "5", id="31-digit-5"),
+        pytest.param("01 " + "0" * 30 + "1" + "0" * 19, id="50-digit-10^19"),
+        pytest.param("01 " + "0" * 4300 + "5", id="4301-digit-5"),
+    ]
+    + ["01 5 5", "015", "0a 5", "04 5", "0/ 5", "012 5", "01 5\x00", "01\x005"],
+)
+def test_single_records_load_as_the_per_line_parser_reads_them(scratch, record):
+    lines = ["ttsamples 1", "L 2", "N 5", "seed -", "stream 0", "source -", record]
+    got = _check_against_the_reference(scratch / "x.samples", lines)
+    if record in _SPELLINGS_OF_01_5:
+        assert got.counts.tolist() == [5] and got.strings.tolist() == [[0, 1]]

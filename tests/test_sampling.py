@@ -107,6 +107,26 @@ def test_rejects_bad_distributions():
             sample_dataset(_uniform_dist(1), bad, seed=0)
 
 
+@pytest.mark.parametrize(
+    "seeds, message",
+    [
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": 1, "stream": 0.5}, "stream must be an integer, got 0.5"),
+        ({"seed": 1, "stream": -1}, "stream must be >= 0, got -1"),
+    ],
+)
+def test_rejects_a_bad_seed_or_stream(seeds, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        sample_dataset(_uniform_dist(2), 2000, **seeds)
+
+
+def test_accepts_numpy_integer_seeds_and_streams():
+    a = sample_dataset(_uniform_dist(2), 2000, seed=np.uint8(7), stream=np.int32(1))
+    b = sample_dataset(_uniform_dist(2), 2000, seed=7, stream=1)
+    assert (a.seed, a.stream) == (7, 1) and type(a.seed) is int and type(a.stream) is int
+    assert np.array_equal(a.counts, b.counts)
+
+
 def test_split_train_test_streams_and_sources():
     train, test = split_train_test(_uniform_dist(2), 4000, seed=9)
     assert train.source == "train" and test.source == "test"
@@ -192,6 +212,7 @@ def test_save_is_byte_deterministic(tmp_path):
         lambda lines: lines[:-1],  # drop a record: totals disagree
         lambda lines: lines[:5] + ["source tr\u00e4in"] + lines[6:],  # not ASCII
         lambda lines: lines[:-1] + [lines[-1].split()[0] + " 2.5"],  # non-integer count
+        lambda lines: lines[:-1] + [lines[-1].split()[0] + " 99999999999999999999"],  # > int64
     ],
 )
 def test_load_rejects_malformed_files(tmp_path, mutation):

@@ -58,6 +58,10 @@ def test_save_is_byte_deterministic(tmp_path):
         lambda lines: lines[:3] + [lines[3] + " 1"] + lines[4:],  # bond list longer than L + 1
         # an outer bond of 2, with the entry count core 0 then needs
         lambda lines: lines[:3] + ["bonds 2 2 1", lines[4] + lines[4][4:]] + lines[5:],
+        # non-finite entries: 1e400 reads as inf
+        lambda lines: lines[:4] + [lines[4].rsplit(" ", 1)[0] + " 1e400"] + lines[5:],
+        lambda lines: lines[:5] + [lines[5].rsplit(" ", 1)[0] + " nan"],
+        lambda lines: lines[:5] + [lines[5].rsplit(" ", 1)[0] + " -inf"],
     ],
 )
 def test_load_rejects_malformed_files(tmp_path, mutation):
@@ -68,6 +72,14 @@ def test_load_rejects_malformed_files(tmp_path, mutation):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(mutation(lines)) + "\n", encoding="utf-8")
     with pytest.raises(DataFormatError):
+        load_tensor(path)
+
+
+@pytest.mark.parametrize("entry", ["1e400", "nan", "-Infinity"])
+def test_a_non_finite_entry_is_reported_on_its_core_line(tmp_path, entry):
+    path = tmp_path / "chain.tt"
+    path.write_text(f"tttensor 1\nkind tt\nL 2\nbonds 1 1 1\ncore 1 2 3 4\ncore 1 2 {entry} 4\n")
+    with pytest.raises(DataFormatError, match=r":6: core 1 has a non-finite entry$"):
         load_tensor(path)
 
 
