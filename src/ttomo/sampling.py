@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,7 +28,7 @@ class SampleSet:
 
     Attributes:
         L: String length.
-        total: Number of draws the set aggregates.
+        total: Number of draws the set aggregates, below 2^63.
         strings: Array (n_distinct, L) of symbols 0..3, lexicographically
             sorted with no repeated rows.
         counts: Positive multiplicities summing exactly to ``total``.
@@ -55,6 +54,13 @@ class SampleSet:
             raise ValidationError("strings contain symbols outside 0..3")
         if counts.size and not (counts.dtype.kind in "iu" and counts.min() >= 1):
             raise ValidationError("multiplicities must be positive")
+        if self.total >= 2**63:  # numpy draws at most 2^63 - 1
+            raise ValidationError(f"recorded total must be < 2^63, got {self.total}")
+        # an integer sum that wraps is off by a multiple of 2^64, the float64 sum by far less
+        total = int(counts.sum())
+        if total != self.total or abs(counts.sum(dtype=float) - total) > 2**62:
+            exact = counts.astype(object).sum()
+            raise ValidationError(f"multiplicities sum to {exact}, recorded total is {self.total}")
         strings = np.ascontiguousarray(strings, dtype=np.uint8)
         counts = np.ascontiguousarray(counts, dtype=np.int64)
         object.__setattr__(self, "strings", strings)
@@ -63,10 +69,6 @@ class SampleSet:
             raise ValidationError(f"strings shape {strings.shape} does not match L={self.L}")
         if counts.shape != (strings.shape[0],):
             raise ValidationError("counts and strings lengths differ")
-        if int(counts.sum()) != self.total:
-            raise ValidationError(
-                f"multiplicities sum to {int(counts.sum())}, recorded total is {self.total}"
-            )
         # At the first column where adjacent rows differ, the later row must
         # be larger; rows that never differ are repeats.
         first = _first_differences(strings)
@@ -105,10 +107,10 @@ def _num_sites_from_size(size: int) -> int:
 
 def check_sample_count(n) -> None:
     """Raise ValidationError unless ``n`` is a whole number of draws numpy can make."""
-    if n < 1 or int(n) != n:
-        raise ValidationError(f"sample count must be a positive integer, got {n}")
-    if n >= 2**63:  # numpy draws at most 2^63 - 1
+    if n >= 2**63:  # numpy draws at most 2^63 - 1; inf is caught here
         raise ValidationError(f"sample count must be < 2^63, got {n}")
+    if not n >= 1 or int(n) != n:  # nan is not >= 1
+        raise ValidationError(f"sample count must be a positive integer, got {n}")
 
 
 def sample_dataset(
@@ -204,83 +206,45 @@ _HEADER_PARSERS = {
 }
 
 
-# The ASCII bytes str.split() separates tokens at.
-_SPACE = np.array([chr(b).isspace() for b in range(128)])
-
-
-def _tokens(lines: list) -> tuple:
-    """Bytes of ``lines`` (each after a newline), the [start, end) offsets of
-    their whitespace-separated tokens, as ``str.split`` finds them, and the
-    number of tokens on each line."""
-    data = np.frombuffer("\n".join(["", *lines, ""]).encode("ascii"), dtype=np.uint8)
-    edges = np.flatnonzero(np.diff(_SPACE[data])) + 1
-    starts, ends = edges[0::2], edges[1::2]
-    return data, starts, ends, np.diff(np.searchsorted(starts, np.flatnonzero(data == 10)))
-
-
-def _inside(starts: np.ndarray, ends: np.ndarray, size: int) -> np.ndarray:
-    """Mask of the ``size`` bytes that lie in one of the disjoint [start, end) spans."""
-    edges = np.zeros(size + 1, dtype=np.int8)
-    edges[starts] = 1
-    edges[ends] = -1
-    return np.cumsum(edges[:-1], dtype=np.int8) > 0
-
-
-def _parse_ints(data: np.ndarray, starts: np.ndarray, ends: np.ndarray, pick: slice) -> tuple:
-    """``int()`` of the tokens ``pick`` selects, as int64, and a mask of the
-    ones ``int()`` rejects or int64 cannot hold."""
-    digit = (data - ord("0")) < 10
-    other = ~(digit | _SPACE[data])  # token bytes that are not digits
-    # int()'s grammar: an optional sign, then digits with single underscores between them
-    under = data == ord("_")
-    stray = other & ~under
-    stray[starts] &= (data[starts] != ord("+")) & (data[starts] != ord("-"))
-    stray[1:-1] |= under[1:-1] & ~(digit[:-2] & digit[2:])  # the first and last bytes are spaces
-    # few tokens hold other bytes than digits: in a valid file, a count's sign and underscores
-    holder = np.searchsorted(starts, np.flatnonzero(other), side="right") - 1
-    n_digits = ends - starts - np.bincount(holder, minlength=starts.size)
-    last = np.cumsum(n_digits)[pick]  # where each token's digits end among all digits
-    n_digits = n_digits[pick]
-    bad = np.logical_or.reduceat(stray, starts)[pick] | (n_digits == 0)
-    limit = sys.get_int_max_str_digits()  # int() refuses more digits; 0 lifts the limit
-    bad |= (n_digits > limit) & (limit > 0)
-    digits = np.append(data[digit] - ord("0"), np.uint8(0))  # the 0 stands in for missing ones
-    magnitude = np.zeros(n_digits.size, dtype=np.uint64)
-    for power in range(19):
-        magnitude += digits[np.where(n_digits > power, last - 1 - power, -1)] * np.uint64(10**power)
-    # a digit before the last 19 overflows int64 unless it is 0
-    long = np.flatnonzero(n_digits > 19)
-    spans = np.column_stack([last[long] - n_digits[long], last[long] - 19]).ravel()
-    bad[long] |= np.logical_or.reduceat(digits > 0, spans)[::2]
-    negative = data[starts[pick]] == ord("-")
-    bad |= magnitude > np.uint64(2**63 - 1) + negative
-    return np.where(negative, -magnitude, magnitude).view(np.int64), bad
+def _int64(text: str):
+    """``int(text)`` if that is an integer int64 holds, else None."""
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    return value if -(2**63) <= value < 2**63 else None
 
 
 def _read_records(path, lines: list, lineno: int, L: int) -> tuple:
-    """Symbols (n, L) and counts of the records ``lines``, the first on line ``lineno``."""
-    data, starts, ends, n_tokens = _tokens(lines)
-    # the lines before the first that does not hold two tokens hold the first tokens in pairs
-    pairs = n_tokens == 2
-    n = len(lines) if pairs.all() else int(pairs.argmin())
-    word, count = slice(0, 2 * n, 2), slice(1, 2 * n, 2)
-    top_symbol = np.maximum.reduceat(np.where(_SPACE[data], 0, data - ord("0")), starts)
-    bad_word = (ends[word] - starts[word] != L) | (top_symbol[word] > 3)
-    counts, bad_count = _parse_ints(data, starts, ends, count)
-    bad = bad_word | bad_count
-    if n < len(lines) or bad.any():
-        row = int(bad.argmax()) if bad.any() else n
-        lineno, parts = lineno + row, lines[row].split()
+    """Symbols (n, L) and counts of the records ``lines``, the first on line ``lineno``.
+
+    Each line is split into words and its count read with ``int()``; the
+    symbol words are checked together, as one byte array. The first bad
+    line fails with the message of its first bad field.
+    """
+    rows = [line.split() for line in lines]
+    # the lines before the first that does not hold two words are records
+    n = next((i for i, parts in enumerate(rows) if len(parts) != 2), len(rows))
+    words = [parts[0] for parts in rows[:n]]
+    counts = [_int64(parts[1]) for parts in rows[:n]]
+    sizes = np.fromiter(map(len, words), dtype=np.int64, count=n)
+    symbols = np.frombuffer("".join(words).encode("ascii"), dtype=np.uint8) - ord("0")
+    # a byte below '0' wraps past 3
+    bad_word = (sizes != L) | (np.maximum.reduceat(symbols, np.cumsum(sizes) - sizes) > 3)
+    bad = np.append(bad_word | np.equal(counts, None), n < len(rows))
+    row = int(bad.argmax())
+    if bad[row]:
+        lineno, parts = lineno + row, rows[row]
         if row == n:
             fail(path, lineno, "expected '<string> <count>'")
         if bad_word[row]:
             fail(path, lineno, f"'{parts[0]}' is not a length-{L} string over symbols 0..3")
         fail(path, lineno, f"bad multiplicity '{parts[1]}'")
-    return (data[_inside(starts[word], ends[word], data.size)] - ord("0")).reshape(-1, L), counts
+    return symbols.reshape(n, L), np.array(counts, dtype=np.int64)
 
 
-# Records parsed at a time. Small blocks keep the parse's arrays to tens of kB, so that
-# reading a set does not lift the process's peak memory above what the fit needs.
+# Records parsed at a time. Small blocks bound the per-line word lists, so that reading
+# a set does not lift the process's peak memory above what the fit needs.
 _BLOCK_LINES = 1024
 
 

@@ -102,9 +102,11 @@ def test_rejects_bad_distributions():
             sample_dataset(np.array([bad, 0.5, 0.25, 0.25]), 1000, seed=0)
     with pytest.raises(ValidationError):
         sample_dataset(np.zeros(0), 10, seed=0)
-    for bad in (2**63, 10**20):  # numpy draws at most 2^63 - 1
-        with pytest.raises(ValidationError):
+    for bad in (2**63, 10**20, float("inf")):  # numpy draws at most 2^63 - 1
+        with pytest.raises(ValidationError, match=r"^sample count must be < 2\^63, got "):
             sample_dataset(_uniform_dist(1), bad, seed=0)
+    with pytest.raises(ValidationError, match="^sample count must be a positive integer, got nan$"):
+        sample_dataset(_uniform_dist(1), float("nan"), seed=0)
 
 
 @pytest.mark.parametrize(
@@ -155,6 +157,11 @@ def test_sampleset_validation():
             strings=np.array([[0, 7]], dtype=np.uint8),
             counts=np.array([4]),
         )
+    # the true sum 2^64 + 5 wraps to 5 in int64
+    with pytest.raises(ValidationError, match="^multiplicities sum to 18446744073709551621, "):
+        SampleSet(L=1, total=5, strings=[[0], [1], [2], [3]], counts=[2**62] * 3 + [2**62 + 5])
+    with pytest.raises(ValidationError, match=r"^recorded total must be < 2\^63"):
+        SampleSet(L=1, total=2**63, strings=[[0], [1]], counts=[2**62, 2**62])
 
 
 @pytest.mark.parametrize(
@@ -213,6 +220,11 @@ def test_save_is_byte_deterministic(tmp_path):
         lambda lines: lines[:5] + ["source tr\u00e4in"] + lines[6:],  # not ASCII
         lambda lines: lines[:-1] + [lines[-1].split()[0] + " 2.5"],  # non-integer count
         lambda lines: lines[:-1] + [lines[-1].split()[0] + " 99999999999999999999"],  # > int64
+        # each count fits int64, but their sum 2^64 + 5 wraps to N
+        lambda lines: lines[:2]
+        + ["N 5"]
+        + lines[3:6]
+        + [f"0{s} {2**62 + 5 * (s == 3)}" for s in range(4)],
     ],
 )
 def test_load_rejects_malformed_files(tmp_path, mutation):
