@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .density import diagnose, reconstruct
-from .errors import DataFormatError, DegenerateFitError, TomoError, ValidationError
-from .fitting import FitConfig, check_jobs, fit, map_jobs
+from .errors import DataFormatError, DegenerateFitError, TomoError, ValidationError, check_integer
+from .fitting import FitConfig, fit, map_jobs
 from .metrics import classical_fidelity, quantum_fidelity
 from .networks import TTDistribution
 from .povm import tetrahedral_povm
@@ -78,7 +78,7 @@ class ExperimentConfig(XxzParams, FitConfig):
         XxzParams.__post_init__(self)
         check_sample_count(self.train)
         check_sample_count(self.test)
-        check_jobs(self.jobs)
+        check_integer("jobs", self.jobs, 1)
         check_mpo_tol(self.mpo_tol)
         for axis in _AXIS_FIELDS:
             if getattr(self, axis) is not None and len(getattr(self, axis)) == 0:

@@ -46,9 +46,12 @@ class IntegrityError(TomoError):
     exit_code = 1
 
 
-def check_integer(name: str, value) -> int:
+def check_integer(name: str, value, minimum: int | None = None) -> int:
     """``value`` as a plain int; ValidationError naming ``name`` unless it is a
-    Python or numpy integer (numpy's unsigned ones wrap in arithmetic)."""
-    if not isinstance(value, (int, np.integer)):
+    Python or numpy integer (numpy's unsigned ones wrap in arithmetic), not a
+    bool, and at least ``minimum`` when one is given."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
     return int(value)

@@ -69,6 +69,8 @@ DEFAULT_EPS = 1e-16
 # right grids: wide sets (L = 8, 65534 strings, width 65536 at D = 10) run one
 # trial per block, and small sets run a whole fit as one block.
 _BLOCK_FLOATS = 1 << 20
+# The least value of each of FitConfig's int fields; a subclass's int fields have none here.
+_INT_MINIMA = {"bond_dim": 1, "max_sweeps": 1, "stop_window": 1, "trials": 1, "seed": 0}
 
 
 @dataclass(frozen=True)
@@ -94,21 +96,12 @@ class FitConfig:
     def __post_init__(self) -> None:
         # Every int-annotated field, a subclass's too; the annotation may be a string.
         for name in (f.name for f in fields(self) if f.type in ("int", int)):
-            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
-        if self.bond_dim < 1:
-            raise ValidationError(f"bond dimension must be >= 1, got {self.bond_dim}")
-        if self.max_sweeps < 1:
-            raise ValidationError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
-        if self.stop_window < 1:
-            raise ValidationError(f"stop_window must be >= 1, got {self.stop_window}")
-        if self.trials < 1:
-            raise ValidationError(f"trials must be >= 1, got {self.trials}")
+            value = check_integer(name, getattr(self, name), _INT_MINIMA.get(name))
+            object.__setattr__(self, name, value)
         if not (np.isfinite(self.stop_rtol) and self.stop_rtol >= 0.0):
             raise ValidationError(f"stop_rtol must be finite and >= 0, got {self.stop_rtol}")
         if not (np.isfinite(self.eps) and self.eps > 0.0):
             raise ValidationError(f"eps must be finite and > 0, got {self.eps}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 def bond_profile(L: int, bond_dim: int) -> tuple:
@@ -126,15 +119,9 @@ def init_tt(L: int, bond_dim: int, seed: int) -> TTDistribution:
     Entries are uniform on (0, 1); a strictly positive start keeps the
     multiplicative updates from freezing entries at zero from the outset.
     """
-    L = check_integer("L", L)
-    bond_dim = check_integer("bond_dim", bond_dim)
-    seed = check_integer("seed", seed)
-    if L < 1:
-        raise ValidationError(f"length must be >= 1, got {L}")
-    if bond_dim < 1:
-        raise ValidationError(f"bond dimension must be >= 1, got {bond_dim}")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    L = check_integer("L", L, 1)
+    bond_dim = check_integer("bond_dim", bond_dim, 1)
+    seed = check_integer("seed", seed, 0)
     dims = bond_profile(L, bond_dim)
     rng = np.random.default_rng(seed)
     cores = [rng.random((4, dims[p], dims[p + 1])) for p in range(L)]
@@ -509,18 +496,12 @@ def trial_blocks(trials: int, bond_dim: int, width: int, jobs: int = 1) -> list:
     return [range(bounds[b], bounds[b + 1]) for b in range(count)]
 
 
-def check_jobs(jobs) -> None:
-    """Raise ``ValidationError`` unless ``jobs`` is a positive integer."""
-    if check_integer("jobs", jobs) < 1:
-        raise ValidationError(f"jobs must be >= 1, got {jobs}")
-
-
 def map_jobs(fn, tasks: list, jobs: int) -> list:
     """``[fn(*task) for task in tasks]``, in ``jobs`` worker processes when ``jobs > 1``.
 
     Results come back in task order either way.
     """
-    check_jobs(jobs)
+    check_integer("jobs", jobs, 1)
     if jobs == 1 or len(tasks) <= 1:
         return [fn(*task) for task in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -535,7 +516,7 @@ def fit(samples: SampleSet, config: FitConfig, jobs: int = 1) -> FitResult:
     arithmetic does not depend on its block, so the results, collected in
     trial order, are the same for any block plan and any ``jobs``.
     """
-    check_jobs(jobs)
+    check_integer("jobs", jobs, 1)
     width = max(4 * starts.size for starts in samples.runs.prefix_starts[:-1])
     blocks = trial_blocks(config.trials, config.bond_dim, width, jobs)
     tasks = [(samples, config, block) for block in blocks]

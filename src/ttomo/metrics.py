@@ -52,6 +52,8 @@ def quantum_fidelity(rho1: np.ndarray, rho2: np.ndarray) -> FidelityResult:
     rho2 = np.asarray(rho2, dtype=complex)
     if rho1.shape != rho2.shape or rho1.ndim != 2 or rho1.shape[0] != rho1.shape[1]:
         raise ValidationError(f"incompatible shapes {rho1.shape} and {rho2.shape}")
+    if not (np.all(np.isfinite(rho1)) and np.all(np.isfinite(rho2))):
+        raise ValidationError("density matrices have non-finite entries")
     root1, clipped1 = _root_factor(rho1)
     root2, clipped2 = _root_factor(rho2)
     singular = np.linalg.svd(root2.conj().T @ root1, compute_uv=False)
@@ -80,8 +82,10 @@ def classical_fidelity(model, ideal, test: SampleSet) -> FidelityResult:
     ``ideal`` may each be a tensor train or a dense distribution vector
     indexed by ``SampleSet.codes``. A test string with nonpositive ideal
     probability cannot have been drawn from the ideal distribution and
-    raises IntegrityError.
+    raises IntegrityError; an empty test set raises ValidationError.
     """
+    if test.total < 1:
+        raise ValidationError("cannot score an empty test set")
     p_model = _values_on(model, test)
     p_ideal = _values_on(ideal, test)
     if np.any(p_ideal <= 0.0):

@@ -46,6 +46,10 @@ class SampleSet:
     source: str = "-"
 
     def __post_init__(self) -> None:
+        # an empty set has total 0; seed None means no generator is recorded
+        minima = {"L": 1, "total": 0, "stream": 0} | ({} if self.seed is None else {"seed": 0})
+        for name, minimum in minima.items():
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum))
         # checked before the casts, which would wrap, truncate or overflow a bad entry
         strings, counts = np.asarray(self.strings), np.asarray(self.counts)
         if strings.size and not (
@@ -136,10 +140,8 @@ def sample_dataset(
         raise ValidationError("distribution has non-finite entries")
     L = _num_sites_from_size(dist.size)
     check_sample_count(n)
-    if check_integer("seed", seed) < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-    if check_integer("stream", stream) < 0:
-        raise ValidationError(f"stream must be >= 0, got {stream}")
+    check_integer("seed", seed, 0)
+    check_integer("stream", stream, 0)
     if dist.min() < -1e-12:
         raise ValidationError(f"distribution has negative mass {dist.min():.3e}")
     dist = np.clip(dist, 0.0, None)
@@ -155,8 +157,8 @@ def sample_dataset(
         total=int(n),
         strings=digits.astype(np.uint8),
         counts=counts[observed],
-        seed=int(seed),
-        stream=int(stream),
+        seed=seed,
+        stream=stream,
         source=source,
     )
 

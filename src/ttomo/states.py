@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DegeneracyError, ValidationError
+from .errors import CapacityError, DegeneracyError, ValidationError, check_integer
 from .networks import MpoDensity
 from .povm import Povm
 
@@ -45,9 +45,7 @@ class XxzParams:
     p: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.L, (int, np.integer)) or self.L < 2:
-            raise ValidationError(f"chain length must be an integer >= 2, got {self.L!r}")
-        object.__setattr__(self, "L", int(self.L))
+        object.__setattr__(self, "L", check_integer("L", self.L, 2))
         for name in ("J", "gamma", "h"):
             if not np.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")

@@ -191,7 +191,7 @@ def finished_run(tmp_path_factory):
 
 # Each FitConfig check: a flag value that fails it, and its message.
 _BAD_FIT_SETTINGS = {
-    "bond-dim": ("0", "bond dimension must be >= 1, got 0"),
+    "bond-dim": ("0", "bond_dim must be >= 1, got 0"),
     "trials": ("0", "trials must be >= 1, got 0"),
     "max-sweeps": ("0", "max_sweeps must be >= 1, got 0"),
     "stop-window": ("0", "stop_window must be >= 1, got 0"),
@@ -213,7 +213,7 @@ _BAD_RUN_SETTINGS = {
 _BAD_TARGET_SETTINGS = {
     "p": ("2", "depolarizing strength must lie in [0, 1], got 2.0"),
     "gamma": ("nan", "gamma must be finite, got nan"),
-    "L": ("1", "chain length must be an integer >= 2, got 1"),
+    "L": ("1", "L must be >= 2, got 1"),
     "mpo-tol": ("nan", "truncation tolerance must be finite and >= 0, got nan"),
 }
 
@@ -277,7 +277,7 @@ def test_a_min_n_search_that_cannot_meet_its_target_exits_before_any_command_wri
 @pytest.mark.parametrize("name", [f.name for f in fields(ExperimentConfig) if f.type == "int"])
 def test_a_non_integer_value_of_an_integer_field_is_rejected_when_the_config_is_built(name):
     default = getattr(ExperimentConfig(), name)
-    for bad in (float(default), default + 0.5):
+    for bad in (float(default), default + 0.5, True):
         with pytest.raises(ValidationError, match=f"^{name} must be an integer, got {bad!r}$"):
             ExperimentConfig(**{name: bad})
 
@@ -718,7 +718,7 @@ def test_a_bad_axis_value_fails_its_own_scan_point_only(tmp_path, small_cfg):
     assert [row["status"] for row in rows] == ["ok", "error"]
     assert [row["bond_dim"] for row in rows] == ["2", "0"]
     assert [row["seed"] for row in rows] == [str(17 + 10007), str(17 + 2 * 10007)]
-    assert rows[1]["message"] == "ValidationError: bond dimension must be >= 1, got 0"
+    assert rows[1]["message"] == "ValidationError: bond_dim must be >= 1, got 0"
     assert (tmp_path / "run" / "scan" / "point_000" / "report.json").exists()
     assert not (tmp_path / "run" / "scan" / "point_001").exists()
 

@@ -80,6 +80,10 @@ def test_init_tt_deterministic_and_positive():
         ((3, 2.5, 0), "bond_dim must be an integer, got 2.5"),
         ((3, 2, 0.5), "seed must be an integer, got 0.5"),
         ((3, 2, -1), "seed must be >= 0, got -1"),
+        ((0, 2, 0), "L must be >= 1, got 0"),
+        ((3, 0, 0), "bond_dim must be >= 1, got 0"),
+        ((True, 2, 0), "L must be an integer, got True"),
+        ((3, 2, False), "seed must be an integer, got False"),
     ],
 )
 def test_init_tt_rejects_a_non_integer_or_negative_argument(args, message):
@@ -547,6 +551,10 @@ def test_fit_config_validation():
     for name, bad in counts.items():
         with pytest.raises(ValidationError, match=f"{name} must be an integer"):
             FitConfig(**{name: bad})
+    # a bool is not a count, though Python's int accepts it
+    for name in counts:
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got True$"):
+            FitConfig(**{name: True})
     # numpy integers are counts too, unsigned ones included
     config = FitConfig(bond_dim=np.int64(3), max_sweeps=np.int32(2), trials=np.uint8(2))
     assert [t.sweeps_run for t in fit(_random_instance(2, 3, 50, seed=5)[1], config).trials] == [2, 2]
@@ -564,8 +572,9 @@ def test_fit_config_validation():
 @pytest.mark.parametrize(
     "jobs, message",
     [(2.0, "jobs must be an integer, got 2.0"), ("2", "jobs must be an integer, got '2'"),
-     (0, "jobs must be >= 1, got 0"), (-1, "jobs must be >= 1, got -1")],
-    ids=["float", "str", "zero", "negative"],
+     (0, "jobs must be >= 1, got 0"), (-1, "jobs must be >= 1, got -1"),
+     (True, "jobs must be an integer, got True")],
+    ids=["float", "str", "zero", "negative", "bool"],
 )
 def test_fit_rejects_a_bad_job_count_before_planning_blocks(monkeypatch, jobs, message):
     def unreachable(*args):

@@ -7,7 +7,7 @@ from oracles import brute_classical_fidelity, random_density, sqrtm_fidelity
 from ttomo.errors import IntegrityError, ValidationError
 from ttomo.metrics import classical_fidelity, quantum_fidelity
 from ttomo.networks import TTDistribution
-from ttomo.sampling import sample_dataset
+from ttomo.sampling import SampleSet, sample_dataset
 
 
 def test_quantum_fidelity_of_state_with_itself_is_one():
@@ -82,6 +82,14 @@ def test_quantum_fidelity_rejects_bad_shapes():
         quantum_fidelity(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_quantum_fidelity_rejects_non_finite_entries(bad):
+    broken = np.full((2, 2), bad, dtype=complex)
+    for args in ((broken, np.eye(2) / 2), (np.eye(2) / 2, broken)):
+        with pytest.raises(ValidationError, match="^density matrices have non-finite entries$"):
+            quantum_fidelity(*args)
+
+
 def _uniform(L):
     return np.full(4**L, 1.0 / 4**L)
 
@@ -144,3 +152,10 @@ def test_classical_fidelity_clips_tiny_negative_model_values():
     result = classical_fidelity(model, ideal, test)
     assert np.isfinite(result.fidelity)
     assert result.fidelity <= 1.0
+
+
+def test_classical_fidelity_rejects_an_empty_test_set():
+    # a valid set (an `N 0` file with no body loads as one), but no estimate
+    empty = SampleSet(L=1, total=0, strings=np.zeros((0, 1), dtype=np.uint8), counts=[])
+    with pytest.raises(ValidationError, match="^cannot score an empty test set$"):
+        classical_fidelity(_uniform(1), _uniform(1), empty)

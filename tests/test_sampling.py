@@ -162,6 +162,23 @@ def test_sampleset_validation():
         SampleSet(L=1, total=5, strings=[[0], [1], [2], [3]], counts=[2**62] * 3 + [2**62 + 5])
     with pytest.raises(ValidationError, match=r"^recorded total must be < 2\^63"):
         SampleSet(L=1, total=2**63, strings=[[0], [1]], counts=[2**62, 2**62])
+    # the integer fields, checked before the arrays: a non-integer would be saved as a
+    # header load_samples rejects, and sample_dataset makes no negative seed or stream
+    for bad, message in [
+        ({"total": 2.0}, "total must be an integer, got 2.0"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"L": 2.0}, "L must be an integer, got 2.0"),
+        ({"L": True}, "L must be an integer, got True"),
+        ({"stream": False}, "stream must be an integer, got False"),
+        ({"L": 0, "strings": np.zeros((0, 0)), "counts": [], "total": 0}, "L must be >= 1, got 0"),
+        ({"total": -1}, "total must be >= 0, got -1"),
+        ({"seed": -5}, "seed must be >= 0, got -5"),
+        ({"stream": -1}, "stream must be >= 0, got -1"),
+    ]:
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            SampleSet(**({"L": 2, "total": 2, "strings": [[0, 1], [1, 0]], "counts": [1, 1]} | bad))
+    kept = SampleSet(L=np.int8(2), total=np.uint64(2), strings=[[0, 1]], counts=[2], seed=None)
+    assert (kept.L, kept.total, kept.seed) == (2, 2, None) and type(kept.total) is int
 
 
 @pytest.mark.parametrize(
@@ -225,6 +242,8 @@ def test_save_is_byte_deterministic(tmp_path):
         + ["N 5"]
         + lines[3:6]
         + [f"0{s} {2**62 + 5 * (s == 3)}" for s in range(4)],
+        lambda lines: lines[:3] + ["seed -5"] + lines[4:],  # no generator takes it
+        lambda lines: lines[:4] + ["stream -1"] + lines[5:],
     ],
 )
 def test_load_rejects_malformed_files(tmp_path, mutation):
