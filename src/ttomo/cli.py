@@ -38,12 +38,18 @@ from .states import (
     exact_outcome_distribution,
     synth_target,
 )
-from .storage import fail, load_array, load_tensor, read_lines, read_text, save_tensor, write_lines
+from .storage import fail, integer_at_least, load_array, load_tensor, read_header, read_lines
+from .storage import read_text, save_tensor, write_lines
 
 _MANIFEST_MAGIC = "ttsnapshot 1"
 # Config fields that define the target; the manifest records them and its
 # parameter hash covers them.
 _TARGET_FIELDS = tuple(f.name for f in fields(XxzParams)) + ("mpo_tol",)
+# The manifest's header lines from line 2, in the order synth writes them.
+_MANIFEST_KEYS = _TARGET_FIELDS + (
+    "d", "trace", "bonds", "param_hash", "dist_digest", "rho_file", "mpo_file", "dist_file"
+)
+_MANIFEST_PARSERS = dict.fromkeys(_MANIFEST_KEYS, str) | {"L": integer_at_least("L", 1)}
 # Spacing between the base seeds of successive scan grid points; larger than
 # any realistic trial count so per-trial seeds never collide across points.
 _POINT_SEED_STRIDE = 10007
@@ -187,22 +193,11 @@ def _read_snapshot(cfg: ExperimentConfig, snapshot) -> tuple:
     """
     snap = Path(snapshot) if snapshot else _snapshot_dir(cfg)
     path = snap / "manifest.txt"
-    manifest = {}
-    for lineno, line in enumerate(read_lines(path, _MANIFEST_MAGIC)[1:], start=2):
-        parts = line.split(maxsplit=1)
-        if len(parts) != 2:
-            fail(path, lineno, "expected 'key value'")
-        manifest[parts[0]] = parts[1]
-    for key in ("L", "rho_file", "dist_file", "dist_digest"):
-        if key not in manifest:
-            raise DataFormatError(f"{path}: missing key '{key}'")
-    L = manifest["L"]
-    if not (L.isdecimal() and int(L) >= 1):
-        raise DataFormatError(f"{path}: L must be a positive integer, got '{L}'")
+    manifest = read_header(path, read_lines(path, _MANIFEST_MAGIC), _MANIFEST_PARSERS)
     dist = load_array(snap / manifest["dist_file"])
     if hashlib.sha256(dist.tobytes()).hexdigest() != manifest["dist_digest"]:
         raise DataFormatError(f"{path}: {manifest['dist_file']} does not match dist_digest")
-    return int(L), snap / manifest["rho_file"], dist
+    return manifest["L"], snap / manifest["rho_file"], dist
 
 
 def _target(cfg: ExperimentConfig) -> tuple:
@@ -228,21 +223,18 @@ def cmd_synth(cfg: ExperimentConfig) -> int:
     np.save(out / "rho.npy", rho)
     np.save(out / "dist.npy", dist)
     save_tensor(out / "mpo.tt", mpo)
-    write_lines(
-        out / "manifest.txt",
-        _MANIFEST_MAGIC,
-        {
-            **{name: repr(getattr(cfg, name)) for name in _TARGET_FIELDS},
-            "d": 2**cfg.L,
-            "trace": repr(float(np.real(np.trace(rho)))),
-            "bonds": " ".join(str(d) for d in mpo.bond_dims),
-            "param_hash": _param_hash(cfg),
-            "dist_digest": hashlib.sha256(dist.tobytes()).hexdigest(),
-            "rho_file": "rho.npy",
-            "mpo_file": "mpo.tt",
-            "dist_file": "dist.npy",
-        },
-    )
+    values = [repr(getattr(cfg, name)) for name in _TARGET_FIELDS] + [
+        2**cfg.L,
+        repr(float(np.real(np.trace(rho)))),
+        " ".join(str(d) for d in mpo.bond_dims),
+        _param_hash(cfg),
+        hashlib.sha256(dist.tobytes()).hexdigest(),
+        "rho.npy",
+        "mpo.tt",
+        "dist.npy",
+    ]
+    manifest = dict(zip(_MANIFEST_KEYS, values, strict=True))
+    write_lines(out / "manifest.txt", _MANIFEST_MAGIC, manifest)
     print(f"synth: wrote target snapshot to {out}")
     return 0
 

@@ -1,5 +1,8 @@
 """Exception types raised by this package, with their process exit codes,
-and the integer check that raises one."""
+and the integer and real-number checks that raise one."""
+
+import math
+import numbers
 
 import numpy as np
 
@@ -55,3 +58,14 @@ def check_integer(name: str, value, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def check_real(name: str, value) -> float:
+    """``value`` as a float; ValidationError naming ``name`` for a bool, a complex
+    number or a non-number. An int beyond the float range becomes an infinity."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf

@@ -59,7 +59,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError, check_integer
+from .errors import CapacityError, ValidationError, check_integer, check_real
 from .networks import TTDistribution, extend_left, matricized
 from .sampling import SampleSet
 
@@ -94,10 +94,13 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # Every int-annotated field, a subclass's too; the annotation may be a string.
-        for name in (f.name for f in fields(self) if f.type in ("int", int)):
-            value = check_integer(name, getattr(self, name), _INT_MINIMA.get(name))
-            object.__setattr__(self, name, value)
+        # Every int- and float-annotated field, a subclass's too; the annotation may be a string.
+        for f in fields(self):
+            if f.type in ("int", int):
+                value = check_integer(f.name, getattr(self, f.name), _INT_MINIMA.get(f.name))
+                object.__setattr__(self, f.name, value)
+            elif f.type in ("float", float):
+                object.__setattr__(self, f.name, check_real(f.name, getattr(self, f.name)))
         if not (np.isfinite(self.stop_rtol) and self.stop_rtol >= 0.0):
             raise ValidationError(f"stop_rtol must be finite and >= 0, got {self.stop_rtol}")
         if not (np.isfinite(self.eps) and self.eps > 0.0):

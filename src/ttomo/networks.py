@@ -18,6 +18,8 @@ def _check_chain(cores, phys_shape, what: str) -> None:
             raise ValidationError(
                 f"{what} core {l} has shape {core.shape}, expected {phys_shape} + bonds"
             )
+        if 0 in core.shape[nphys:]:
+            raise ValidationError(f"{what} core {l} has shape {core.shape}, with an empty bond")
     if cores[0].shape[nphys] != 1 or cores[-1].shape[nphys + 1] != 1:
         raise ValidationError(f"{what} must have outer bond dimension 1")
     for l in range(len(cores) - 1):

@@ -7,12 +7,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError, check_integer
+from .errors import ValidationError, check_integer, check_real
 from .networks import RunIndex, _first_differences
-from .storage import fail, read_header, read_lines, write_lines
+from .storage import fail, integer_at_least, read_header, read_lines, write_lines
 
 _MAGIC = "ttsamples 1"
 _MAX_CODE_SITES = 31  # base-4 string codes must fit in int64
+# The least value of each of SampleSet's int fields, which the file's header reads too.
+_MINIMA = {"L": 1, "total": 0, "seed": 0, "stream": 0}
 
 
 def _string_codes(strings: np.ndarray, L: int) -> np.ndarray:
@@ -46,10 +48,9 @@ class SampleSet:
     source: str = "-"
 
     def __post_init__(self) -> None:
-        # an empty set has total 0; seed None means no generator is recorded
-        minima = {"L": 1, "total": 0, "stream": 0} | ({} if self.seed is None else {"seed": 0})
-        for name, minimum in minima.items():
-            object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum))
+        for name, minimum in _MINIMA.items():
+            if name != "seed" or self.seed is not None:  # None: no generator is recorded
+                object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum))
         # checked before the casts, which would wrap, truncate or overflow a bad entry
         strings, counts = np.asarray(self.strings), np.asarray(self.counts)
         if strings.size and not (
@@ -111,6 +112,7 @@ def _num_sites_from_size(size: int) -> int:
 
 def check_sample_count(n) -> None:
     """Raise ValidationError unless ``n`` is a whole number of draws numpy can make."""
+    check_real("sample count", n)
     if n >= 2**63:  # numpy draws at most 2^63 - 1; inf is caught here
         raise ValidationError(f"sample count must be < 2^63, got {n}")
     if not n >= 1 or int(n) != n:  # nan is not >= 1
@@ -191,30 +193,23 @@ def save_samples(sset: SampleSet, path) -> None:
     write_lines(path, _MAGIC, header, [records[:-1]] if records else [])
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"expected a positive integer, got {value}")
-    return value
-
-
 # Header lines 2..6 of the sample format, in order, with their value parsers.
 _HEADER_PARSERS = {
-    "L": _positive_int,
-    "N": int,
-    "seed": lambda text: None if text == "-" else int(text),
-    "stream": int,
+    "L": integer_at_least("L", _MINIMA["L"]),
+    "N": integer_at_least("N", _MINIMA["total"]),
+    "seed": lambda text: None if text == "-" else integer_at_least("seed", _MINIMA["seed"])(text),
+    "stream": integer_at_least("stream", _MINIMA["stream"]),
     "source": str,
 }
 
 
-def _int64(text: str):
-    """``int(text)`` if that is an integer int64 holds, else None."""
+def _count(text: str):
+    """``int(text)`` if that is a multiplicity, 1 up to 2^63 - 1, else None."""
     try:
         value = int(text)
     except ValueError:
         return None
-    return value if -(2**63) <= value < 2**63 else None
+    return value if 1 <= value < 2**63 else None
 
 
 def _read_records(path, lines: list, lineno: int, L: int) -> tuple:
@@ -228,7 +223,7 @@ def _read_records(path, lines: list, lineno: int, L: int) -> tuple:
     # the lines before the first that does not hold two words are records
     n = next((i for i, parts in enumerate(rows) if len(parts) != 2), len(rows))
     words = [parts[0] for parts in rows[:n]]
-    counts = [_int64(parts[1]) for parts in rows[:n]]
+    counts = [_count(parts[1]) for parts in rows[:n]]
     sizes = np.fromiter(map(len, words), dtype=np.int64, count=n)
     symbols = np.frombuffer("".join(words).encode("ascii"), dtype=np.uint8) - ord("0")
     # a byte below '0' wraps past 3

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DegeneracyError, ValidationError, check_integer
+from .errors import CapacityError, DegeneracyError, ValidationError, check_integer, check_real
 from .networks import MpoDensity
 from .povm import Povm
 
@@ -46,6 +46,8 @@ class XxzParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "L", check_integer("L", self.L, 2))
+        for name in ("J", "gamma", "h", "p"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
         for name in ("J", "gamma", "h"):
             if not np.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
@@ -97,6 +99,7 @@ def ground_state_density(params: XxzParams) -> np.ndarray:
 
 def depolarize(rho: np.ndarray, p: float) -> np.ndarray:
     """Mix ``rho`` with the maximally mixed state: p * I/d + (1 - p) * rho."""
+    p = check_real("depolarizing strength", p)
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"depolarizing strength must lie in [0, 1], got {p}")
     rho = np.asarray(rho, dtype=complex)
@@ -198,6 +201,7 @@ def density_to_mpo(rho: np.ndarray, tol: float = 1e-14) -> MpoDensity:
 
 def check_mpo_tol(tol: float) -> None:
     """Raise ``ValidationError`` unless ``tol`` is a finite, nonnegative truncation tolerance."""
+    tol = check_real("truncation tolerance", tol)
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ValidationError(f"truncation tolerance must be finite and >= 0, got {tol}")
 

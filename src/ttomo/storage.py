@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError
+from .errors import DataFormatError, ValidationError, check_integer
 from .networks import MpoDensity, TTDistribution
 
 _MAGIC = "tttensor 1"
@@ -56,16 +56,19 @@ def read_header(path, lines: list, parsers: dict) -> dict:
     """Parse one ``key value`` line per ``parsers`` entry, in order, from line 2."""
     header = {}
     for lineno, (key, parse) in enumerate(parsers.items(), start=2):
-        if lineno > len(lines):
-            fail(path, lineno, f"missing header line '{key}'")
-        parts = lines[lineno - 1].split(maxsplit=1)
+        parts = lines[lineno - 1].split(maxsplit=1) if lineno <= len(lines) else []
         if len(parts) != 2 or parts[0] != key:
             fail(path, lineno, f"expected '{key} <value>'")
         try:
             header[key] = parse(parts[1])
-        except ValueError as exc:
+        except (ValueError, ValidationError) as exc:
             fail(path, lineno, f"bad header value: {exc}")
     return header
+
+
+def integer_at_least(name: str, minimum: int):
+    """A header value parser: the text's integer, checked to be at least ``minimum``."""
+    return lambda text: check_integer(name, int(text), minimum)
 
 
 def load_array(path) -> np.ndarray:
@@ -106,8 +109,8 @@ def save_tensor(path, obj) -> None:
 # Header lines 2..4 of the container, in order, with their value parsers.
 _HEADER_PARSERS = {
     "kind": str,
-    "L": int,
-    "bonds": lambda text: [int(tok) for tok in text.split()],
+    "L": integer_at_least("L", 1),
+    "bonds": lambda text: list(map(integer_at_least("bond", 1), text.split())),
 }
 
 
@@ -118,7 +121,7 @@ def load_tensor(path):
     kind, L, bonds = header["kind"], header["L"], header["bonds"]
     if kind not in ("tt", "mpo"):
         fail(path, 2, f"unknown kind '{kind}'")
-    if L < 1 or len(bonds) != L + 1:
+    if len(bonds) != L + 1:
         fail(path, 4, f"bond list length {len(bonds)} does not match L={L}")
     cores = []
     per_entry = 2 if kind == "mpo" else 1

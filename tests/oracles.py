@@ -310,7 +310,7 @@ def reference_samples_body(lines, L, body_start) -> tuple:
             count = int(count_text)
         except ValueError:
             count = None
-        if count is None or not -(2**63) <= count < 2**63:
+        if count is None or not 1 <= count < 2**63:
             return "error", lineno, f"bad multiplicity '{count_text}'"
         strings.append([int(ch) for ch in word])
         counts.append(count)

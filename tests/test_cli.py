@@ -589,18 +589,23 @@ def test_evaluate_rejects_length_mismatch(tmp_path, small_cfg):
 
 
 def _edit_manifest(tmp_path, key, value):
-    """Drop the snapshot manifest's ``key`` line or set it to ``value``."""
+    """Set the snapshot manifest's ``key`` line to ``key value``, or blank it when ``value``
+    is None; the line keeps its place. Returns the manifest's path and the line's number."""
     path = tmp_path / "run" / "target" / "manifest.txt"
     lines = path.read_text().splitlines()
-    lines = [line for line in lines if line.split()[0] != key]
-    path.write_text("\n".join(lines + ([f"{key} {value}"] if value else [])) + "\n")
+    lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(f"{key} "))
+    lines[lineno - 1] = "" if value is None else f"{key} {value}"
+    path.write_text("\n".join(lines) + "\n")
+    return path, lineno
 
 
 def test_sample_reports_a_manifest_without_dist_file(tmp_path, small_cfg, capsys):
     assert main(["synth", "--config", str(small_cfg)]) == 0
-    _edit_manifest(tmp_path, "dist_file", None)
+    manifest, lineno = _edit_manifest(tmp_path, "dist_file", None)
     assert main(["sample", "--config", str(small_cfg)]) == 3
-    assert "manifest.txt: missing key 'dist_file'" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        f"ttomo: error: {manifest}:{lineno}: expected 'dist_file <value>'"
+    ]
 
 
 def test_a_distribution_that_does_not_match_its_manifest_exits_with_the_format_code(
@@ -614,13 +619,12 @@ def test_a_distribution_that_does_not_match_its_manifest_exits_with_the_format_c
     assert main(["sample", "--config", str(small_cfg)]) == 3
     assert main(["evaluate", "--config", str(small_cfg)]) == 3
     np.save(target / "dist.npy", dist)
-    _edit_manifest(tmp_path, "dist_digest", None)
+    manifest, lineno = _edit_manifest(tmp_path, "dist_digest", None)
     assert main(["sample", "--config", str(small_cfg)]) == 3
-    manifest = target / "manifest.txt"
     assert capsys.readouterr().err.splitlines() == [
         f"ttomo: error: {manifest}: dist.npy does not match dist_digest",
         f"ttomo: error: {manifest}: dist.npy does not match dist_digest",
-        f"ttomo: error: {manifest}: missing key 'dist_digest'",
+        f"ttomo: error: {manifest}:{lineno}: expected 'dist_digest <value>'",
     ]
 
 
@@ -640,9 +644,15 @@ def test_read_snapshot_checks_the_distribution_digest(tmp_path, small_cfg):
 def test_evaluate_reports_a_manifest_with_a_non_integer_length(tmp_path, small_cfg, capsys):
     for command in ("synth", "sample", "fit"):
         assert main([command, "--config", str(small_cfg)]) == 0
-    _edit_manifest(tmp_path, "L", "two")
+    manifest, lineno = _edit_manifest(tmp_path, "L", "two")
     assert main(["evaluate", "--config", str(small_cfg)]) == 3
-    assert "manifest.txt: L must be a positive integer, got 'two'" in capsys.readouterr().err
+    _edit_manifest(tmp_path, "L", "0")
+    assert main(["evaluate", "--config", str(small_cfg)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"ttomo: error: {manifest}:{lineno}: bad header value: "
+        "invalid literal for int() with base 10: 'two'",
+        f"ttomo: error: {manifest}:{lineno}: bad header value: L must be >= 1, got 0",
+    ]
 
 
 @pytest.mark.parametrize(

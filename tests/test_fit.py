@@ -561,6 +561,12 @@ def test_fit_config_validation():
     for bad in (float("nan"), float("inf"), 0.0, -1e-16):
         with pytest.raises(ValidationError):
             FitConfig(eps=bad)
+    # a float setting must be a real number: not a string, None, a complex number or a bool
+    for name in ("eps", "stop_rtol"):
+        for bad in ("a", None, 1e-8j, True):
+            message = f"^{name} must be a real number, got {bad!r}$"
+            with pytest.raises(ValidationError, match=message):
+                FitConfig(**{name: bad})
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValidationError):
             FitConfig(stop_rtol=bad)

@@ -19,6 +19,10 @@ def test_tt_validation_rejects_broken_chains():
         TTDistribution([np.zeros((4, 2, 1))])  # left boundary must be 1
     with pytest.raises(ValidationError):
         TTDistribution([np.zeros((4, 1, 2)), np.zeros((4, 3, 1))])  # bond mismatch
+    with pytest.raises(ValidationError, match=r"core 0 has shape \(4, 1, 0\), with an empty bond"):
+        TTDistribution([np.zeros((4, 1, 0)), np.zeros((4, 0, 1))])  # bonds must be >= 1
+    with pytest.raises(ValidationError, match=r"core 1 has shape \(2, 2, 0, 1\), with an empty"):
+        MpoDensity([np.zeros((2, 2, 1, 1)), np.zeros((2, 2, 0, 1))])
 
 
 def test_tt_rejects_complex_cores():

@@ -102,7 +102,13 @@ def test_rejects_bad_distributions():
             sample_dataset(np.array([bad, 0.5, 0.25, 0.25]), 1000, seed=0)
     with pytest.raises(ValidationError):
         sample_dataset(np.zeros(0), 10, seed=0)
-    for bad in (2**63, 10**20, float("inf")):  # numpy draws at most 2^63 - 1
+    # a count that is not a real number is named, not left to a raw TypeError
+    for bad in ("10", None, 10j, True):
+        message = f"^sample count must be a real number, got {bad!r}$"
+        with pytest.raises(ValidationError, match=message):
+            sample_dataset(_uniform_dist(1), bad, seed=0)
+    # numpy draws at most 2^63 - 1; 10**400 is past the float range too
+    for bad in (2**63, 10**20, float("inf"), 10**400):
         with pytest.raises(ValidationError, match=r"^sample count must be < 2\^63, got "):
             sample_dataset(_uniform_dist(1), bad, seed=0)
     with pytest.raises(ValidationError, match="^sample count must be a positive integer, got nan$"):
@@ -266,7 +272,8 @@ def test_load_error_carries_line_number(tmp_path):
 
 @pytest.mark.parametrize(
     "lineno, bad_line",
-    [(2, "L x"), (2, "L 0"), (2, "L -1"), (3, "N x"), (4, "seed x"), (5, "stream x")],
+    [(2, "L x"), (2, "L 0"), (2, "L -1"), (3, "N x"), (4, "seed x"), (5, "stream x")]
+    + [(3, "N -1"), (4, "seed -5"), (5, "stream -1")],
 )
 def test_bad_header_value_names_its_line(tmp_path, lineno, bad_line):
     samples = sample_dataset(_uniform_dist(2), 50, seed=6)

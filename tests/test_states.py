@@ -49,6 +49,14 @@ def test_params_validation():
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValidationError, match=f"{name} must be finite"):
                 XxzParams(L=2, **{name: bad})
+    # a complex J would reach the Hamiltonian; a string or a bool is not a coupling either
+    for name in ("J", "gamma", "h", "p"):
+        for bad in ("x", "0.5", None, 1j, True):
+            message = f"^{name} must be a real number, got {bad!r}$"
+            with pytest.raises(ValidationError, match=message):
+                XxzParams(L=4, **{name: bad})
+    with pytest.raises(ValidationError, match="^depolarizing strength must be a real number"):
+        depolarize(np.eye(2) / 2, "x")
 
 
 _COUPLING = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
@@ -149,10 +157,12 @@ def test_density_to_mpo_truncation_shrinks_bonds():
     assert sum(loose.bond_dims) < sum(tight.bond_dims)
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-14])
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-14, "x", None, 1e-14j, True])
 def test_density_to_mpo_rejects_a_bad_tolerance(tol):
     rho = synth_target(XxzParams(L=3, p=0.6))
-    with pytest.raises(ValidationError, match="truncation tolerance must be finite and >= 0"):
+    real = isinstance(tol, float)
+    message = "must be finite and >= 0" if real else f"must be a real number, got {tol!r}"
+    with pytest.raises(ValidationError, match=f"^truncation tolerance {message}"):
         density_to_mpo(rho, tol=tol)
 
 

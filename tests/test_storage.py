@@ -95,7 +95,8 @@ def test_load_error_names_file_and_line(tmp_path):
 
 @pytest.mark.parametrize(
     "lineno, bad_line",
-    [(2, "kind banana"), (3, "L x"), (4, "bonds 1 x 1")],
+    [(2, "kind banana"), (3, "L x"), (4, "bonds 1 x 1"), (3, "L 0")]
+    + [(4, "bonds 1 0 1"), (4, "bonds 1 -1 1")],
 )
 def test_bad_header_value_names_its_line(tmp_path, lineno, bad_line):
     rng = np.random.default_rng(4)
