@@ -189,11 +189,15 @@ def _snapshot_dir(cfg: ExperimentConfig) -> Path:
 def _read_snapshot(cfg: ExperimentConfig, snapshot) -> tuple:
     """Length, density file and checked distribution of a target snapshot.
 
-    The distribution must match the manifest's ``dist_digest``.
+    The manifest must end at its last key, and the distribution must match
+    its ``dist_digest``.
     """
     snap = Path(snapshot) if snapshot else _snapshot_dir(cfg)
     path = snap / "manifest.txt"
-    manifest = read_header(path, read_lines(path, _MANIFEST_MAGIC), _MANIFEST_PARSERS)
+    lines = read_lines(path, _MANIFEST_MAGIC)
+    manifest = read_header(path, lines, _MANIFEST_PARSERS)
+    if len(lines) > 1 + len(_MANIFEST_PARSERS):
+        fail(path, 2 + len(_MANIFEST_PARSERS), "trailing content after last key")
     dist = load_array(snap / manifest["dist_file"])
     if hashlib.sha256(dist.tobytes()).hexdigest() != manifest["dist_digest"]:
         raise DataFormatError(f"{path}: {manifest['dist_file']} does not match dist_digest")
@@ -455,12 +459,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key = value config file")
-    for name in _FIELD_PARSERS:
-        parser.add_argument(_flag(name), dest=name, default=None, metavar="V")
-
-
 # Each subcommand's help text, its runner, and its path flags with their
 # help texts; the runner takes the config and one argument per path flag.
 _COMMANDS = {
@@ -476,11 +474,16 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # the config flags are built once, in a parent that every subcommand copies: each
+    # add_argument builds a help formatter, which queries the terminal size
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="key = value config file")
+    for name in _FIELD_PARSERS:
+        config.add_argument(_flag(name), dest=name, default=None, metavar="V")
     parser = _Parser(prog="ttomo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, paths) in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=help_text)
-        _add_config_flags(cmd)
+        cmd = sub.add_parser(name, help=help_text, parents=[config])
         for flag, flag_help in paths.items():
             cmd.add_argument("--" + flag, default=None, help=flag_help)
     return parser

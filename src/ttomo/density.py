@@ -44,20 +44,26 @@ def mpo_to_dense(mpo: MpoDensity) -> np.ndarray:
     """Contract an operator chain into a dense 2^L x 2^L matrix.
 
     Site 0 is the most significant bit of both the row and column index.
-    Guarded to L <= 10; a result that overflows to non-finite entries raises
+    Each site is one GEMM: the rows of ``acc`` are the (ket, bra) index pairs
+    of the sites so far, site by site, and its columns the open bond, so the
+    core as a (left bond, ket * bra * right bond) matrix appends one pair.
+    One transpose at the end gathers the ket and bra bits. Guarded to
+    L <= 10; a result that overflows to non-finite entries raises
     CapacityError.
     """
-    if mpo.length > MAX_OUTCOME_SITES:
-        raise CapacityError(
-            f"dense operator guard is L <= {MAX_OUTCOME_SITES}, got {mpo.length}"
-        )
-    acc = np.ones((1, 1, 1), dtype=complex)
+    L = mpo.length
+    if L > MAX_OUTCOME_SITES:
+        raise CapacityError(f"dense operator guard is L <= {MAX_OUTCOME_SITES}, got {L}")
+    acc = np.ones((1, 1), dtype=complex)
     for core in mpo.cores:
-        acc = np.einsum("rcb,xybd->rxcyd", acc, core)
-        acc = acc.reshape(acc.shape[0] * 2, acc.shape[2] * 2, acc.shape[4])
+        left, right = core.shape[2:]
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+            acc = acc @ core.transpose(2, 0, 1, 3).reshape(left, 4 * right)
+        acc = acc.reshape(-1, right)
     if not np.isfinite(acc).all():
-        raise CapacityError(f"the dense operator overflows at L={mpo.length}")
-    return acc[:, :, 0]
+        raise CapacityError(f"the dense operator overflows at L={L}")
+    order = list(range(0, 2 * L, 2)) + list(range(1, 2 * L, 2))
+    return acc.reshape([2] * (2 * L)).transpose(order).reshape(2**L, 2**L)
 
 
 def reconstruct(tt: TTDistribution, povm: Povm) -> tuple:

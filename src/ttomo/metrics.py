@@ -29,11 +29,20 @@ class FidelityResult:
         return 1.0 - self.fidelity
 
 
+def _as_real_if_exact(matrix) -> np.ndarray:
+    """``matrix`` as a float array if its imaginary part is exactly zero, else as complex."""
+    matrix = np.asarray(matrix)
+    if np.iscomplexobj(matrix):
+        return matrix.real if not matrix.imag.any() else matrix
+    return matrix.astype(float, copy=False)
+
+
 def _root_factor(matrix: np.ndarray):
     """(B, clipped): B B^dagger is the Hermitian part of ``matrix`` on its numerical support.
 
     B = V sqrt(lambda) over the eigenvalues above numpy's rank cutoff
     n * eps * max|lambda|; ``clipped`` sums the magnitudes of the negative ones.
+    A real ``matrix`` is decomposed in real arithmetic and gives a real B.
     """
     vals, vecs = np.linalg.eigh((matrix + matrix.conj().T) / 2.0)
     keep = vals > vals.size * np.finfo(float).eps * np.abs(vals).max(initial=0.0)
@@ -46,10 +55,12 @@ def quantum_fidelity(rho1: np.ndarray, rho2: np.ndarray) -> FidelityResult:
     It is the squared sum of the singular values of B2^dagger B1 (see
     ``_root_factor``). Rounding noise never enters a square root, so the
     value is exact for pure arguments. Negative eigenvalues are dropped, not
-    renormalized, and their total magnitude is recorded.
+    renormalized, and their total magnitude is recorded. An argument with a
+    real dtype, or with an imaginary part that is exactly zero, is decomposed
+    in real arithmetic.
     """
-    rho1 = np.asarray(rho1, dtype=complex)
-    rho2 = np.asarray(rho2, dtype=complex)
+    rho1 = _as_real_if_exact(rho1)
+    rho2 = _as_real_if_exact(rho2)
     if rho1.shape != rho2.shape or rho1.ndim != 2 or rho1.shape[0] != rho1.shape[1]:
         raise ValidationError(f"incompatible shapes {rho1.shape} and {rho2.shape}")
     if not (np.all(np.isfinite(rho1)) and np.all(np.isfinite(rho2))):

@@ -153,7 +153,7 @@ def sample_dataset(
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
     counts = rng.multinomial(int(n), dist / mass)
     observed = np.flatnonzero(counts)
-    digits = (observed[:, None] // 4 ** np.arange(L - 1, -1, -1, dtype=np.int64)) % 4
+    digits = (observed[:, None] >> (2 * np.arange(L - 1, -1, -1))) & 3
     return SampleSet(
         L=L,
         total=int(n),

@@ -56,10 +56,11 @@ class XxzParams:
 
 
 def xxz_hamiltonian(params: XxzParams) -> np.ndarray:
-    """Dense Hamiltonian of the chain; guarded to L <= 14.
+    """Dense real Hamiltonian of the chain; guarded to L <= 14.
 
     ZZ and Z terms are diagonal in the Z basis; XX + YY on a bond flips an
-    antiparallel pair with weight 2 and cancels on a parallel one.
+    antiparallel pair with the real weight 2J and cancels on a parallel one,
+    so the matrix is real symmetric.
     """
     L = params.L
     if L > MAX_DENSE_SITES:
@@ -71,7 +72,7 @@ def xxz_hamiltonian(params: XxzParams) -> np.ndarray:
         diag += params.J * params.gamma * z[:, l] * z[:, l + 1]
     for l in range(L):
         diag += params.h * z[:, l]
-    ham = np.diag(diag.astype(complex))
+    ham = np.diag(diag)
     for l in range(L - 1):
         rows = index[z[:, l] != z[:, l + 1]]
         ham[rows, rows ^ (3 << (L - 2 - l))] += 2.0 * params.J
@@ -79,22 +80,19 @@ def xxz_hamiltonian(params: XxzParams) -> np.ndarray:
 
 
 def ground_state_density(params: XxzParams) -> np.ndarray:
-    """Pure density matrix of the unique ground state.
+    """Pure real density matrix of the unique ground state.
 
+    The Hamiltonian is real symmetric, so the decomposition runs in real
+    arithmetic, and the projector does not depend on the eigenvector's sign.
     Raises DegeneracyError when the spectral gap above the ground level is
-    at most ``GAP_TOL``. The global phase is fixed by making the
-    largest-magnitude amplitude real and positive.
+    at most ``GAP_TOL``.
     """
     ham = xxz_hamiltonian(params)
     vals, vecs = np.linalg.eigh(ham)
     gap = vals[1] - vals[0]
     if gap <= GAP_TOL:
         raise DegeneracyError(f"ground level is degenerate within {GAP_TOL} (gap {gap:.3e})")
-    ground = vecs[:, 0]
-    pivot = int(np.argmax(np.abs(ground)))
-    phase = ground[pivot] / abs(ground[pivot])
-    ground = ground * phase.conj()
-    return np.outer(ground, ground.conj())
+    return np.outer(vecs[:, 0], vecs[:, 0])
 
 
 def depolarize(rho: np.ndarray, p: float) -> np.ndarray:

@@ -245,10 +245,12 @@ def brute_classical_fidelity(model_vec, ideal_vec, samples) -> float:
     return float(total)
 
 
-def random_density(dim, rng, rank=None) -> np.ndarray:
-    """Random positive-semidefinite unit-trace matrix of the given rank."""
+def random_density(dim, rng, rank=None, real=False) -> np.ndarray:
+    """Random positive-semidefinite unit-trace matrix of the given rank; float64 if ``real``."""
     rank = dim if rank is None else rank
-    factor = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    factor = rng.normal(size=(dim, rank))
+    if not real:
+        factor = factor + 1j * rng.normal(size=(dim, rank))
     rho = factor @ factor.conj().T
     return rho / np.trace(rho).real
 

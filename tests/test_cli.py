@@ -2,7 +2,8 @@
 
 All commands run in-process through main() so exit codes are observable
 without spawning interpreters, except where a test needs a setting that is
-read once per process, such as the BLAS thread count.
+read once per process, such as the BLAS thread count, and in the exit-code
+table at the end, which runs ``python -m ttomo.cli`` as a user would.
 """
 
 import csv
@@ -655,6 +656,30 @@ def test_evaluate_reports_a_manifest_with_a_non_integer_length(tmp_path, small_c
     ]
 
 
+def test_a_manifest_line_after_the_last_key_exits_with_the_format_code(
+    tmp_path, small_cfg, capsys
+):
+    assert main(["synth", "--config", str(small_cfg)]) == 0
+    manifest = tmp_path / "run" / "target" / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("\n".join(lines + ["extra junk"]) + "\n")
+    assert main(["sample", "--config", str(small_cfg)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"ttomo: error: {manifest}:{len(lines) + 1}: trailing content after last key"
+    ]
+    assert not (tmp_path / "run" / "data").exists()
+
+
+@pytest.mark.parametrize("command", list(ttomo.cli._COMMANDS))
+def test_every_subcommand_help_lists_every_config_flag(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, "--help"])
+    assert exc.value.code == 0
+    listed = {word.rstrip(",") for word in capsys.readouterr().out.split()}
+    flags = {"--config"} | {"--" + name.replace("_", "-") for name in ttomo.cli._FIELD_PARSERS}
+    assert flags <= listed
+
+
 @pytest.mark.parametrize(
     "command,accepted",
     [
@@ -835,3 +860,81 @@ def test_min_n_search_stops_at_n_max(tmp_path, monkeypatch):
     with open(tmp_path / "minn" / "scan.csv") as fh:
         (row,) = csv.DictReader(fh)
     assert row["status"] == "threshold-not-reached" and row["min_n"] == ""
+
+
+# Flags of every entry-point case: an L = 3 pipeline, as in the CI run of the console script.
+_ENTRY_FLAGS = ["--L", "3", "--train", "2000", "--test", "2000", "--trials", "2",
+                "--max-sweeps", "20"]
+_SAMPLES_HEADER = "ttsamples 1\nL 3\nN {n}\nseed -\nstream {stream}\nsource -\n"
+# A hand-written manifest of an L = 3 snapshot with a line after its last key.
+_TRAILING_MANIFEST = "\n".join([
+    "ttsnapshot 1", "L 3", "J 1.0", "gamma 1.0", "h 1.0", "p 0.6", "mpo_tol 1e-14", "d 8",
+    "trace 1.0", "bonds 1 4 4 1", "param_hash -", "dist_digest -", "rho_file rho.npy",
+    "mpo_file mpo.tt", "dist_file dist.npy", "extra junk",
+]) + "\n"
+
+# Each case: the file it writes, or None; the file's text; the command line before
+# the pipeline flags, where {file} and {dir} name the file and its directory; the exit
+# code; and the error line after "ttomo: error: ", with {file} likewise.
+_ENTRY_POINT_CASES = {
+    "non-finite eps": (
+        None, "", ["fit", "--eps", "nan"], 1, "eps must be finite and > 0, got nan",
+    ),
+    "depolarizing strength above one": (
+        None, "", ["fit", "--p", "2"], 1, "depolarizing strength must lie in [0, 1], got 2.0",
+    ),
+    "count beyond int64": (
+        "overflowing.samples",
+        _SAMPLES_HEADER.format(n=1, stream=0) + "012 99999999999999999999\n",
+        ["fit", "--data", "{file}"], 3, "{file}:7: bad multiplicity '99999999999999999999'",
+    ),
+    "counts whose sum wraps int64 to N": (
+        "wrapped.samples",
+        _SAMPLES_HEADER.format(n=5, stream=0) + "000 4611686018427387904\n"
+        "001 4611686018427387904\n002 4611686018427387904\n003 4611686018427387909\n",
+        ["fit", "--data", "{file}"], 3,
+        "{file}:6: multiplicities sum to 18446744073709551621, recorded total is 5",
+    ),
+    "empty test set": (
+        "empty.samples", _SAMPLES_HEADER.format(n=0, stream=0), ["evaluate", "--data", "{file}"],
+        1, "cannot score an empty test set",
+    ),
+    "negative stream": (
+        "negative.samples", _SAMPLES_HEADER.format(n=1, stream=-1) + "012 1\n",
+        ["fit", "--data", "{file}"], 3, "{file}:5: bad header value: stream must be >= 0, got -1",
+    ),
+    "train with a zero bond": (
+        "zero_bond.tt",
+        "tttensor 1\nkind tt\nL 3\nbonds 1 0 1 1\ncore\ncore\ncore 0.25 0.25 0.25 0.25\n",
+        ["evaluate", "--tt", "{file}"], 3, "{file}:4: bad header value: bond must be >= 1, got 0",
+    ),
+    "manifest line after the last key": (
+        "snapshot/manifest.txt", _TRAILING_MANIFEST, ["sample", "--snapshot", "{dir}"], 3,
+        "{file}:16: trailing content after last key",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def entry_run(tmp_path_factory):
+    """A synth, sample and fit run with the entry-point flags, for the cases that read it."""
+    outdir = tmp_path_factory.mktemp("entry") / "run"
+    for command in ("synth", "sample", "fit"):
+        assert main([command, *_ENTRY_FLAGS, "--outdir", str(outdir)]) == 0
+    return outdir
+
+
+@pytest.mark.parametrize("case", list(_ENTRY_POINT_CASES))
+def test_the_entry_point_exits_with_the_documented_code(tmp_path, entry_run, case):
+    name, text, argv, code, message = _ENTRY_POINT_CASES[case]
+    path = tmp_path / (name or "unused")
+    if name is not None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    argv = [arg.format(file=path, dir=path.parent) for arg in argv]
+    src = str(Path(ttomo.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    command = [sys.executable, "-m", "ttomo.cli", *argv, *_ENTRY_FLAGS, "--outdir", str(entry_run)]
+    done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=300)
+    # the exact line, since a traceback exits 1 too
+    assert (done.returncode, done.stderr) == (code, f"ttomo: error: {message.format(file=path)}\n")

@@ -13,7 +13,9 @@ rows, and the run index on repeated rows; a sample set's own runs give
 of every string, are checked trial by trial against the public single-train
 calls. The quantum fidelity is checked on pure arguments, under
 rounding-level perturbations and against scipy matrix square roots for d in
-{2, 4, 8, 16}. The text codecs must write the per-record formatter's bytes
+{2, 4, 8, 16}, on real, complex and mixed pairs of any rank; identical
+basis-state arguments give exactly 1. ``mpo_to_dense`` is checked entry by
+entry on complex chains of L 1..5 and bonds 1..4. The text codecs must write the per-record formatter's bytes
 for sample sets of L 1..12 with totals up to 2^63 - 1 and for trains and
 operator chains, read them back exactly, and read respelled, corrupted and
 random sample bodies as the per-line parser does, naming the same line. The
@@ -21,10 +23,12 @@ profile registered in conftest.py derandomizes the draws and caps their
 number.
 """
 
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +36,7 @@ from oracles import (
     all_strings,
     assert_cache_matches_oracles,
     brute_loss,
+    brute_mpo_dense,
     brute_right_grid,
     brute_update_denom,
     brute_update_numer,
@@ -46,6 +51,7 @@ from oracles import (
 )
 import ttomo.fitting
 import ttomo.sampling
+from ttomo.density import mpo_to_dense
 from ttomo.errors import DataFormatError, ValidationError
 from ttomo.fitting import EnvCache, FitConfig, fit, loss, update_core
 from ttomo.metrics import quantum_fidelity
@@ -286,6 +292,66 @@ def test_fidelity_of_full_rank_pairs_matches_the_sqrtm_oracle(instance):
     dim, rng = instance
     rho1, rho2 = random_density(dim, rng), random_density(dim, rng)
     assert abs(quantum_fidelity(rho1, rho2).fidelity - sqrtm_fidelity(rho1, rho2)) <= 1e-10
+
+
+# How each argument of a quantum fidelity is given: a float64 matrix, the same
+# matrix as complex128 with an exactly zero imaginary part, or a complex one.
+_KINDS = ("real", "real as complex", "complex")
+
+
+def _density_of_kind(kind, dim, rng, rank):
+    rho = random_density(dim, rng, rank, real=kind != "complex")
+    return rho.astype(complex) if kind == "real as complex" else rho
+
+
+@given(dims_and_rngs(), st.data())
+def test_fidelity_of_real_complex_and_mixed_pairs_matches_the_sqrtm_oracle(instance, data):
+    # a rank-deficient argument leaves scipy's sqrtm square roots of rounding
+    # noise, good to about 2e-8 (3000 random pairs), so the bound is looser there
+    dim, rng = instance
+    pair = []
+    for side in ("rho1", "rho2"):
+        kind = data.draw(st.sampled_from(_KINDS), label=f"{side} kind")
+        rank = data.draw(st.integers(1, dim), label=f"{side} rank")
+        pair.append((_density_of_kind(kind, dim, rng, rank), rank))
+    (rho1, rank1), (rho2, rank2) = pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)  # sqrtm of a singular matrix
+        expected = sqrtm_fidelity(rho1, rho2)
+    bound = 1e-10 if rank1 == rank2 == dim else 1e-7
+    assert abs(quantum_fidelity(rho1, rho2).fidelity - expected) <= bound
+
+
+@given(dims_and_rngs(), st.data())
+def test_identical_pure_basis_arguments_give_exactly_one(instance, data):
+    # a phase times a basis vector: every eigenpair is exact in either arithmetic
+    dim, rng = instance
+    k = data.draw(st.integers(0, dim - 1), label="basis vector")
+    phase = data.draw(st.sampled_from([1.0, -1.0, 1j, -1j]), label="phase")
+    kind = data.draw(st.sampled_from(_KINDS), label="kind")
+    psi = np.zeros(dim, dtype=complex)
+    psi[k] = phase
+    pure = np.outer(psi, psi.conj())
+    pure = pure.real if kind == "real" else pure
+    result = quantum_fidelity(pure, pure)
+    assert result.fidelity == 1.0 and result.clipped_mass == 0.0
+
+
+@st.composite
+def complex_chains(draw):
+    """Operator chains of L 1..5 and bonds 1..4 with complex normal entries."""
+    L, bond_dim = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = [1] + [bond_dim] * (L - 1) + [1]
+    shapes = [(2, 2, dims[p], dims[p + 1]) for p in range(L)]
+    return MpoDensity([rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes])
+
+
+@given(complex_chains())
+def test_mpo_to_dense_matches_the_entrywise_oracle(mpo):
+    expected = brute_mpo_dense(mpo.cores)
+    scale = np.abs(expected).max()
+    np.testing.assert_allclose(mpo_to_dense(mpo), expected, rtol=1e-13, atol=1e-13 * scale)
 
 
 @pytest.fixture(scope="module")

@@ -66,8 +66,10 @@ _COUPLING = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 @given(st.integers(2, 7), _COUPLING, _COUPLING, _COUPLING)
 @example(3, 0.7, -0.4, 0.9)
 def test_hamiltonian_matches_kron_oracle(L, J, gamma, h):
-    # the direct build adds the oracle's terms in the oracle's order, so no rounding differs
+    # the direct build adds the oracle's terms in the oracle's order, so no rounding differs;
+    # XX + YY is real, so the direct build is float64
     ham = xxz_hamiltonian(XxzParams(L=L, J=J, gamma=gamma, h=h))
+    assert ham.dtype == np.float64
     assert np.array_equal(ham, kron_xxz_hamiltonian(L, J, gamma, h))
 
 
@@ -103,6 +105,7 @@ def test_ground_state_rejects_degenerate_spectrum():
 def test_ground_state_is_valid_density():
     for L in (2, 3, 4):
         rho = ground_state_density(XxzParams(L=L))
+        assert rho.dtype == np.float64  # from the real Hamiltonian's real eigh
         _assert_hermitian_unit_trace(rho)
         vals = np.linalg.eigvalsh(rho)
         assert vals.min() >= -1e-12
@@ -120,6 +123,7 @@ def test_depolarize_endpoints_and_linearity():
 
 def test_synth_target_keeps_unit_trace():
     rho = synth_target(XxzParams(L=3, p=0.6))
+    assert rho.dtype == np.complex128 and not rho.imag.any()  # depolarize casts
     _assert_hermitian_unit_trace(rho)
     vals = np.linalg.eigvalsh(rho)
     # depolarizing by p floors every eigenvalue at p / d
