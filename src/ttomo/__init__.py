@@ -6,15 +6,7 @@ site to recover a matrix-product density operator. Synthetic targets,
 sampling, fidelity metrics, and a command-line pipeline are included.
 """
 
-from .density import (
-    ReconstructionReport,
-    diagnose,
-    mpo_to_dense,
-    mpo_to_tt,
-    normalize_tt,
-    reconstruct,
-    tt_to_mpo,
-)
+from .density import mpo_to_dense, normalize_tt, reconstruct, tt_to_mpo
 from .errors import (
     CapacityError,
     DataFormatError,
@@ -29,21 +21,15 @@ from .fitting import (
     FitConfig,
     FitResult,
     TrialResult,
-    bond_profile,
     fit,
     init_tt,
     loss,
     sweep,
     update_core,
 )
-from .metrics import FidelityResult, classical_fidelity, quantum_fidelity
+from .metrics import FidelityResult, classical_fidelity, quantum_fidelity, score
 from .networks import MpoDensity, TTDistribution
-from .povm import (
-    Povm,
-    forward_map_site,
-    inverse_map_site,
-    tetrahedral_povm,
-)
+from .povm import Povm, inverse_map_site, tetrahedral_povm
 from .sampling import (
     SampleSet,
     load_samples,
@@ -76,21 +62,17 @@ __all__ = [
     "IntegrityError",
     "MpoDensity",
     "Povm",
-    "ReconstructionReport",
     "SampleSet",
     "TTDistribution",
     "TomoError",
     "TrialResult",
     "ValidationError",
     "XxzParams",
-    "bond_profile",
     "classical_fidelity",
     "density_to_mpo",
     "depolarize",
-    "diagnose",
     "exact_outcome_distribution",
     "fit",
-    "forward_map_site",
     "ground_state_density",
     "init_tt",
     "inverse_map_site",
@@ -98,13 +80,13 @@ __all__ = [
     "load_tensor",
     "loss",
     "mpo_to_dense",
-    "mpo_to_tt",
     "normalize_tt",
     "quantum_fidelity",
     "reconstruct",
     "sample_dataset",
     "save_samples",
     "save_tensor",
+    "score",
     "split_train_test",
     "sweep",
     "synth_target",

@@ -18,18 +18,17 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .density import diagnose, reconstruct
 from .errors import DataFormatError, DegenerateFitError, TomoError, ValidationError, check_integer
 from .fitting import FitConfig, fit, map_jobs
-from .metrics import classical_fidelity, quantum_fidelity
+from .metrics import score
 from .networks import TTDistribution
 from .povm import tetrahedral_povm
-from .sampling import SampleSet, check_sample_count, load_samples, sample_dataset, save_samples
+from .sampling import check_sample_count, load_samples, sample_dataset, save_samples
 from .states import (
     XxzParams,
     check_mpo_tol,
@@ -298,25 +297,6 @@ def cmd_fit(cfg: ExperimentConfig, data) -> int:
     return 0
 
 
-def _evaluate_tt(tt: TTDistribution, rho, dist, test: SampleSet) -> dict:
-    """Shared evaluation: reconstruct (``density.reconstruct``), compare with the target."""
-    start = time.perf_counter()
-    normalized, rho_hat = reconstruct(tt, tetrahedral_povm())
-    fq = quantum_fidelity(rho_hat, rho)
-    fc = classical_fidelity(normalized, dist, test)
-    return {
-        "L": tt.length,
-        "bond_dims": list(tt.bond_dims),
-        **asdict(diagnose(rho_hat)),
-        "f_q": fq.fidelity,
-        "i_q": fq.infidelity,
-        "clipped_mass": fq.clipped_mass,
-        "f_c": fc.fidelity,
-        "i_c": fc.infidelity,
-        "runtime_s": time.perf_counter() - start,
-    }
-
-
 def _write_report(path: Path, report: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="ascii")
@@ -336,7 +316,7 @@ def cmd_evaluate(cfg: ExperimentConfig, tt, snapshot, data) -> int:
         raise ValidationError(
             f"length mismatch: train has L={tt.length}, snapshot L={L}, test set L={test.L}"
         )
-    report = _evaluate_tt(tt, rho, dist, test)
+    report = score(tt, rho, dist, test)
     out = Path(cfg.outdir) / "report.json"
     _write_report(out, report)
     shown = {k: report[k] for k in ("i_q", "i_c", "trace_deviation", "hermiticity_residual")}
@@ -388,7 +368,7 @@ def _run_point(cfg: ExperimentConfig, index: int, overrides: dict, point_dir: Pa
 
 def _fit_and_score(point: ExperimentConfig, train, test, rho, dist) -> dict:
     result = fit(train, point, jobs=1)
-    report = _evaluate_tt(result.best.tt, rho, dist, test)
+    report = score(result.best.tt, rho, dist, test)
     report["best_loss"] = result.best.final_loss
     report["best_trial"] = result.best.trial
     report["n_train"] = train.total

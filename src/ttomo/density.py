@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CapacityError, DegenerateFitError
 from .networks import MpoDensity, TTDistribution
-from .povm import Povm, forward_map_site, inverse_map_site
+from .povm import Povm, inverse_map_site
 from .states import MAX_OUTCOME_SITES
 
 
@@ -30,14 +28,6 @@ def normalize_tt(tt: TTDistribution) -> TTDistribution:
 def tt_to_mpo(tt: TTDistribution, povm: Povm) -> MpoDensity:
     """Invert the measurement map on every core; bond extents are unchanged."""
     return MpoDensity([inverse_map_site(core, povm) for core in tt.cores])
-
-
-def mpo_to_tt(mpo: MpoDensity, povm: Povm) -> TTDistribution:
-    """Apply the measurement map to every core; exact inverse of tt_to_mpo.
-
-    Non-Hermitian bond slices give complex weights, a ValidationError.
-    """
-    return TTDistribution([forward_map_site(core, povm) for core in mpo.cores])
 
 
 def mpo_to_dense(mpo: MpoDensity) -> np.ndarray:
@@ -78,30 +68,3 @@ def reconstruct(tt: TTDistribution, povm: Povm) -> tuple:
             f"(bound 1e-08): cancellation exceeds the float64 precision"
         )
     return model, rho_hat
-
-
-@dataclass(frozen=True)
-class ReconstructionReport:
-    """Sanity numbers of a reconstructed density matrix."""
-
-    trace_deviation: float
-    hermiticity_residual: float
-    min_eigenvalue: float
-
-
-def diagnose(rho: np.ndarray) -> ReconstructionReport:
-    """Trace deviation, Hermiticity residual, and smallest eigenvalue.
-
-    The eigenvalue is taken from the Hermitian part (rho + rho^dagger) / 2;
-    nothing is clipped here, negative values are reported as found.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    trace_dev = float(abs(np.trace(rho) - 1.0))
-    skew = rho - rho.conj().T  # summed with np.sum, not BLAS, for any thread count
-    herm = float(np.sqrt(np.sum(skew.real**2 + skew.imag**2)))
-    min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
-    return ReconstructionReport(
-        trace_deviation=trace_dev,
-        hermiticity_residual=herm,
-        min_eigenvalue=min_eig,
-    )

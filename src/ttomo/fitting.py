@@ -336,7 +336,6 @@ def sweep(
     cache: EnvCache,
     samples: SampleSet,
     eps: float = DEFAULT_EPS,
-    on_update=None,
 ) -> TTDistribution:
     """One full left-to-right then right-to-left pass of site updates.
 
@@ -344,19 +343,14 @@ def sweep(
     going left, cores L-1 .. 1 are updated and the right environments follow,
     so interior cores are updated twice per sweep and the edge cores once (a
     one-site chain's core on the right-going pass only).
-    ``on_update`` is called with the core index after each update.
     """
     L = tt.length
     for k in range(max(L - 1, 1)):
         update_core(tt, cache, samples, k, eps)
         cache.refresh_left(k)
-        if on_update is not None:
-            on_update(k)
     for k in range(L - 1, 0, -1):
         update_core(tt, cache, samples, k, eps)
         cache.refresh_right(k)
-        if on_update is not None:
-            on_update(k)
     return tt
 
 

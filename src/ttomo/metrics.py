@@ -1,13 +1,16 @@
-"""Quantum and classical fidelity between target and reconstruction."""
+"""Quantum and classical fidelity between target and reconstruction, and the report of a fit."""
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from .density import reconstruct
 from .errors import IntegrityError, ValidationError
 from .networks import TTDistribution
+from .povm import tetrahedral_povm
 from .sampling import SampleSet
 
 
@@ -38,7 +41,8 @@ def _as_real_if_exact(matrix) -> np.ndarray:
 
 
 def _root_factor(matrix: np.ndarray):
-    """(B, clipped): B B^dagger is the Hermitian part of ``matrix`` on its numerical support.
+    """(B, clipped, lambda): B B^dagger is the Hermitian part of ``matrix`` on its numerical
+    support, and lambda its eigenvalues in ascending order.
 
     B = V sqrt(lambda) over the eigenvalues above numpy's rank cutoff
     n * eps * max|lambda|; ``clipped`` sums the magnitudes of the negative ones.
@@ -46,7 +50,22 @@ def _root_factor(matrix: np.ndarray):
     """
     vals, vecs = np.linalg.eigh((matrix + matrix.conj().T) / 2.0)
     keep = vals > vals.size * np.finfo(float).eps * np.abs(vals).max(initial=0.0)
-    return vecs[:, keep] * np.sqrt(vals[keep]), float(-vals[vals < 0.0].sum()) + 0.0
+    return vecs[:, keep] * np.sqrt(vals[keep]), float(-vals[vals < 0.0].sum()) + 0.0, vals
+
+
+def _fidelity_and_spectrum(rho1: np.ndarray, rho2: np.ndarray) -> tuple:
+    """``quantum_fidelity(rho1, rho2)`` and the eigenvalues of rho1's Hermitian part behind it."""
+    rho1 = _as_real_if_exact(rho1)
+    rho2 = _as_real_if_exact(rho2)
+    if rho1.shape != rho2.shape or rho1.ndim != 2 or rho1.shape[0] != rho1.shape[1]:
+        raise ValidationError(f"incompatible shapes {rho1.shape} and {rho2.shape}")
+    if not (np.all(np.isfinite(rho1)) and np.all(np.isfinite(rho2))):
+        raise ValidationError("density matrices have non-finite entries")
+    root1, clipped1, vals1 = _root_factor(rho1)
+    root2, clipped2, _ = _root_factor(rho2)
+    singular = np.linalg.svd(root2.conj().T @ root1, compute_uv=False)
+    fidelity = FidelityResult(fidelity=float(singular.sum() ** 2), clipped_mass=clipped1 + clipped2)
+    return fidelity, vals1
 
 
 def quantum_fidelity(rho1: np.ndarray, rho2: np.ndarray) -> FidelityResult:
@@ -59,16 +78,7 @@ def quantum_fidelity(rho1: np.ndarray, rho2: np.ndarray) -> FidelityResult:
     real dtype, or with an imaginary part that is exactly zero, is decomposed
     in real arithmetic.
     """
-    rho1 = _as_real_if_exact(rho1)
-    rho2 = _as_real_if_exact(rho2)
-    if rho1.shape != rho2.shape or rho1.ndim != 2 or rho1.shape[0] != rho1.shape[1]:
-        raise ValidationError(f"incompatible shapes {rho1.shape} and {rho2.shape}")
-    if not (np.all(np.isfinite(rho1)) and np.all(np.isfinite(rho2))):
-        raise ValidationError("density matrices have non-finite entries")
-    root1, clipped1 = _root_factor(rho1)
-    root2, clipped2 = _root_factor(rho2)
-    singular = np.linalg.svd(root2.conj().T @ root1, compute_uv=False)
-    return FidelityResult(fidelity=float(singular.sum() ** 2), clipped_mass=clipped1 + clipped2)
+    return _fidelity_and_spectrum(rho1, rho2)[0]
 
 
 def _values_on(obj, test: SampleSet) -> np.ndarray:
@@ -109,3 +119,32 @@ def classical_fidelity(model, ideal, test: SampleSet) -> FidelityResult:
     # np.sum, not a BLAS dot, so the value does not depend on the BLAS thread count
     fidelity = float(np.sum(test.weights * np.sqrt(ratio)))
     return FidelityResult(fidelity=fidelity)
+
+
+def score(tt: TTDistribution, rho, dist, test: SampleSet) -> dict:
+    """The report of a fitted train against the target ``rho``, its outcome distribution
+    ``dist`` and a test set: the fields of ``report.json`` and of a scan row.
+
+    The train is reconstructed once (``density.reconstruct``), and the Hermitian part of
+    ``rho_hat`` is decomposed once: ``min_eigenvalue``, the clipped mass and ``f_q`` all
+    come from that ``eigh``. Nothing is clipped in ``min_eigenvalue``; the Hermiticity
+    residual is the Frobenius norm of ``rho_hat - rho_hat^dagger``.
+    """
+    start = time.perf_counter()
+    model, rho_hat = reconstruct(tt, tetrahedral_povm())
+    fq, spectrum = _fidelity_and_spectrum(rho_hat, rho)
+    fc = classical_fidelity(model, dist, test)
+    skew = rho_hat - rho_hat.conj().T  # summed with np.sum, not BLAS, for any thread count
+    return {
+        "L": tt.length,
+        "bond_dims": list(tt.bond_dims),
+        "trace_deviation": float(abs(np.trace(rho_hat) - 1.0)),
+        "hermiticity_residual": float(np.sqrt(np.sum(skew.real**2 + skew.imag**2))),
+        "min_eigenvalue": float(spectrum[0]),
+        "f_q": fq.fidelity,
+        "i_q": fq.infidelity,
+        "clipped_mass": fq.clipped_mass,
+        "f_c": fc.fidelity,
+        "i_c": fc.infidelity,
+        "runtime_s": time.perf_counter() - start,
+    }

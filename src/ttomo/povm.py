@@ -54,26 +54,10 @@ def tetrahedral_povm() -> Povm:
     return Povm(elements=elements, flat=flat, flat_inverse=flat_inverse)
 
 
-def forward_map_site(w_core: np.ndarray, povm: Povm) -> np.ndarray:
-    """Map an operator core (ket, bra, left, right) to outcome weights.
-
-    Returns an array of shape (4, left, right) holding tr(M_s W[:, :, b, c])
-    for every bond pair. The result is returned as a real array whenever the
-    bond slices of ``w_core`` are Hermitian (the case for every operator this
-    package produces); otherwise it stays complex.
-    """
-    w = np.asarray(w_core)
-    if w.ndim != 4 or w.shape[:2] != (2, 2):
-        raise ValidationError(f"expected core shape (2, 2, Dl, Dr), got {w.shape}")
-    merged = w.reshape(4, w.shape[2], w.shape[3])
-    x = np.tensordot(povm.flat, merged, axes=(1, 0))
-    return np.real_if_close(x, tol=1000)
-
-
 def inverse_map_site(x_core: np.ndarray, povm: Povm) -> np.ndarray:
     """Map an outcome-weight core (s, left, right) back to operator entries.
 
-    Exact inverse of :func:`forward_map_site`; returns a complex array of
+    Exact inverse of the measurement map ``flat``; returns a complex array of
     shape (2, 2, left, right). Real inputs produce Hermitian bond slices.
     """
     x = np.asarray(x_core, dtype=complex)

@@ -2,18 +2,26 @@
 
 Everything here enumerates outcome strings or loops over records directly and
 shares no code with the library internals, so agreement is meaningful; the
-text-file references format and parse one record at a time. Two helpers
+text-file references format and parse one record at a time. Four helpers
 call the library: ``public_call_trial``, the reference for ``fit``'s
-batched trial blocks, runs one trial through the public single-train calls,
-and ``assert_cache_matches_oracles`` compares an ``EnvCache``'s stores with
-the oracles laid out as the stores are.
+batched trial blocks, runs one trial through the public single-train calls;
+``assert_cache_matches_oracles`` compares an ``EnvCache``'s stores with
+the oracles laid out as the stores are; ``after_each_update`` lets a test
+watch the updates of a ``sweep``; and ``mpo_to_tt`` applies a ``Povm``'s
+measurement map to an operator chain, the forward direction of
+``ttomo.tt_to_mpo``.
 """
 
+import contextlib
+
 import numpy as np
+import pytest
 import scipy.linalg
 
-from ttomo.fitting import EnvCache, init_tt, loss, update_core
-from ttomo.networks import MpoDensity, matricized
+import ttomo.fitting
+from ttomo.errors import ValidationError
+from ttomo.fitting import DEFAULT_EPS, EnvCache, init_tt, loss, update_core
+from ttomo.networks import MpoDensity, TTDistribution, matricized
 
 
 def all_strings(L: int) -> np.ndarray:
@@ -194,6 +202,30 @@ def brute_mpo_dense(cores) -> np.ndarray:
     return rho
 
 
+def forward_map_site(w_core, povm) -> np.ndarray:
+    """Map an operator core (ket, bra, left, right) to outcome weights.
+
+    Returns an array of shape (4, left, right) holding tr(M_s W[:, :, b, c])
+    for every bond pair. The result is returned as a real array whenever the
+    bond slices of ``w_core`` are Hermitian (the case for every operator the
+    package produces); otherwise it stays complex.
+    """
+    w = np.asarray(w_core)
+    if w.ndim != 4 or w.shape[:2] != (2, 2):
+        raise ValidationError(f"expected core shape (2, 2, Dl, Dr), got {w.shape}")
+    merged = w.reshape(4, w.shape[2], w.shape[3])
+    x = np.tensordot(povm.flat, merged, axes=(1, 0))
+    return np.real_if_close(x, tol=1000)
+
+
+def mpo_to_tt(mpo, povm) -> TTDistribution:
+    """Apply the measurement map to every core; exact inverse of ``ttomo.tt_to_mpo``.
+
+    Non-Hermitian bond slices give complex weights, a ValidationError.
+    """
+    return TTDistribution([forward_map_site(core, povm) for core in mpo.cores])
+
+
 def kron_xxz_hamiltonian(L, J, gamma, h) -> np.ndarray:
     """XXZ Hamiltonian as a sum of Kronecker chains: XX, YY, ZZ per bond, then Z per site."""
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -285,6 +317,25 @@ def public_call_trial(samples, config, seed):
             if gain <= config.stop_rtol * max(abs(losses[-1]), 1e-300):
                 return tt, np.array(losses), True
     return tt, np.array(losses), False
+
+
+@contextlib.contextmanager
+def after_each_update(after):
+    """Inside the block, ``sweep`` calls ``after(k)`` right after each update of core k.
+
+    ``sweep`` looks ``ttomo.fitting.update_core`` up at call time, so wrapping it
+    observes every update; the environment refresh that follows the update has
+    not run yet when ``after`` is called.
+    """
+
+    def update(tt, cache, samples, k, eps=DEFAULT_EPS):
+        core = update_core(tt, cache, samples, k, eps)
+        after(k)
+        return core
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ttomo.fitting, "update_core", update)
+        yield
 
 
 def reference_samples_text(samples) -> str:

@@ -14,18 +14,20 @@ import pytest
 from scipy import stats
 
 from oracles import (
+    after_each_update,
     brute_loss,
     brute_prefix_gram,
     brute_right_grid,
     brute_suffix_gram,
     brute_update_denom,
     brute_update_numer,
+    mpo_to_tt,
     random_tt_cores,
 )
 from ttomo.cli import ExperimentConfig
-from ttomo.density import mpo_to_tt, reconstruct
+from ttomo.density import reconstruct
 from ttomo.fitting import EnvCache, FitConfig, fit, init_tt, loss, sweep
-from ttomo.metrics import classical_fidelity, quantum_fidelity
+from ttomo.metrics import score
 from ttomo.networks import TTDistribution, matricized
 from ttomo.povm import tetrahedral_povm
 from ttomo.sampling import sample_dataset, split_train_test
@@ -70,15 +72,8 @@ def datasets(target):
     return [split_train_test(dist, DRAWS, seed=1000 + r) for r in range(REPS)]
 
 
-def _score(tt, rho, dist, test, povm):
-    normalized, rho_hat = reconstruct(tt, povm)
-    i_q = quantum_fidelity(rho_hat, rho).infidelity
-    i_c = classical_fidelity(normalized, dist, test).infidelity
-    return i_q, i_c
-
-
 @pytest.fixture(scope="module")
-def flagship(target, datasets, povm):
+def flagship(target, datasets):
     """Three repetitions of the headline experiment, all trials scored."""
     rho, dist = target
     start = time.perf_counter()
@@ -86,29 +81,30 @@ def flagship(target, datasets, povm):
     for r, (train, test) in enumerate(datasets):
         config = FitConfig(bond_dim=BOND, max_sweeps=2000, trials=TRIALS, seed=7000 + 97 * r)
         result = fit(train, config)
+        reports = [score(trial.tt, rho, dist, test) for trial in result.trials]
         rows = [
-            (trial.final_loss,) + _score(trial.tt, rho, dist, test, povm)
-            for trial in result.trials
+            (trial.final_loss, report["i_q"], report["i_c"])
+            for trial, report in zip(result.trials, reports)
         ]
         best = min(range(len(rows)), key=lambda i: rows[i][0])
         reps.append({"rows": rows, "best": rows[best], "result": result})
     return {"reps": reps, "elapsed": time.perf_counter() - start}
 
 
-def _best_of_short_fit(train, test, rho, dist, povm, bond_dim, seed):
+def _best_of_short_fit(train, test, rho, dist, bond_dim, seed):
     config = FitConfig(bond_dim=bond_dim, max_sweeps=800, trials=5, seed=seed)
-    result = fit(train, config)
-    return _score(result.best.tt, rho, dist, test, povm)
+    report = score(fit(train, config).best.tt, rho, dist, test)
+    return report["i_q"], report["i_c"]
 
 
 @pytest.fixture(scope="module")
-def bond_scan(target, datasets, povm):
+def bond_scan(target, datasets):
     """Best-of-5 metrics per bond dimension, repeated over the data seeds."""
     rho, dist = target
     table = {}
     for bond_dim in (2, 4, 6, 8, 10, 12):
         table[bond_dim] = [
-            _best_of_short_fit(train, test, rho, dist, povm, bond_dim, seed=8000 + 11 * bond_dim + r)
+            _best_of_short_fit(train, test, rho, dist, bond_dim, seed=8000 + 11 * bond_dim + r)
             for r, (train, test) in enumerate(datasets)
         ]
     return table
@@ -125,7 +121,7 @@ def noise_scan(povm):
         for r in range(REPS):
             train, test = split_train_test(dist, DRAWS, seed=3000 + 10 * i + r)
             rows.append(
-                _best_of_short_fit(train, test, rho, dist, povm, BOND, seed=9000 + 13 * i + r)
+                _best_of_short_fit(train, test, rho, dist, BOND, seed=9000 + 13 * i + r)
             )
         table[p] = rows
     return table
@@ -144,10 +140,9 @@ def test_criterion_1_exact_pipeline_sentinel(target, povm, report):
     rho, dist = target
     start = time.perf_counter()
     mpo = density_to_mpo(rho)
-    tt, rho_back = reconstruct(mpo_to_tt(mpo, povm), povm)
-    i_q = quantum_fidelity(rho_back, rho).infidelity
     test = sample_dataset(dist, DRAWS, seed=99, stream=1, source="test")
-    i_c = classical_fidelity(tt, dist, test).infidelity
+    scored = score(mpo_to_tt(mpo, povm), rho, dist, test)
+    i_q, i_c = scored["i_q"], scored["i_c"]
     elapsed = time.perf_counter() - start
     passed = i_q <= 1e-8 and i_c <= 1e-8 and elapsed < 5.0
     report(1, passed, f"I_q={i_q:.2e}, I_c={i_c:.2e}, {elapsed:.2f}s")
@@ -170,8 +165,9 @@ def test_criterion_2_monotone_loss_per_update(report):
         tt = init_tt(L, bond_dim, seed=600 + i)
         cache = EnvCache(tt, samples)
         values = [loss(tt, samples)]
-        for _ in range(3):
-            sweep(tt, cache, samples, eps=1e-16, on_update=lambda k: values.append(loss(tt, samples)))
+        with after_each_update(lambda k: values.append(loss(tt, samples))):
+            for _ in range(3):
+                sweep(tt, cache, samples, eps=1e-16)
         worst = max(worst, float(np.max(np.diff(values))))
     report(2, worst <= 1e-9, f"50 instances, worst per-update loss change {worst:.2e}")
 
@@ -303,8 +299,9 @@ def test_criterion_10_full_scale_supported_with_invariants(povm, report):
     tt = init_tt(6, 6, seed=0)
     cache = EnvCache(tt, train)
     values = [loss(tt, train)]
-    for _ in range(3):
-        sweep(tt, cache, train, eps=1e-16, on_update=lambda k: values.append(loss(tt, train)))
+    with after_each_update(lambda k: values.append(loss(tt, train))):
+        for _ in range(3):
+            sweep(tt, cache, train, eps=1e-16)
     worst_step = float(np.max(np.diff(values)))
     brute = brute_loss(tt.cores, train)
     loss_dev = abs(values[-1] - brute) / max(abs(brute), 1e-30)

@@ -401,7 +401,7 @@ def test_a_reconstruction_ruined_by_cancellation_is_not_scored():
     rho = np.eye(4) / 4
     test = SampleSet(L=2, total=1, strings=np.zeros((1, 2), dtype=np.uint8), counts=[1])
     with pytest.raises(CapacityError, match="L=2 has trace deviation 5.9"):
-        ttomo.cli._evaluate_tt(RUINED, rho, np.full(16, 1 / 16), test)
+        ttomo.score(RUINED, rho, np.full(16, 1 / 16), test)
 
 
 def test_evaluate_of_a_reconstruction_ruined_by_cancellation_exits_with_the_capacity_code(

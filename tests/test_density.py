@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
-from oracles import brute_born_probs, brute_mpo_dense, dense_tt_vector, random_tt_cores
-from ttomo.density import (
-    diagnose,
-    mpo_to_dense,
+from oracles import (
+    brute_born_probs,
+    brute_mpo_dense,
+    dense_tt_vector,
     mpo_to_tt,
-    normalize_tt,
-    reconstruct,
-    tt_to_mpo,
+    random_tt_cores,
 )
+from ttomo.density import mpo_to_dense, normalize_tt, reconstruct, tt_to_mpo
 from ttomo.errors import CapacityError, DegenerateFitError
 from ttomo.networks import TTDistribution
 from ttomo.povm import tetrahedral_povm
@@ -140,14 +139,3 @@ def test_exact_snapshot_roundtrips_through_tt():
     assert tt.total_mass() == pytest.approx(1.0, abs=1e-10)
     rho_back = mpo_to_dense(tt_to_mpo(tt, povm))
     assert np.max(np.abs(rho_back - rho)) <= 1e-10
-
-
-def test_diagnose_reports_known_defects():
-    matrix = np.diag([0.6, 0.5, -0.1]).astype(complex)
-    report = diagnose(matrix)
-    assert report.trace_deviation == pytest.approx(0.0, abs=1e-15)
-    assert report.min_eigenvalue == pytest.approx(-0.1, abs=1e-12)
-    assert report.hermiticity_residual == pytest.approx(0.0, abs=1e-15)
-    skewed = np.array([[0.5, 0.2], [0.0, 0.5]], dtype=complex)
-    report = diagnose(skewed)
-    assert report.hermiticity_residual > 0.1

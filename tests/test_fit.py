@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    after_each_update,
     assert_cache_matches_oracles,
     brute_loss,
     brute_right_grid,
@@ -140,11 +141,15 @@ def test_cache_stays_coherent_through_a_sweep():
     seen = []
 
     def check(k):
+        # after the update of core k, before the refresh that follows it; the
+        # next update's check, and the last one below, see that refresh
         seen.append(k)
         assert_cache_matches_oracles(cache, samples, rtol=1e-10, atol=1e-14)
 
-    sweep(tt, cache, samples, eps=1e-16, on_update=check)
+    with after_each_update(check):
+        sweep(tt, cache, samples, eps=1e-16)
     assert seen == [0, 1, 2, 1]
+    assert_cache_matches_oracles(cache, samples, rtol=1e-10, atol=1e-14)
 
 
 def test_update_matches_brute_force_factors():
@@ -307,7 +312,8 @@ def test_sweep_visits_cores_in_dmrg_order():
     tt, samples = _random_instance(4, 2, 50, seed=110)
     cache = EnvCache(tt, samples)
     order = []
-    sweep(tt, cache, samples, eps=1e-16, on_update=lambda k: order.append(k))
+    with after_each_update(order.append):
+        sweep(tt, cache, samples, eps=1e-16)
     assert order == [0, 1, 2, 3, 2, 1]
 
 
@@ -315,7 +321,8 @@ def test_sweep_single_site_chain():
     tt, samples = _random_instance(1, 1, 40, seed=111)
     cache = EnvCache(tt, samples)
     order = []
-    sweep(tt, cache, samples, eps=1e-16, on_update=lambda k: order.append(k))
+    with after_each_update(order.append):
+        sweep(tt, cache, samples, eps=1e-16)
     assert order == [0]
 
 
@@ -495,8 +502,9 @@ def test_long_chains_fit_without_collapse(L):
         numer, denom, mat = cache._terms(k)
         values.append(float(np.sum(mat * (denom - 2.0 * numer))))
 
-    for _ in range(10):
-        sweep(tt, cache, samples, on_update=record)
+    with after_each_update(record):
+        for _ in range(10):
+            sweep(tt, cache, samples)
     cache.refresh_right(0)
     final = cache.losses()[0]
     assert all(np.all(np.isfinite(c)) and c.min() >= 0.0 and c.any() for c in tt.cores)

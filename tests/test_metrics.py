@@ -1,13 +1,15 @@
-"""Quantum and classical fidelity estimators."""
+"""Quantum and classical fidelity estimators, and the report of a fitted train."""
 
 import numpy as np
 import pytest
 
 from oracles import brute_classical_fidelity, random_density, sqrtm_fidelity
 from ttomo.errors import IntegrityError, ValidationError
-from ttomo.metrics import classical_fidelity, quantum_fidelity
+from ttomo.metrics import classical_fidelity, quantum_fidelity, score
 from ttomo.networks import TTDistribution
+from ttomo.povm import tetrahedral_povm
 from ttomo.sampling import SampleSet, sample_dataset
+from ttomo.states import exact_outcome_distribution
 
 
 def test_quantum_fidelity_of_state_with_itself_is_one():
@@ -159,3 +161,33 @@ def test_classical_fidelity_rejects_an_empty_test_set():
     empty = SampleSet(L=1, total=0, strings=np.zeros((0, 1), dtype=np.uint8), counts=[])
     with pytest.raises(ValidationError, match="^cannot score an empty test set$"):
         classical_fidelity(_uniform(1), _uniform(1), empty)
+
+
+def test_score_reports_the_negative_spectrum_of_an_unphysical_reconstruction():
+    # core [1, 0, 0, 0] at both sites puts all mass on the string 00; its
+    # reconstruction is Hermitian with unit trace and spectrum {4, -2, -2, 1}
+    core = np.array([1.0, 0.0, 0.0, 0.0]).reshape(4, 1, 1)
+    rho = np.eye(4) / 4
+    dist = exact_outcome_distribution(rho, tetrahedral_povm())
+    test = SampleSet(L=2, total=1, strings=np.zeros((1, 2), dtype=np.uint8), counts=[1])
+    report = score(TTDistribution([core, core]), rho, dist, test)
+    assert report["min_eigenvalue"] == pytest.approx(-2.0, rel=1e-12)
+    assert report["clipped_mass"] == pytest.approx(4.0, rel=1e-12)
+    assert report["trace_deviation"] <= 1e-15
+    assert report["hermiticity_residual"] <= 1e-15
+    # against I/4 the kept eigenvalues 4 and 1 give (sqrt(4/4) + sqrt(1/4))^2
+    assert report["f_q"] == pytest.approx(2.25, rel=1e-12)
+    assert report["i_q"] == 1.0 - report["f_q"]
+    # the one test string has model value 1 and ideal value 1/16
+    assert report["f_c"] == pytest.approx(4.0, rel=1e-12)
+    assert report["L"] == 2 and report["bond_dims"] == [1, 1, 1]
+
+
+def test_score_checks_the_target_it_reads_from_a_file():
+    core = np.full((4, 1, 1), 0.25)
+    test = SampleSet(L=1, total=1, strings=np.zeros((1, 1), dtype=np.uint8), counts=[1])
+    dist = np.full(4, 0.25)
+    with pytest.raises(ValidationError, match="incompatible shapes"):
+        score(TTDistribution([core]), np.eye(4) / 4, dist, test)
+    with pytest.raises(ValidationError, match="non-finite entries"):
+        score(TTDistribution([core]), np.array([[0.5, np.nan], [np.nan, 0.5]]), dist, test)

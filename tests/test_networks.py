@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import all_strings, dense_tt_vector, random_tt_cores
-from ttomo.density import mpo_to_tt
+from oracles import all_strings, dense_tt_vector, mpo_to_tt, random_tt_cores
 from ttomo.errors import ValidationError
 from ttomo.networks import MpoDensity, TTDistribution
 from ttomo.povm import tetrahedral_povm

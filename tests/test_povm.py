@@ -7,8 +7,9 @@ construction before the implementation existed.
 import numpy as np
 import pytest
 
+from oracles import forward_map_site
 from ttomo.errors import ValidationError
-from ttomo.povm import forward_map_site, inverse_map_site, tetrahedral_povm
+from ttomo.povm import inverse_map_site, tetrahedral_povm
 
 
 @pytest.fixture(scope="module")

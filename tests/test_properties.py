@@ -14,8 +14,11 @@ of every string, are checked trial by trial against the public single-train
 calls. The quantum fidelity is checked on pure arguments, under
 rounding-level perturbations and against scipy matrix square roots for d in
 {2, 4, 8, 16}, on real, complex and mixed pairs of any rank; identical
-basis-state arguments give exactly 1. ``mpo_to_dense`` is checked entry by
-entry on complex chains of L 1..5 and bonds 1..4. The text codecs must write the per-record formatter's bytes
+basis-state arguments give exactly 1. ``score`` reports, for random trains
+of L 1..4 against real and complex targets, the values of the separate
+``reconstruct``, ``quantum_fidelity`` and ``classical_fidelity`` calls bit
+for bit, and ``eigvalsh``'s smallest eigenvalue. ``mpo_to_dense`` is checked
+entry by entry on complex chains of L 1..5 and bonds 1..4. The text codecs must write the per-record formatter's bytes
 for sample sets of L 1..12 with totals up to 2^63 - 1 and for trains and
 operator chains, read them back exactly, and read respelled, corrupted and
 random sample bodies as the per-line parser does, naming the same line. The
@@ -51,12 +54,14 @@ from oracles import (
 )
 import ttomo.fitting
 import ttomo.sampling
-from ttomo.density import mpo_to_dense
+from ttomo.density import mpo_to_dense, reconstruct
 from ttomo.errors import DataFormatError, ValidationError
 from ttomo.fitting import EnvCache, FitConfig, fit, loss, update_core
-from ttomo.metrics import quantum_fidelity
+from ttomo.metrics import classical_fidelity, quantum_fidelity, score
 from ttomo.networks import MpoDensity, RunIndex, TTDistribution
-from ttomo.sampling import SampleSet, load_samples, save_samples
+from ttomo.povm import tetrahedral_povm
+from ttomo.sampling import SampleSet, load_samples, sample_dataset, save_samples
+from ttomo.states import exact_outcome_distribution
 from ttomo.storage import load_tensor, save_tensor
 
 EPS = 1e-16
@@ -335,6 +340,29 @@ def test_identical_pure_basis_arguments_give_exactly_one(instance, data):
     pure = pure.real if kind == "real" else pure
     result = quantum_fidelity(pure, pure)
     assert result.fidelity == 1.0 and result.clipped_mass == 0.0
+
+
+@given(
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.booleans(),
+    st.integers(1, 3000),
+    st.integers(0, 2**32 - 1),
+)
+def test_score_reports_the_separate_calls_values(L, bond_dim, real, draws, seed):
+    rng = np.random.default_rng(seed)
+    tt = TTDistribution(random_tt_cores(L, bond_dim, rng))
+    rho = random_density(2**L, rng, real=real)
+    dist = exact_outcome_distribution(rho, tetrahedral_povm())
+    test = sample_dataset(dist, draws, seed)
+    report = score(tt, rho, dist, test)
+    model, rho_hat = reconstruct(tt, tetrahedral_povm())
+    fq = quantum_fidelity(rho_hat, rho)
+    fc = classical_fidelity(model, dist, test)
+    expected = [fq.fidelity, fq.infidelity, fq.clipped_mass, fc.fidelity, fc.infidelity]
+    assert [report[k] for k in ("f_q", "i_q", "clipped_mass", "f_c", "i_c")] == expected
+    smallest = np.linalg.eigvalsh((rho_hat + rho_hat.conj().T) / 2.0)[0]
+    assert abs(report["min_eigenvalue"] - smallest) <= 1e-12 * abs(smallest)
 
 
 @st.composite
