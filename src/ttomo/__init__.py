@@ -6,6 +6,8 @@ site to recover a matrix-product density operator. Synthetic targets,
 sampling, fidelity metrics, and a command-line pipeline are included.
 """
 
+from types import ModuleType as _Module
+
 from .density import mpo_to_dense, normalize_tt, reconstruct, tt_to_mpo
 from .errors import (
     CapacityError,
@@ -50,48 +52,7 @@ from .storage import load_tensor, save_tensor
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapacityError",
-    "DataFormatError",
-    "DegeneracyError",
-    "DegenerateFitError",
-    "EnvCache",
-    "FidelityResult",
-    "FitConfig",
-    "FitResult",
-    "IntegrityError",
-    "MpoDensity",
-    "Povm",
-    "SampleSet",
-    "TTDistribution",
-    "TomoError",
-    "TrialResult",
-    "ValidationError",
-    "XxzParams",
-    "classical_fidelity",
-    "density_to_mpo",
-    "depolarize",
-    "exact_outcome_distribution",
-    "fit",
-    "ground_state_density",
-    "init_tt",
-    "inverse_map_site",
-    "load_samples",
-    "load_tensor",
-    "loss",
-    "mpo_to_dense",
-    "normalize_tt",
-    "quantum_fidelity",
-    "reconstruct",
-    "sample_dataset",
-    "save_samples",
-    "save_tensor",
-    "score",
-    "split_train_test",
-    "sweep",
-    "synth_target",
-    "tetrahedral_povm",
-    "tt_to_mpo",
-    "update_core",
-    "xxz_hamiltonian",
-]
+# every public name imported above, in sorted order; the submodules are not exported
+__all__ = sorted(
+    name for name, value in globals().items() if name[0] != "_" and not isinstance(value, _Module)
+)

@@ -223,9 +223,17 @@ class EnvCache:
         """Each trial's shifted quadratic loss <P, P> - 2 <P, P_s>, from core 0's update terms.
 
         Core 0 times its update denominator sums to <P, P> and times its numerator to <P, P_s>.
+        A non-finite loss (a long chain's self overlap overflows) raises CapacityError.
         """
         numer, denom, mat = self._terms(0)
-        return (mat * (denom - 2.0 * numer)).sum(axis=(1, 2))
+        values = (mat * (denom - 2.0 * numer)).sum(axis=(1, 2))
+        if not np.isfinite(values).all():
+            raise CapacityError(
+                f"the train's self overlap overflows at L={self.L}, "
+                f"D={max(core.shape[-1] for core in self.tt.cores)}; "
+                "fit a shorter chain or a smaller bond dimension"
+            )
+        return values
 
     def _scatter(self, p: int, sums: np.ndarray) -> np.ndarray:
         """Right sums (T, runs, D_p) at p >= 1 in their (run at p - 1, symbol) grid.
@@ -354,12 +362,14 @@ def sweep(
     return tt
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def loss(tt: TTDistribution, samples: SampleSet) -> float:
     """Shifted quadratic loss <P, P> - 2 <P, P_s>, read from a fresh ``EnvCache``'s right side.
 
     It is core 0's update form (``EnvCache.losses``): the self term comes from
     the Gram chain and the data term from the observed strings only, so
     neither enumerates all 4^L strings. At the perfect fit it is -sum((n_j / N)^2).
+    A loss that overflows raises CapacityError, as in ``fit``.
     """
     return float(EnvCache(tt, samples).losses()[0])
 
@@ -408,18 +418,7 @@ class FitResult:
         return self.trials[self.best_index]
 
 
-def _finite_losses(cache: EnvCache, config: FitConfig) -> np.ndarray:
-    """The loss of each of the cache's trials; a non-finite one raises CapacityError."""
-    values = cache.losses()
-    if not np.isfinite(values).all():
-        raise CapacityError(
-            f"the train's self overlap overflows at L={cache.L}, "
-            f"D={config.bond_dim}; fit a shorter chain or a smaller bond dimension"
-        )
-    return values
-
-
-# Overflow shows up as a non-finite loss, which _finite_losses raises.
+# Overflow shows up as a non-finite loss, which EnvCache.losses raises.
 @np.errstate(over="ignore", invalid="ignore")
 def _fit_block(samples: SampleSet, config: FitConfig, block: range) -> list:
     """Run the trials in ``block`` through one cache; trial t starts from seed ``seed + t``.
@@ -439,18 +438,17 @@ def _fit_block(samples: SampleSet, config: FitConfig, block: range) -> list:
     cache = EnvCache(stack, samples)
     start = time.perf_counter()
     active = list(range(len(block)))  # block index of each row of the trial axis
-    losses = [[value] for value in _finite_losses(cache, config)]
-    walls = [[0.0] for _ in active]
+    losses = [[value] for value in cache.losses()]
+    walls = [0.0]  # the block's clock, one entry per sweep
     results = [None] * len(block)
     for sweeps in range(1, config.max_sweeps + 1):
         sweep(stack, cache, samples, config.eps)
-        values = _finite_losses(cache, config)
-        now = time.perf_counter() - start
+        values = cache.losses()
+        walls.append(time.perf_counter() - start)
         rows = []  # rows of the trial axis that run on
         for row, (i, value) in enumerate(zip(active, values)):
             trace = losses[i]
             trace.append(value)
-            walls[i].append(now)
             converged = sweeps >= config.stop_window and (
                 trace[-1 - config.stop_window] - value
                 <= config.stop_rtol * max(abs(value), 1e-300)
@@ -461,7 +459,7 @@ def _fit_block(samples: SampleSet, config: FitConfig, block: range) -> list:
                     seed=seeds[i],
                     tt=stack.train(row),
                     losses=np.array(trace),
-                    wall_times=np.array(walls[i]),
+                    wall_times=np.array(walls),
                     converged=converged,
                 )
             else:

@@ -110,10 +110,13 @@ def synth_target(params: XxzParams) -> np.ndarray:
     return depolarize(ground_state_density(params), params.p)
 
 
-def _num_sites(dim: int) -> int:
-    L = int(round(np.log2(dim)))
-    if 2**L != dim:
-        raise ValidationError(f"matrix dimension {dim} is not a power of 2")
+def _num_sites(rho: np.ndarray) -> int:
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValidationError(f"a density matrix must be 2-D and square, got shape {rho.shape}")
+    dim = rho.shape[0]
+    L = dim.bit_length() - 1
+    if L < 1 or 2**L != dim:
+        raise ValidationError(f"matrix dimension {dim} is not 2^L for any L >= 1")
     return L
 
 
@@ -186,7 +189,7 @@ def density_to_mpo(rho: np.ndarray, tol: float = 1e-14) -> MpoDensity:
     """
     check_mpo_tol(tol)
     rho = np.asarray(rho, dtype=complex)
-    L = _num_sites(rho.shape[0])
+    L = _num_sites(rho)
     if L > MAX_DENSE_SITES:
         raise CapacityError(f"dense factorization guard is L <= {MAX_DENSE_SITES}, got {L}")
     coords = np.real_if_close(_map_sites(_HS_BASIS.reshape(4, 4).conj(), rho, L), tol=1000)
@@ -217,6 +220,6 @@ def exact_outcome_distribution(rho: np.ndarray, povm: Povm) -> np.ndarray:
     number with site 0 as the most significant digit. Guarded to L <= 10.
     """
     rho = np.asarray(rho, dtype=complex)
-    L = _num_sites(rho.shape[0])
+    L = _num_sites(rho)
     check_outcome_sites(L)
     return np.real(_map_sites(povm.flat, rho, L).reshape(-1))

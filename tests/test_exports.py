@@ -44,19 +44,47 @@ class _References(ast.NodeVisitor):
     visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = visit_definition
 
     def visit_Name(self, node):
-        if node.id not in self.enclosing:
+        if isinstance(node.ctx, ast.Load) and node.id not in self.enclosing:
             self.names.add(node.id)
 
     def visit_Attribute(self, node):
-        if node.attr not in self.enclosing:
+        if isinstance(node.ctx, ast.Load) and node.attr not in self.enclosing:
             self.names.add(node.attr)
         self.generic_visit(node)
 
 
+MODULES = sorted((ROOT / "src" / "ttomo").glob("*.py"))
+
+
+def _read_by_the_package_or_the_benchmark() -> set:
+    references = _References()
+    for path in [p for p in MODULES if p.name != "__init__.py"] + sorted(ROOT.glob("bench/*.py")):
+        references.visit(ast.parse(path.read_text(encoding="utf-8")))
+    return references.names
+
+
 def test_every_export_is_used_by_the_package_or_the_benchmark():
     # an export that only the tests call is a helper that belongs in tests/oracles.py
-    modules = [p for p in (ROOT / "src" / "ttomo").glob("*.py") if p.name != "__init__.py"]
-    references = _References()
-    for path in modules + list((ROOT / "bench").glob("*.py")):
-        references.visit(ast.parse(path.read_text(encoding="utf-8")))
-    assert sorted(set(ttomo.__all__) - references.names) == []
+    assert sorted(set(ttomo.__all__) - _read_by_the_package_or_the_benchmark()) == []
+
+
+def _module_level_names(path: Path) -> set:
+    """The public functions, classes and constants a module defines at its top level."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_every_public_module_level_name_is_used_by_the_package_or_the_benchmark():
+    # the export rule for every module: a public helper that only the tests read belongs in
+    # tests/oracles.py, exported or not
+    read = _read_by_the_package_or_the_benchmark()
+    unread = {
+        f"{path.stem}.{name}" for path in MODULES for name in _module_level_names(path) - read
+    }
+    assert sorted(unread) == []

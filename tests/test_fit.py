@@ -543,6 +543,20 @@ def test_fit_raises_capacity_error_when_the_self_overlap_overflows(L, jobs):
         fit(samples, config, jobs=jobs)
 
 
+def test_loss_raises_the_capacity_error_of_fit_when_the_self_overlap_overflows():
+    # the set of the L = 200 fit above; at L = 122 the random start is still finite
+    strings = np.unique(np.random.default_rng(0).integers(0, 4, size=(8, 200)), axis=0)
+    samples = SampleSet(L=200, total=8, strings=strings, counts=[1] * 8)
+    tt = init_tt(200, 10, 0)
+    with pytest.raises(CapacityError, match="overflows at L=200, D=10"):
+        loss(tt, samples)
+    # EnvCache leaves the float state to its caller, as fit and loss set it
+    with np.errstate(over="ignore", invalid="ignore"):
+        cache = EnvCache(tt, samples)
+        with pytest.raises(CapacityError, match="overflows at L=200, D=10"):
+            cache.losses()
+
+
 def test_fit_config_validation():
     with pytest.raises(ValidationError):
         FitConfig(bond_dim=0)

@@ -196,3 +196,21 @@ def test_exact_distribution_capacity_guard():
     rho = np.eye(2**11, dtype=complex) / 2**11
     with pytest.raises(CapacityError):
         exact_outcome_distribution(rho, povm)
+
+
+@pytest.mark.parametrize(
+    "shape, message",
+    [
+        ((4, 2), "must be 2-D and square"),
+        ((4,), "must be 2-D and square"),
+        ((3, 3), "dimension 3 is not 2\\^L"),
+        ((1, 1), "dimension 1 is not 2\\^L"),
+        ((0, 0), "dimension 0 is not 2\\^L"),
+    ],
+)
+def test_a_dense_matrix_must_be_square_over_at_least_one_site(shape, message):
+    rho = np.zeros(shape, dtype=complex)
+    with pytest.raises(ValidationError, match=message):
+        exact_outcome_distribution(rho, tetrahedral_povm())
+    with pytest.raises(ValidationError, match=message):
+        density_to_mpo(rho)
