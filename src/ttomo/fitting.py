@@ -60,7 +60,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import CapacityError, ValidationError, check_integer, check_real
-from .networks import TTDistribution, extend_left, matricized
+from .networks import TTDistribution, _Chain, extend_left, matricized
 from .sampling import SampleSet
 
 DEFAULT_EPS = 1e-16
@@ -136,15 +136,8 @@ def _as_core(mat: np.ndarray) -> np.ndarray:
     return mat.reshape(mat.shape[0], mat.shape[1], 4, -1).transpose(0, 2, 1, 3)
 
 
-@dataclass
-class _TrialStack:
+class _TrialStack(_Chain):
     """Trains of one bond profile with core ``k`` stacked to (T, 4, D_k, D_{k+1})."""
-
-    cores: list
-
-    @property
-    def length(self) -> int:
-        return len(self.cores)
 
     def train(self, t: int) -> TTDistribution:
         return TTDistribution([core[t].copy() for core in self.cores])
@@ -230,7 +223,7 @@ class EnvCache:
         if not np.isfinite(values).all():
             raise CapacityError(
                 f"the train's self overlap overflows at L={self.L}, "
-                f"D={max(core.shape[-1] for core in self.tt.cores)}; "
+                f"D={max(self.tt.bond_dims)}; "
                 "fit a shorter chain or a smaller bond dimension"
             )
         return values

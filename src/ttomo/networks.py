@@ -9,27 +9,6 @@ import numpy as np
 from .errors import ValidationError
 
 
-def _check_chain(cores, phys_shape, what: str) -> None:
-    if not cores:
-        raise ValidationError(f"{what} needs at least one core")
-    nphys = len(phys_shape)
-    for l, core in enumerate(cores):
-        if core.ndim != nphys + 2 or core.shape[:nphys] != phys_shape:
-            raise ValidationError(
-                f"{what} core {l} has shape {core.shape}, expected {phys_shape} + bonds"
-            )
-        if 0 in core.shape[nphys:]:
-            raise ValidationError(f"{what} core {l} has shape {core.shape}, with an empty bond")
-    if cores[0].shape[nphys] != 1 or cores[-1].shape[nphys + 1] != 1:
-        raise ValidationError(f"{what} must have outer bond dimension 1")
-    for l in range(len(cores) - 1):
-        if cores[l].shape[nphys + 1] != cores[l + 1].shape[nphys]:
-            raise ValidationError(
-                f"{what} bond mismatch between cores {l} and {l + 1}: "
-                f"{cores[l].shape[nphys + 1]} != {cores[l + 1].shape[nphys]}"
-            )
-
-
 def _first_differences(strings: np.ndarray) -> np.ndarray:
     """Column where each row first differs from the row before it; L if equal."""
     differs = np.ones((max(len(strings) - 1, 0), strings.shape[1] + 1), dtype=bool)
@@ -83,7 +62,44 @@ def extend_left(mat: np.ndarray, env: np.ndarray, slot: np.ndarray) -> np.ndarra
 
 
 @dataclass
-class TTDistribution:
+class _Chain:
+    """A chain of cores whose last two axes are the left and right bonds."""
+
+    cores: list
+
+    @property
+    def length(self) -> int:
+        return len(self.cores)
+
+    @property
+    def bond_dims(self) -> tuple:
+        """Bond extents D_0 .. D_L including the trivial outer ones."""
+        return tuple(c.shape[-2] for c in self.cores) + (self.cores[-1].shape[-1],)
+
+    def _check(self, phys_shape: tuple, what: str) -> None:
+        """Raise ValidationError unless the cores are ``phys_shape`` + matching nonempty bonds."""
+        cores = self.cores
+        if not cores:
+            raise ValidationError(f"{what} needs at least one core")
+        for l, core in enumerate(cores):
+            if core.shape[:-2] != phys_shape:  # a core of fewer than two axes has shape[:-2] == ()
+                raise ValidationError(
+                    f"{what} core {l} has shape {core.shape}, expected {phys_shape} + bonds"
+                )
+            if 0 in core.shape[-2:]:
+                raise ValidationError(f"{what} core {l} has shape {core.shape}, with an empty bond")
+        if cores[0].shape[-2] != 1 or cores[-1].shape[-1] != 1:
+            raise ValidationError(f"{what} must have outer bond dimension 1")
+        for l in range(len(cores) - 1):
+            if cores[l].shape[-1] != cores[l + 1].shape[-2]:
+                raise ValidationError(
+                    f"{what} bond mismatch between cores {l} and {l + 1}: "
+                    f"{cores[l].shape[-1]} != {cores[l + 1].shape[-2]}"
+                )
+
+
+@dataclass
+class TTDistribution(_Chain):
     """Tensor train over length-L strings with four outcomes per site.
 
     Core ``l`` has shape (4, D_l, D_{l+1}); contracting the chain over the
@@ -93,22 +109,11 @@ class TTDistribution:
     carry signed entries.
     """
 
-    cores: list
-
     def __post_init__(self) -> None:
         self.cores = [np.asarray(c) for c in self.cores]
-        _check_chain(self.cores, (4,), "tensor train")
+        self._check((4,), "tensor train")
         if any(np.iscomplexobj(c) for c in self.cores):
             raise ValidationError("tensor train cores must be real")
-
-    @property
-    def length(self) -> int:
-        return len(self.cores)
-
-    @property
-    def bond_dims(self) -> tuple:
-        """Bond extents D_0 .. D_L including the trivial outer ones."""
-        return tuple(c.shape[1] for c in self.cores) + (self.cores[-1].shape[2],)
 
     def copy(self) -> "TTDistribution":
         return TTDistribution([c.copy() for c in self.cores])
@@ -148,23 +153,13 @@ class TTDistribution:
 
 
 @dataclass
-class MpoDensity:
+class MpoDensity(_Chain):
     """Matrix-product operator with physical dimension 2 per site.
 
     Core ``l`` has shape (2, 2, D_l, D_{l+1}) with index order
     (ket, bra, left bond, right bond).
     """
 
-    cores: list
-
     def __post_init__(self) -> None:
         self.cores = [np.asarray(c, dtype=complex) for c in self.cores]
-        _check_chain(self.cores, (2, 2), "operator chain")
-
-    @property
-    def length(self) -> int:
-        return len(self.cores)
-
-    @property
-    def bond_dims(self) -> tuple:
-        return tuple(c.shape[2] for c in self.cores) + (self.cores[-1].shape[3],)
+        self._check((2, 2), "operator chain")

@@ -36,7 +36,7 @@ class SampleSet:
         counts: Positive multiplicities summing exactly to ``total``.
         seed: Seed of the generator that produced the draws, if any.
         stream: Substream index used to decorrelate related datasets.
-        source: Free-form origin label ("train", "test", ...).
+        source: Origin label ("train", "test", ...), printable ASCII not starting with a space.
     """
 
     L: int
@@ -59,6 +59,9 @@ class SampleSet:
             raise ValidationError("strings contain symbols outside 0..3")
         if counts.size and not (counts.dtype.kind in "iu" and counts.min() >= 1):
             raise ValidationError("multiplicities must be positive")
+        text = self.source  # written as a header line, which must read back as the same text
+        if not (isinstance(text, str) and text.isascii() and text.isprintable()) or text[:1] == " ":
+            raise ValidationError(f"source {text!r} is not printable ASCII or starts with a space")
         if self.total >= 2**63:  # numpy draws at most 2^63 - 1
             raise ValidationError(f"recorded total must be < 2^63, got {self.total}")
         # an integer sum that wraps is off by a multiple of 2^64, the float64 sum by far less

@@ -97,8 +97,10 @@ def save_tensor(path, obj) -> None:
     else:
         raise ValidationError(f"cannot store object of type {type(obj).__name__}")
     body = []
-    for core in obj.cores:
+    for l, core in enumerate(obj.cores):
         flat = np.asarray(core).reshape(-1)
+        if not np.isfinite(flat).all():  # load_tensor refuses it; checked before the file opens
+            raise ValidationError(f"core {l} has a non-finite entry")
         if kind == "mpo":
             flat = np.column_stack([flat.real, flat.imag]).reshape(-1)
         body.append("core " + " ".join(map(repr, flat.astype(float).tolist())))

@@ -612,3 +612,12 @@ def test_fit_rejects_a_bad_job_count_before_planning_blocks(monkeypatch, jobs, m
     samples = SampleSet(L=1, total=4, strings=[[0], [1], [2]], counts=[2, 1, 1])
     with pytest.raises(ValidationError, match=f"^{message}$"):
         fit(samples, FitConfig(bond_dim=1, max_sweeps=2, trials=2), jobs=jobs)
+
+
+@pytest.mark.parametrize("L", [1, 2, 5])
+def test_a_trial_stack_has_the_length_and_bonds_of_each_of_its_trains(L):
+    inits = [init_tt(L, 3, seed).cores for seed in range(3)]
+    stack = ttomo.fitting._TrialStack([np.stack(cores) for cores in zip(*inits)])
+    for t in range(3):
+        train = stack.train(t)
+        assert (stack.length, stack.bond_dims) == (train.length, train.bond_dims)

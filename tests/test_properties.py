@@ -18,14 +18,17 @@ basis-state arguments give exactly 1. ``score`` reports, for random trains
 of L 1..4 against real and complex targets, the values of the separate
 ``reconstruct``, ``quantum_fidelity`` and ``classical_fidelity`` calls bit
 for bit, and ``eigvalsh``'s smallest eigenvalue. ``mpo_to_dense`` is checked
-entry by entry on complex chains of L 1..5 and bonds 1..4. The text codecs must write the per-record formatter's bytes
-for sample sets of L 1..12 with totals up to 2^63 - 1 and for trains and
-operator chains, read them back exactly, and read respelled, corrupted and
-random sample bodies as the per-line parser does, naming the same line. The
+entry by entry on complex chains of L 1..5 and bonds 1..4. The text codecs
+must write the per-record formatter's bytes for sample sets of L 1..12 with
+totals up to 2^63 - 1 and for trains and operator chains, and read them back
+exactly; a source label or a non-finite entry that the reader would refuse is
+refused before any file is opened. Respelled, corrupted and random sample
+bodies must read as the per-line parser reads them, naming the same line. The
 profile registered in conftest.py derandomizes the draws and caps their
 number.
 """
 
+import dataclasses
 import warnings
 from unittest import mock
 
@@ -387,9 +390,16 @@ def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("codecs")
 
 
+# Any text, or a label from each side of the rule a sample file's source obeys; either may
+# follow a space, which a header line would drop.
+_TEXT = st.text() | st.sampled_from(["", "-", "run 2", "a\nb", "tab\t", "\x7f", "\u00e9", "\u2028"])
+_ANY_LABEL = _TEXT | _TEXT.map(" {}".format)
+
+
 @st.composite
-def sample_sets(draw, min_distinct=0):
-    """Sets of L 1..12 with counts from 1 up to a total of 2^63 - 1."""
+def sample_set_fields(draw, min_distinct=0, sources=_ANY_LABEL):
+    """SampleSet's arguments: L 1..12, counts from 1 up to a total of 2^63 - 1, and a
+    ``source`` label from ``sources``."""
     L = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = rng.integers(0, 4, size=(draw(st.integers(min_distinct, 60)), L))
@@ -400,15 +410,26 @@ def sample_sets(draw, min_distinct=0):
     counts = rng.integers(1, high, size=n, endpoint=True)
     if scale == "int64" and n:
         counts[-1] = 2**63 - 1 - int(counts[:-1].sum())  # the largest total a set can hold
-    return SampleSet(
+    return dict(
         L=L,
         total=int(counts.sum()),
         strings=strings,
         counts=counts,
         seed=draw(st.none() | st.integers(0, 2**63 - 1)),
         stream=draw(st.integers(0, 2**63 - 1)),
-        source=draw(st.sampled_from(["train", "test", "-", "run_2"])),
+        source=draw(sources),
     )
+
+
+# Labels a sample file holds as written: printable ASCII, not empty and not starting with a space.
+_LABELS = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), min_size=1).filter(
+    lambda label: label[0] != " "
+)
+
+
+def sample_sets(min_distinct=0):
+    """Sets from ``sample_set_fields`` whose label reads back as written."""
+    return sample_set_fields(min_distinct, _LABELS).map(lambda fields: SampleSet(**fields))
 
 
 def _same_samples(a, b):
@@ -416,23 +437,40 @@ def _same_samples(a, b):
     assert np.array_equal(a.strings, b.strings) and np.array_equal(a.counts, b.counts)
 
 
-@given(sample_sets())
-def test_sample_files_hold_the_per_row_formatters_bytes_and_load_back_equal(scratch, samples):
+# The bytes of a file that a refused save must leave as they were.
+_EARLIER = b"an earlier file\n"
+
+
+@given(sample_set_fields())
+def test_sample_files_hold_the_per_row_formatters_bytes_and_load_back_equal(scratch, fields):
+    # a label the reader would not read back as written is refused before any file is opened
     path = scratch / "x.samples"
+    path.write_bytes(_EARLIER)
+    label = fields["source"]
+    try:
+        samples = SampleSet(**fields)
+    except ValidationError as exc:
+        assert "source" in str(exc)
+        assert not (label.isascii() and label.isprintable()) or label.startswith(" ")
+        assert path.read_bytes() == _EARLIER
+        return
     save_samples(samples, path)
     assert path.read_bytes() == reference_samples_text(samples).encode("ascii")
-    _same_samples(load_samples(path), samples)
+    expected = dataclasses.replace(samples, source=label or "-")  # "" is written as "-"
+    _same_samples(load_samples(path), expected)
     with mock.patch.object(ttomo.sampling, "_BLOCK_LINES", 3):
-        _same_samples(load_samples(path), samples)
+        _same_samples(load_samples(path), expected)
 
 
 @st.composite
 def chains(draw):
-    """Trains and operator chains whose entries span the float range, signed zeros included."""
+    """Trains and operator chains whose entries span the float range, signed zeros included,
+    and half of them with one nan, inf or -inf entry (in the real or imaginary part)."""
     L, bond_dim = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dims = [1] + [bond_dim] * (L - 1) + [1]
     mpo = draw(st.booleans(), label="operator chain")
+    bad = draw(st.none() | st.sampled_from([np.nan, np.inf, -np.inf]), label="non-finite entry")
 
     def entries(shape):
         values = rng.normal(size=shape) * 10.0 ** rng.integers(-320, 300, size=shape)
@@ -440,13 +478,26 @@ def chains(draw):
 
     if mpo:
         shapes = [(2, 2, dims[p], dims[p + 1]) for p in range(L)]
-        return MpoDensity([entries(shape) + 1j * entries(shape) for shape in shapes])
-    return TTDistribution([entries((4, dims[p], dims[p + 1])) for p in range(L)])
+        cores = [entries(shape) + 1j * entries(shape) for shape in shapes]
+    else:
+        cores = [entries((4, dims[p], dims[p + 1])) for p in range(L)]
+    if bad is not None:
+        core = cores[rng.integers(L)]
+        part = core.imag if mpo and rng.random() < 0.5 else core.real
+        part.flat[rng.integers(core.size)] = bad
+    return MpoDensity(cores) if mpo else TTDistribution(cores)
 
 
 @given(chains())
 def test_tensor_files_hold_the_per_entry_formatters_bytes_and_load_back_equal(scratch, chain):
+    # a non-finite entry, which the reader refuses, is refused before any file is opened
     path = scratch / "x.tt"
+    path.write_bytes(_EARLIER)
+    if not all(np.isfinite(core).all() for core in chain.cores):
+        with pytest.raises(ValidationError, match=r"core \d+ has a non-finite entry"):
+            save_tensor(path, chain)
+        assert path.read_bytes() == _EARLIER
+        return
     save_tensor(path, chain)
     assert path.read_bytes() == reference_tensor_text(chain).encode("ascii")
     back = load_tensor(path)

@@ -225,6 +225,20 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(back.counts, samples.counts)
 
 
+@pytest.mark.parametrize("source", ["-", "run 2", "x ", "~a-b_c", ""])
+def test_a_source_label_reads_back_as_written(tmp_path, source):
+    samples = SampleSet(L=1, total=3, strings=[[0], [2]], counts=[1, 2], source=source)
+    save_samples(samples, tmp_path / "x.samples")
+    assert load_samples(tmp_path / "x.samples").source == (source or "-")  # "" is written as "-"
+
+
+@pytest.mark.parametrize("source", [" x", " ", "a\nb", "tab\t", "\x7f", "\u00e9", None, 5])
+def test_a_source_label_that_would_not_read_back_is_refused(source):
+    # a line break splits the header, a leading space is dropped, and the file is ASCII
+    with pytest.raises(ValidationError, match="source .* is not printable ASCII"):
+        SampleSet(L=1, total=1, strings=[[0]], counts=[1], source=source)
+
+
 def test_save_is_byte_deterministic(tmp_path):
     samples = sample_dataset(_uniform_dist(2), 999, seed=4)
     save_samples(samples, tmp_path / "a")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import random_tt_cores
-from ttomo.errors import DataFormatError
+from ttomo.errors import DataFormatError, ValidationError
 from ttomo.networks import MpoDensity, TTDistribution
 from ttomo.povm import tetrahedral_povm
 from ttomo.density import normalize_tt, tt_to_mpo
@@ -81,6 +81,20 @@ def test_a_non_finite_entry_is_reported_on_its_core_line(tmp_path, entry):
     path.write_text(f"tttensor 1\nkind tt\nL 2\nbonds 1 1 1\ncore 1 2 3 4\ncore 1 2 {entry} 4\n")
     with pytest.raises(DataFormatError, match=r":6: core 1 has a non-finite entry$"):
         load_tensor(path)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["tt", "mpo"])
+def test_a_non_finite_entry_is_refused_before_the_file_is_opened(tmp_path, kind, entry):
+    path = tmp_path / "chain.tt"
+    path.write_text("an earlier file\n")
+    shape, one = ((2, 2, 1, 1), 1 + 1j) if kind == "mpo" else ((4, 1, 1), 1.0)
+    cores = [np.full(shape, one), np.full(shape, one)]
+    (cores[1].imag if kind == "mpo" else cores[1]).flat[2] = entry  # an operator's imaginary part
+    chain = MpoDensity(cores) if kind == "mpo" else TTDistribution(cores)
+    with pytest.raises(ValidationError, match="^core 1 has a non-finite entry$"):
+        save_tensor(path, chain)
+    assert path.read_text() == "an earlier file\n"
 
 
 def test_load_error_names_file_and_line(tmp_path):
