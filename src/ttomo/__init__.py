@@ -41,7 +41,6 @@ from .sampling import (
 )
 from .states import (
     XxzParams,
-    density_to_mpo,
     depolarize,
     exact_outcome_distribution,
     ground_state_density,

@@ -29,24 +29,17 @@ from .metrics import score
 from .networks import TTDistribution
 from .povm import tetrahedral_povm
 from .sampling import check_sample_count, load_samples, sample_dataset, save_samples
-from .states import (
-    XxzParams,
-    check_mpo_tol,
-    check_outcome_sites,
-    density_to_mpo,
-    exact_outcome_distribution,
-    synth_target,
-)
+from .states import XxzParams, check_outcome_sites, exact_outcome_distribution, synth_target
 from .storage import fail, integer_at_least, load_array, load_tensor, read_header, read_lines
 from .storage import read_text, save_tensor, write_lines
 
-_MANIFEST_MAGIC = "ttsnapshot 1"
+_MANIFEST_MAGIC = "ttsnapshot 2"
 # Config fields that define the target; the manifest records them and its
 # parameter hash covers them.
-_TARGET_FIELDS = tuple(f.name for f in fields(XxzParams)) + ("mpo_tol",)
+_TARGET_FIELDS = tuple(f.name for f in fields(XxzParams))
 # The manifest's header lines from line 2, in the order synth writes them.
 _MANIFEST_KEYS = _TARGET_FIELDS + (
-    "d", "trace", "bonds", "param_hash", "dist_digest", "rho_file", "mpo_file", "dist_file"
+    "d", "trace", "param_hash", "dist_digest", "rho_file", "dist_file"
 )
 _MANIFEST_PARSERS = dict.fromkeys(_MANIFEST_KEYS, str) | {"L": integer_at_least("L", 1)}
 # Spacing between the base seeds of successive scan grid points; larger than
@@ -64,7 +57,6 @@ class ExperimentConfig(XxzParams, FitConfig):
     p: float = 0.6
     train: int = 1_000_000
     test: int = 1_000_000
-    mpo_tol: float = 1e-14
     seed: int = 1234
     outdir: str = "runs/exp"
     jobs: int = 1
@@ -84,7 +76,6 @@ class ExperimentConfig(XxzParams, FitConfig):
         check_sample_count(self.train)
         check_sample_count(self.test)
         check_integer("jobs", self.jobs, 1)
-        check_mpo_tol(self.mpo_tol)
         for axis in _AXIS_FIELDS:
             if getattr(self, axis) is not None and len(getattr(self, axis)) == 0:
                 raise ValidationError(f"scan axis '{axis}' is empty")
@@ -218,22 +209,18 @@ def _datasets(cfg: ExperimentConfig, dist) -> tuple:
 
 
 def cmd_synth(cfg: ExperimentConfig) -> int:
-    """Synthesize the target state, its operator chain, and exact distribution."""
+    """Synthesize the target state and its exact distribution."""
     rho, dist = _target(cfg)
-    mpo = density_to_mpo(rho, cfg.mpo_tol)
     out = _snapshot_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
     np.save(out / "rho.npy", rho)
     np.save(out / "dist.npy", dist)
-    save_tensor(out / "mpo.tt", mpo)
     values = [repr(getattr(cfg, name)) for name in _TARGET_FIELDS] + [
         2**cfg.L,
         repr(float(np.real(np.trace(rho)))),
-        " ".join(str(d) for d in mpo.bond_dims),
         _param_hash(cfg),
         hashlib.sha256(dist.tobytes()).hexdigest(),
         "rho.npy",
-        "mpo.tt",
         "dist.npy",
     ]
     manifest = dict(zip(_MANIFEST_KEYS, values, strict=True))

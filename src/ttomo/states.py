@@ -11,21 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DegeneracyError, ValidationError, check_integer, check_real
-from .networks import MpoDensity
 from .povm import Povm
 
 MAX_DENSE_SITES = 14
 MAX_OUTCOME_SITES = 10
 # Smallest spectral gap above the ground level that counts as non-degenerate.
 GAP_TOL = 1e-10
-
-PAULI_I = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-# Orthonormal Hermitian site basis under the Hilbert-Schmidt inner product.
-_HS_BASIS = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z]) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -127,84 +118,6 @@ def _map_sites(matrix: np.ndarray, rho: np.ndarray, L: int) -> np.ndarray:
     for axis in range(L):
         out = np.moveaxis(np.tensordot(matrix, out, axes=(1, axis)), 0, axis)
     return out
-
-
-def _tt_svd(tensor: np.ndarray, tol: float) -> list:
-    """Sequential SVD factorization with per-cut truncation and fixed signs.
-
-    At each cut the smallest ranks whose discarded squared singular values
-    sum to at most ``tol`` are dropped. Each kept left-singular vector is
-    scaled so its largest-magnitude entry is positive, which makes the
-    factorization deterministic.
-    """
-    L = tensor.ndim
-    work = tensor.reshape(1, -1)
-    left_dim = 1
-    cores = []
-    for l in range(L - 1):
-        work = work.reshape(left_dim * 4, -1)
-        u, s, vt = np.linalg.svd(work, full_matrices=False)
-        tail = np.cumsum(s[::-1] ** 2)[::-1]
-        keep = max(1, int(np.sum(tail > tol)))
-        u, s, vt = u[:, :keep], s[:keep], vt[:keep]
-        pivots = np.argmax(np.abs(u), axis=0)
-        signs = np.where(u[pivots, np.arange(keep)] < 0, -1.0, 1.0)
-        u, vt = u * signs, vt * signs[:, None]
-        cores.append(u.reshape(left_dim, 4, keep).transpose(1, 0, 2))
-        work = s[:, None] * vt
-        left_dim = keep
-    cores.append(work.reshape(left_dim, 4, 1).transpose(1, 0, 2))
-    return cores
-
-
-def _balance_norms(cores: list) -> list:
-    """Rescale bonds so every core has the same Frobenius norm.
-
-    Only scalar gauge factors move between neighbouring cores, so the chain
-    contraction is unchanged.
-    """
-    norms = [float(np.linalg.norm(c)) for c in cores]
-    if any(n == 0.0 for n in norms):
-        return cores
-    target = float(np.exp(np.mean(np.log(norms))))
-    carry = 1.0
-    out = []
-    for l in range(len(cores) - 1):
-        scale = target / (norms[l] * carry)
-        out.append(cores[l] * (carry * scale))
-        carry = 1.0 / scale
-    out.append(cores[-1] * carry)
-    return out
-
-
-def density_to_mpo(rho: np.ndarray, tol: float = 1e-14) -> MpoDensity:
-    """Factor a dense density matrix into an operator chain.
-
-    The matrix is expressed in the orthonormal Hermitian site basis, where a
-    Hermitian operator has real coordinates, and that real tensor is factored
-    by sequential SVDs. The basis is an isometry, so discarding squared
-    singular values up to ``tol`` per cut bounds the Frobenius error of the
-    densified result by sqrt(L * tol). Bond slices of the returned cores are
-    Hermitian.
-    """
-    check_mpo_tol(tol)
-    rho = np.asarray(rho, dtype=complex)
-    L = _num_sites(rho)
-    if L > MAX_DENSE_SITES:
-        raise CapacityError(f"dense factorization guard is L <= {MAX_DENSE_SITES}, got {L}")
-    coords = np.real_if_close(_map_sites(_HS_BASIS.reshape(4, 4).conj(), rho, L), tol=1000)
-    if np.iscomplexobj(coords):
-        raise ValidationError("matrix is not Hermitian: site coordinates stay complex")
-    cores = _balance_norms(_tt_svd(coords, tol))
-    mpo_cores = [np.tensordot(_HS_BASIS, c, axes=(0, 0)) for c in cores]
-    return MpoDensity(mpo_cores)
-
-
-def check_mpo_tol(tol: float) -> None:
-    """Raise ``ValidationError`` unless ``tol`` is a finite, nonnegative truncation tolerance."""
-    tol = check_real("truncation tolerance", tol)
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise ValidationError(f"truncation tolerance must be finite and >= 0, got {tol}")
 
 
 def check_outcome_sites(L: int) -> None:

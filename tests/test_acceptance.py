@@ -21,6 +21,7 @@ from oracles import (
     brute_suffix_gram,
     brute_update_denom,
     brute_update_numer,
+    density_to_mpo,
     mpo_to_tt,
     random_tt_cores,
 )
@@ -31,7 +32,7 @@ from ttomo.metrics import score
 from ttomo.networks import TTDistribution, matricized
 from ttomo.povm import tetrahedral_povm
 from ttomo.sampling import sample_dataset, split_train_test
-from ttomo.states import XxzParams, density_to_mpo, exact_outcome_distribution, synth_target
+from ttomo.states import XxzParams, exact_outcome_distribution, synth_target
 
 SITES = 4
 NOISE = 0.6

@@ -20,9 +20,11 @@ import pytest
 
 import ttomo.cli
 from ttomo.cli import ExperimentConfig, build_config, build_parser, load_config_file, main
+from ttomo.density import tt_to_mpo
 from ttomo.errors import CapacityError, DataFormatError, ValidationError
 from ttomo.fitting import FitResult, TrialResult
 from ttomo.networks import TTDistribution
+from ttomo.povm import tetrahedral_povm
 from ttomo.sampling import SampleSet, sample_dataset, save_samples
 from ttomo.storage import load_tensor, save_tensor
 
@@ -127,8 +129,15 @@ def test_full_pipeline_and_artifacts(tmp_path, small_cfg):
     assert main(["fit", "--config", str(small_cfg)]) == 0
     assert main(["evaluate", "--config", str(small_cfg)]) == 0
 
-    manifest = (run / "target" / "manifest.txt").read_text()
-    assert manifest.startswith("ttsnapshot 1\n")
+    # synth writes only what a command reads
+    assert sorted(path.name for path in (run / "target").iterdir()) == [
+        "dist.npy", "manifest.txt", "rho.npy"
+    ]
+    manifest = (run / "target" / "manifest.txt").read_text().splitlines()
+    assert manifest[0] == "ttsnapshot 2"
+    assert [line.split()[0] for line in manifest[1:]] == (
+        "L J gamma h p d trace param_hash dist_digest rho_file dist_file".split()
+    )
     report = json.loads((run / "report.json").read_text())
     assert set(report) == {
         "L",
@@ -160,7 +169,7 @@ def test_full_pipeline_and_artifacts(tmp_path, small_cfg):
 def test_synth_is_byte_deterministic(tmp_path, small_cfg):
     assert main(["synth", "--config", str(small_cfg)]) == 0
     out = tmp_path / "run" / "target"
-    first = {name: (out / name).read_bytes() for name in ("rho.npy", "dist.npy", "mpo.tt", "manifest.txt")}
+    first = {name: (out / name).read_bytes() for name in ("rho.npy", "dist.npy", "manifest.txt")}
     assert main(["synth", "--config", str(small_cfg)]) == 0
     for name, blob in first.items():
         assert (out / name).read_bytes() == blob
@@ -210,12 +219,11 @@ _BAD_RUN_SETTINGS = {
 }
 
 
-# The target's settings (XxzParams and the truncation tolerance), likewise.
+# The target's settings (XxzParams), likewise.
 _BAD_TARGET_SETTINGS = {
     "p": ("2", "depolarizing strength must lie in [0, 1], got 2.0"),
     "gamma": ("nan", "gamma must be finite, got nan"),
     "L": ("1", "L must be >= 2, got 1"),
-    "mpo-tol": ("nan", "truncation tolerance must be finite and >= 0, got nan"),
 }
 
 
@@ -309,13 +317,11 @@ def test_non_finite_values_exit_with_a_validation_error(tmp_path, small_cfg, cap
     assert main(["sample", "--config", str(small_cfg)]) == 0
     assert main(["fit", "--config", str(small_cfg), "--eps", "nan"]) == 1
     assert main(["synth", "--config", str(small_cfg), "--J", "nan"]) == 1
-    assert main(["synth", "--config", str(small_cfg), "--mpo-tol", "nan"]) == 1
     errors = capsys.readouterr().err.splitlines()
     assert errors == [
         "ttomo: error: distribution has non-finite entries",
         "ttomo: error: eps must be finite and > 0, got nan",
         "ttomo: error: J must be finite, got nan",
-        "ttomo: error: truncation tolerance must be finite and >= 0, got nan",
     ]
 
 
@@ -344,22 +350,6 @@ def test_the_outcome_guard_fails_before_the_target_is_built(tmp_path, small_cfg,
         (row,) = list(csv.DictReader(fh))
     assert row["status"] == "error"
     assert row["message"] == "CapacityError: dense distribution guard is L <= 10, got 11"
-
-
-def test_synth_checks_the_truncation_tolerance_before_the_target_is_built(
-    tmp_path, small_cfg, monkeypatch, capsys
-):
-    def unreachable(params):
-        raise AssertionError("the dense target was built before the tolerance check")
-
-    monkeypatch.setattr(ttomo.cli, "synth_target", unreachable)
-    for tol in ("nan", "-1e-14"):
-        assert main(["synth", "--config", str(small_cfg), f"--mpo-tol={tol}"]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        "ttomo: error: truncation tolerance must be finite and >= 0, got nan",
-        "ttomo: error: truncation tolerance must be finite and >= 0, got -1e-14",
-    ]
-    assert not (tmp_path / "run" / "target").exists()
 
 
 def test_evaluate_above_the_dense_guard_exits_with_the_capacity_code(tmp_path, small_cfg, capsys):
@@ -573,7 +563,9 @@ def test_evaluate_of_a_file_that_is_not_a_tensor_train_exits_with_the_validation
     tmp_path, small_cfg, capsys
 ):
     assert main(["synth", "--config", str(small_cfg)]) == 0
-    mpo = tmp_path / "run" / "target" / "mpo.tt"
+    mpo = tmp_path / "chain.tt"
+    train = TTDistribution([np.full((4, 1, 1), 0.25)] * 2)
+    save_tensor(mpo, tt_to_mpo(train, tetrahedral_povm()))
     assert main(["evaluate", "--config", str(small_cfg), "--tt", str(mpo)]) == 1
     assert capsys.readouterr().err == f"ttomo: error: {mpo} does not hold a tensor train\n"
     assert not (tmp_path / "run" / "report.json").exists()
@@ -868,9 +860,14 @@ _ENTRY_FLAGS = ["--L", "3", "--train", "2000", "--test", "2000", "--trials", "2"
 _SAMPLES_HEADER = "ttsamples 1\nL 3\nN {n}\nseed -\nstream {stream}\nsource -\n"
 # A hand-written manifest of an L = 3 snapshot with a line after its last key.
 _TRAILING_MANIFEST = "\n".join([
+    "ttsnapshot 2", "L 3", "J 1.0", "gamma 1.0", "h 1.0", "p 0.6", "d 8", "trace 1.0",
+    "param_hash -", "dist_digest -", "rho_file rho.npy", "dist_file dist.npy", "extra junk",
+]) + "\n"
+# The same snapshot in the version-1 format, which also listed an operator chain file.
+_VERSION_1_MANIFEST = "\n".join([
     "ttsnapshot 1", "L 3", "J 1.0", "gamma 1.0", "h 1.0", "p 0.6", "mpo_tol 1e-14", "d 8",
     "trace 1.0", "bonds 1 4 4 1", "param_hash -", "dist_digest -", "rho_file rho.npy",
-    "mpo_file mpo.tt", "dist_file dist.npy", "extra junk",
+    "mpo_file mpo.tt", "dist_file dist.npy",
 ]) + "\n"
 
 # Each case: the file it writes, or None; the file's text; the command line before
@@ -910,7 +907,15 @@ _ENTRY_POINT_CASES = {
     ),
     "manifest line after the last key": (
         "snapshot/manifest.txt", _TRAILING_MANIFEST, ["sample", "--snapshot", "{dir}"], 3,
-        "{file}:16: trailing content after last key",
+        "{file}:13: trailing content after last key",
+    ),
+    "version-1 snapshot": (
+        "snapshot/manifest.txt", _VERSION_1_MANIFEST, ["sample", "--snapshot", "{dir}"], 3,
+        "{file}:1: expected header 'ttsnapshot 2'",
+    ),
+    "config key of the removed truncation tolerance": (
+        "old.cfg", "mpo_tol = 1e-14\n", ["synth", "--config", "{file}"], 3,
+        "{file}:1: unknown key 'mpo_tol'",
     ),
 }
 
@@ -938,3 +943,12 @@ def test_the_entry_point_exits_with_the_documented_code(tmp_path, entry_run, cas
     done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=300)
     # the exact line, since a traceback exits 1 too
     assert (done.returncode, done.stderr) == (code, f"ttomo: error: {message.format(file=path)}\n")
+
+
+def test_the_removed_truncation_tolerance_flag_is_an_unrecognized_argument(capsys):
+    # argparse prints its usage before the error line, so this case is not in the table above
+    with pytest.raises(SystemExit) as exited:
+        main(["synth", "--mpo-tol", "1e-14"])
+    assert exited.value.code == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == "ttomo: error: unrecognized arguments: --mpo-tol 1e-14"

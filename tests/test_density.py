@@ -7,6 +7,7 @@ from oracles import (
     brute_born_probs,
     brute_mpo_dense,
     dense_tt_vector,
+    density_to_mpo,
     mpo_to_tt,
     random_tt_cores,
 )
@@ -14,7 +15,7 @@ from ttomo.density import mpo_to_dense, normalize_tt, reconstruct, tt_to_mpo
 from ttomo.errors import CapacityError, DegenerateFitError
 from ttomo.networks import TTDistribution
 from ttomo.povm import tetrahedral_povm
-from ttomo.states import XxzParams, density_to_mpo, synth_target
+from ttomo.states import XxzParams, synth_target
 
 
 def _random_tt(L, bond_dim, seed):

@@ -1,4 +1,4 @@
-"""Synthetic targets: spin-chain ground states, noise, and the operator chain."""
+"""Synthetic targets: spin-chain ground states, noise, and the operator-chain oracle."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from oracles import (
     all_strings,
     brute_born_probs,
     brute_mpo_dense,
+    density_to_mpo,
     kron_xxz_hamiltonian,
     random_density,
 )
@@ -16,7 +17,6 @@ from ttomo.errors import CapacityError, DegeneracyError, ValidationError
 from ttomo.povm import tetrahedral_povm
 from ttomo.states import (
     XxzParams,
-    density_to_mpo,
     depolarize,
     exact_outcome_distribution,
     ground_state_density,
