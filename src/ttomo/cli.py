@@ -217,7 +217,7 @@ def cmd_synth(cfg: ExperimentConfig) -> int:
     np.save(out / "dist.npy", dist)
     values = [repr(getattr(cfg, name)) for name in _TARGET_FIELDS] + [
         2**cfg.L,
-        repr(float(np.real(np.trace(rho)))),
+        repr(float(np.trace(rho))),
         _param_hash(cfg),
         hashlib.sha256(dist.tobytes()).hexdigest(),
         "rho.npy",

@@ -319,10 +319,12 @@ def update_core(
     denominator is about 4^-L. A model term that is zero everywhere falls
     back to the absolute ``eps``. ``tt`` may be a stack of trials
     (see ``EnvCache``); each trial is updated on its own scale. ``tt`` must
-    be the train ``cache`` was built on.
+    be the train ``cache`` was built on, and ``samples`` its sample set.
     """
     if tt is not cache.tt:
         raise ValidationError("update_core needs the train its cache was built on")
+    if samples.runs is not cache.runs:
+        raise ValidationError("update_core needs the sample set its cache was built on")
     numer, denom, mat = cache._terms(k)
     scale = denom.max(axis=(1, 2), keepdims=True)
     scale[scale == 0.0] = 1.0

@@ -32,21 +32,14 @@ class FidelityResult:
         return 1.0 - self.fidelity
 
 
-def _as_real_if_exact(matrix) -> np.ndarray:
-    """``matrix`` as a float array if its imaginary part is exactly zero, else as complex."""
-    matrix = np.asarray(matrix)
-    if np.iscomplexobj(matrix):
-        return matrix.real if not matrix.imag.any() else matrix
-    return matrix.astype(float, copy=False)
-
-
 def _root_factor(matrix: np.ndarray):
     """(B, clipped, lambda): B B^dagger is the Hermitian part of ``matrix`` on its numerical
     support, and lambda its eigenvalues in ascending order.
 
     B = V sqrt(lambda) over the eigenvalues above numpy's rank cutoff
     n * eps * max|lambda|; ``clipped`` sums the magnitudes of the negative ones.
-    A real ``matrix`` is decomposed in real arithmetic and gives a real B.
+    The dtype picks the arithmetic: a real ``matrix`` gives a real B, and a complex one,
+    even with a zero imaginary part, is decomposed in complex arithmetic.
     """
     vals, vecs = np.linalg.eigh((matrix + matrix.conj().T) / 2.0)
     keep = vals > vals.size * np.finfo(float).eps * np.abs(vals).max(initial=0.0)
@@ -55,8 +48,7 @@ def _root_factor(matrix: np.ndarray):
 
 def _fidelity_and_spectrum(rho1: np.ndarray, rho2: np.ndarray) -> tuple:
     """``quantum_fidelity(rho1, rho2)`` and the eigenvalues of rho1's Hermitian part behind it."""
-    rho1 = _as_real_if_exact(rho1)
-    rho2 = _as_real_if_exact(rho2)
+    rho1, rho2 = np.asarray(rho1), np.asarray(rho2)
     if rho1.shape != rho2.shape or rho1.ndim != 2 or rho1.shape[0] != rho1.shape[1]:
         raise ValidationError(f"incompatible shapes {rho1.shape} and {rho2.shape}")
     if not (np.all(np.isfinite(rho1)) and np.all(np.isfinite(rho2))):
@@ -74,9 +66,9 @@ def quantum_fidelity(rho1: np.ndarray, rho2: np.ndarray) -> FidelityResult:
     It is the squared sum of the singular values of B2^dagger B1 (see
     ``_root_factor``). Rounding noise never enters a square root, so the
     value is exact for pure arguments. Negative eigenvalues are dropped, not
-    renormalized, and their total magnitude is recorded. An argument with a
-    real dtype, or with an imaginary part that is exactly zero, is decomposed
-    in real arithmetic.
+    renormalized, and their total magnitude is recorded. Each argument's
+    dtype picks its arithmetic: a real one is decomposed in real arithmetic,
+    a complex one in complex arithmetic, even when its imaginary part is zero.
     """
     return _fidelity_and_spectrum(rho1, rho2)[0]
 
@@ -92,7 +84,7 @@ def _values_on(obj, test: SampleSet) -> np.ndarray:
     dense = np.asarray(obj, dtype=float)
     if dense.ndim != 1 or dense.size != 4**test.L:
         raise ValidationError(f"dense distribution must have length {4**test.L}")
-    return dense[test.codes()]
+    return dense.reshape((4,) * test.L)[tuple(test.strings.T)]
 
 
 def classical_fidelity(model, ideal, test: SampleSet) -> FidelityResult:
@@ -100,10 +92,11 @@ def classical_fidelity(model, ideal, test: SampleSet) -> FidelityResult:
 
     The estimator averages sqrt(P_model / P_ideal) over the test draws:
     sum_j (n_j / N) sqrt(P_model(a_j) / P_ideal(a_j)). ``model`` and
-    ``ideal`` may each be a tensor train or a dense distribution vector
-    indexed by ``SampleSet.codes``. A test string with nonpositive ideal
-    probability cannot have been drawn from the ideal distribution and
-    raises IntegrityError; an empty test set raises ValidationError.
+    ``ideal`` may each be a tensor train or a dense distribution vector in
+    the order of ``exact_outcome_distribution``. A test string with
+    nonpositive ideal probability cannot have been drawn from the ideal
+    distribution and raises IntegrityError; an empty test set raises
+    ValidationError.
     """
     if test.total < 1:
         raise ValidationError("cannot score an empty test set")

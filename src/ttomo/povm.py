@@ -60,7 +60,7 @@ def inverse_map_site(x_core: np.ndarray, povm: Povm) -> np.ndarray:
     Exact inverse of the measurement map ``flat``; returns a complex array of
     shape (2, 2, left, right). Real inputs produce Hermitian bond slices.
     """
-    x = np.asarray(x_core, dtype=complex)
+    x = np.asarray(x_core)
     if x.ndim != 3 or x.shape[0] != 4:
         raise ValidationError(f"expected core shape (4, Dl, Dr), got {x.shape}")
     w = np.tensordot(povm.flat_inverse, x, axes=(1, 0))

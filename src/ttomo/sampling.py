@@ -12,16 +12,8 @@ from .networks import RunIndex, _first_differences
 from .storage import fail, integer_at_least, read_header, read_lines, write_lines
 
 _MAGIC = "ttsamples 1"
-_MAX_CODE_SITES = 31  # base-4 string codes must fit in int64
 # The least value of each of SampleSet's int fields, which the file's header reads too.
 _MINIMA = {"L": 1, "total": 0, "seed": 0, "stream": 0}
-
-
-def _string_codes(strings: np.ndarray, L: int) -> np.ndarray:
-    if L > _MAX_CODE_SITES:
-        raise ValidationError(f"string codes support L <= {_MAX_CODE_SITES}, got {L}")
-    weights = 4 ** np.arange(L - 1, -1, -1, dtype=np.int64)
-    return strings.astype(np.int64) @ weights
 
 
 @dataclass(frozen=True)
@@ -100,10 +92,6 @@ class SampleSet:
     def runs(self) -> RunIndex:
         """Prefix runs of the strings, built on first use."""
         return RunIndex(self.strings)
-
-    def codes(self) -> np.ndarray:
-        """Strings as base-4 integers, site 0 most significant."""
-        return _string_codes(self.strings, self.L)
 
 
 def _num_sites_from_size(size: int) -> int:

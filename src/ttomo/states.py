@@ -87,13 +87,13 @@ def ground_state_density(params: XxzParams) -> np.ndarray:
 
 
 def depolarize(rho: np.ndarray, p: float) -> np.ndarray:
-    """Mix ``rho`` with the maximally mixed state: p * I/d + (1 - p) * rho."""
+    """Mix ``rho`` with the maximally mixed state, in ``rho``'s dtype: p * I/d + (1 - p) * rho."""
     p = check_real("depolarizing strength", p)
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"depolarizing strength must lie in [0, 1], got {p}")
-    rho = np.asarray(rho, dtype=complex)
+    rho = np.asarray(rho)
     dim = rho.shape[0]
-    return p * np.eye(dim, dtype=complex) / dim + (1.0 - p) * rho
+    return p * np.eye(dim) / dim + (1.0 - p) * rho
 
 
 def synth_target(params: XxzParams) -> np.ndarray:
@@ -132,7 +132,7 @@ def exact_outcome_distribution(rho: np.ndarray, povm: Povm) -> np.ndarray:
     Returns a real vector indexed by the outcome string read as a base-4
     number with site 0 as the most significant digit. Guarded to L <= 10.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = np.asarray(rho)
     L = _num_sites(rho)
     check_outcome_sites(L)
     return np.real(_map_sites(povm.flat, rho, L).reshape(-1))

@@ -175,6 +175,25 @@ def test_synth_is_byte_deterministic(tmp_path, small_cfg):
         assert (out / name).read_bytes() == blob
 
 
+def test_a_snapshot_with_a_complex_target_scores_as_its_float64_copy(tmp_path, small_cfg):
+    # synth writes a float64 rho.npy; a snapshot written before that holds the complex128 copy,
+    # which evaluate decomposes in complex arithmetic: only f_q and i_q may move, by rounding
+    flags = ["--config", str(small_cfg), "--L", "4"]
+    for command in ("synth", "sample", "fit", "evaluate"):
+        assert main([command, *flags]) == 0
+    run = tmp_path / "run"
+    rho = np.load(run / "target" / "rho.npy")
+    assert rho.dtype == np.float64
+    real = json.loads((run / "report.json").read_text())
+    np.save(run / "target" / "rho.npy", rho.astype(np.complex128))
+    assert main(["evaluate", *flags]) == 0
+    complex_ = json.loads((run / "report.json").read_text())
+    for name in ("f_q", "i_q"):
+        assert complex_.pop(name) == pytest.approx(real.pop(name), rel=1e-12, abs=0.0)
+    del real["runtime_s"], complex_["runtime_s"]
+    assert complex_ == real
+
+
 def test_exit_codes(tmp_path, small_cfg):
     assert main(["synth", "--config", str(small_cfg), "--p", "1.5"]) == 1
     assert main(["synth", "--config", str(small_cfg), "--L", "15"]) == 2

@@ -247,14 +247,20 @@ def test_updated_cores_look_like_plain_cores(tmp_path):
 
 
 def test_update_rejects_a_train_other_than_the_caches():
+    # a sample set other than the cache's is refused too: the cache's terms fit only its own
     tt, samples = _random_instance(3, 2, 50, seed=90)
     cache = EnvCache(tt, samples)
     other = tt.copy()
-    with pytest.raises(ValidationError, match="the train its cache was built on"):
-        update_core(other, cache, samples, 1)
-    assert all(np.array_equal(a, b) for a, b in zip(other.cores, tt.cores))
-    assert cache.stored_left_overlap_positions == [0]
-    assert cache.stored_right_overlap_positions == [0, 1, 2, 3]
+    other_set = _random_instance(3, 2, 50, seed=91)[1]
+    for train, sample_set, message in [
+        (other, samples, "the train its cache was built on"),
+        (tt, other_set, "the sample set its cache was built on"),
+    ]:
+        with pytest.raises(ValidationError, match=message):
+            update_core(train, cache, sample_set, 1)
+        assert all(np.array_equal(a, b) for a, b in zip(other.cores, tt.cores))
+        assert cache.stored_left_overlap_positions == [0]
+        assert cache.stored_right_overlap_positions == [0, 1, 2, 3]
 
 
 def test_update_preserves_zero_support():
@@ -304,7 +310,7 @@ def test_single_site_update_lands_on_frequencies():
     cache = EnvCache(tt, samples)
     update_core(tt, cache, samples, 0, eps=1e-16)
     freq = np.zeros(4)
-    freq[samples.codes()] = samples.weights
+    freq[samples.strings[:, 0]] = samples.weights
     assert np.allclose(tt.cores[0][:, 0, 0], freq, rtol=1e-10)
 
 

@@ -110,7 +110,7 @@ def test_classical_fidelity_point_mass_frozen_value():
     model = np.zeros(16)
     model[9] = 1.0
     test = sample_dataset(_uniform(L), 4000, seed=7)
-    n_z = test.counts[test.codes() == 9].sum()
+    n_z = test.counts[np.ravel_multi_index(test.strings.T, (4,) * L) == 9].sum()
     result = classical_fidelity(model, _uniform(L), test)
     assert result.fidelity == pytest.approx((n_z / test.total) * 4.0, rel=1e-12)
 

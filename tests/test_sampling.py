@@ -26,7 +26,7 @@ def test_counts_sum_to_total_exactly():
 
 def test_strings_are_sorted_and_distinct():
     samples = sample_dataset(_uniform_dist(2), 5000, seed=1)
-    codes = samples.codes()
+    codes = np.ravel_multi_index(samples.strings.T, (4,) * samples.L)
     assert np.all(np.diff(codes) > 0)
 
 
@@ -74,7 +74,7 @@ def test_frequencies_follow_the_distribution():
     for dist, n in cases:
         samples = sample_dataset(dist, n, seed=5)
         counts = np.zeros(dist.size, dtype=np.int64)
-        counts[samples.codes()] = samples.counts
+        counts[np.ravel_multi_index(samples.strings.T, (4,) * samples.L)] = samples.counts
         p = np.clip(dist, 0.0, None)
         p /= p.sum()
         # Each cell's count is Binomial(n, p): a 6-sigma bound, exact at p = 0.

@@ -118,12 +118,13 @@ def test_depolarize_endpoints_and_linearity():
     assert np.allclose(depolarize(rho, 0.0), rho)
     assert np.allclose(depolarize(rho, 1.0), np.eye(4) / 4.0, atol=1e-15)
     mid = depolarize(rho, 0.3)
+    assert mid.dtype == np.complex128
     assert np.allclose(mid, 0.3 * np.eye(4) / 4.0 + 0.7 * rho, atol=1e-15)
 
 
 def test_synth_target_keeps_unit_trace():
     rho = synth_target(XxzParams(L=3, p=0.6))
-    assert rho.dtype == np.complex128 and not rho.imag.any()  # depolarize casts
+    assert rho.dtype == np.float64  # depolarize keeps the real ground state's dtype
     _assert_hermitian_unit_trace(rho)
     vals = np.linalg.eigvalsh(rho)
     # depolarizing by p floors every eigenvalue at p / d
@@ -171,10 +172,13 @@ def test_density_to_mpo_rejects_a_bad_tolerance(tol):
 
 
 def test_exact_distribution_matches_kron_oracle():
+    # complex and float64 densities, and the float64 targets synth feeds the map: a real
+    # density still needs the complex POVM, since Re(A (x) B) is not Re A (x) Re B
     rng = np.random.default_rng(9)
     povm = tetrahedral_povm()
-    for L in (2, 3):
-        rho = random_density(2**L, rng)
+    rhos = [random_density(2**L, rng, real=real) for L in (2, 3) for real in (False, True)]
+    rhos += [synth_target(XxzParams(L=L, p=0.6)) for L in (2, 3, 4)]
+    for rho in rhos:
         dist = exact_outcome_distribution(rho, povm)
         assert np.allclose(dist, brute_born_probs(rho, povm.elements), atol=1e-13)
         assert dist.sum() == pytest.approx(1.0, abs=1e-12)
