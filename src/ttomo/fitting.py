@@ -35,11 +35,16 @@ environment at p + 1 is gathered from the runs at p times core p; the right
 sums at p are the grid at p + 1 times core p, scattered once into the grid
 at p; the data term of core p's update is the left environments at p against
 the grid at p + 1. These three, the model term and the Grams are each one GEMM
-against core p as its bond-major matrix (D_p, 4 * D_{p+1}), whose row a holds the
+against core p as its bond-major matrix M_p (D_p, 4 * D_{p+1}), whose row a holds the
 slabs ``core[s, a, :]``; no update sums over the samples, and the loss is core 0's
 update form. On a full level, where every run at p - 1 has all four children,
-the slots are ``arange`` and the grid at p is the right refresh's GEMM output
-itself, with no zero grid and no scatter.
+the slots are ``arange``: the grid at p is the right refresh's GEMM output
+itself, with no zero grid and no scatter, and the left step skips its gather.
+
+At the flagship's sizes each array is tiny and a core visit costs numpy's
+per-call overhead, so a visit makes only the calls its arithmetic needs: the
+cache keeps each M_p and the left refresh's Gram product (``EnvCache``), and
+the update's ratio step runs in place (``update_core``).
 
 The trials of a fit share the sample set and its runs, so ``fit`` runs them
 in blocks through one cache whose cores, Grams and environments carry a
@@ -53,6 +58,7 @@ count from the start of the block.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -156,10 +162,15 @@ class EnvCache:
     position, all that ``losses()`` and a sweep's first pass read; each
     further left position is built by the ``refresh_left`` that reaches it.
     Every contraction is one batched GEMM against core k as its bond-major
-    matrix M_k (``matricized``), and ``update_core`` stores each new core as
-    a view of its M_k. Core 0's update terms are kept until a core changes or
-    a right refresh runs: a sweep's loss and the next sweep's first update
-    share them.
+    matrix M_k. The cache keeps each M_k: ``matricized`` builds it from
+    ``tt.cores[k]`` when the cache is made or after ``note_core_changed(k)``
+    dropped it (a hand edit of a core is read that way), and ``update_core``
+    stores its result there, with ``tt.cores[k]`` a view of it.
+    ``refresh_left(k)``'s product of the left Gram at k and M_k is kept
+    until core k or that Gram changes, and core k's model term starts from
+    it. Core 0's update terms are kept until a core changes or a right
+    refresh runs: a sweep's loss and the next sweep's first update share
+    them, and that update overwrites them in place.
 
     ``tt`` is one train or, inside ``fit``, a stack of trials whose cores
     carry a leading trial axis. Every stored quantity carries that axis:
@@ -181,9 +192,11 @@ class EnvCache:
         self.tt = tt
         self.runs = samples.runs
         self.L = L = tt.length
-        trials = matricized(tt.cores[0]).shape[0]
+        self._mats = [matricized(core) for core in tt.cores]
+        trials = len(self._mats[0])
         ones = np.ones((trials, 1, 1))
         self._core0_terms = []
+        self._left_rows = [None] * (L + 1)  # slot L is only ever cleared, by refresh_left(L - 1)
         self._left_gram = [ones] + [None] * L
         self._right_gram = [None] * L + [ones]
         self._left_env = [ones] + [None] * L
@@ -220,7 +233,7 @@ class EnvCache:
         """
         numer, denom, mat = self._terms(0)
         values = (mat * (denom - 2.0 * numer)).sum(axis=(1, 2))
-        if not np.isfinite(values).all():
+        if not all(map(math.isfinite, values.tolist())):
             raise CapacityError(
                 f"the train's self overlap overflows at L={self.L}, "
                 f"D={max(self.tt.bond_dims)}; "
@@ -245,15 +258,28 @@ class EnvCache:
         grid[:, self.runs.prefix_slot[p]] = sums
         return grid.reshape(trials, parents, 4 * dim)
 
+    def _mat(self, k: int) -> np.ndarray:
+        """M_k: the one ``update_core`` stored, else rebuilt from ``tt.cores[k]``."""
+        mat = self._mats[k]
+        if mat is None:
+            mat = self._mats[k] = matricized(self.tt.cores[k])
+        return mat
+
     def _terms(self, k: int) -> list:
-        """Core k's update numerator and denominator, each shaped like M_k, and M_k itself."""
+        """Core k's update numerator and denominator, each shaped like M_k, and M_k itself.
+
+        The numerator and denominator are fresh arrays, which ``update_core`` overwrites.
+        """
         if k == 0 and self._core0_terms:
             return self._core0_terms
-        self._check_left(k)
-        self._check_right(k + 1)
-        mat = matricized(self.tt.cores[k])
+        if not (0 <= k <= self._left_valid and self._right_valid <= k + 1 <= self.L):
+            self._check_left(k)
+            self._check_right(k + 1)
+        mat = self._mat(k)
         numer = self._left_env[k].transpose(0, 2, 1) @ self._right[k + 1]
-        rows = (self._left_gram[k] @ mat).reshape(len(mat), -1, mat.shape[2] // 4)
+        rows = self._left_rows[k]
+        if rows is None:
+            rows = (self._left_gram[k] @ mat).reshape(len(mat), -1, mat.shape[2] // 4)
         terms = [numer, (rows @ self._right_gram[k + 1].transpose(0, 2, 1)).reshape(mat.shape), mat]
         if k == 0:
             self._core0_terms = terms
@@ -266,16 +292,20 @@ class EnvCache:
         self._left_valid = min(self._left_valid, k)
         self._right_valid = max(self._right_valid, k + 1)
         self._core0_terms = []
+        self._mats[k] = None
+        self._left_rows[k] = None
 
     def refresh_left(self, k: int) -> None:
         """Recompute position k+1 left quantities from the current core k."""
         if not 0 <= k < self.L:
             raise IndexError(f"core index {k} out of range")
         self._check_left(k)
-        mat = matricized(self.tt.cores[k])
+        mat = self._mat(k)
         rows = (self._left_gram[k] @ mat).reshape(len(mat), -1, mat.shape[2] // 4)
         self._left_gram[k + 1] = mat.reshape(rows.shape).transpose(0, 2, 1) @ rows
         self._left_env[k + 1] = extend_left(mat, self._left_env[k], self.runs.prefix_slot[k + 1])
+        self._left_rows[k] = rows
+        self._left_rows[k + 1] = None
         self._left_valid = k + 1
 
     def refresh_right(self, k: int) -> None:
@@ -283,7 +313,7 @@ class EnvCache:
         if not 0 <= k < self.L:
             raise IndexError(f"core index {k} out of range")
         self._check_right(k + 1)
-        mat = matricized(self.tt.cores[k])
+        mat = self._mat(k)
         mat_t = np.ascontiguousarray(mat.transpose(0, 2, 1))  # a view slows the grid GEMM 2x
         rows = mat.reshape(len(mat), -1, mat.shape[2] // 4) @ self._right_gram[k + 1]
         self._right_gram[k] = rows.reshape(mat.shape) @ mat_t
@@ -294,7 +324,15 @@ class EnvCache:
 
     def keep_trials(self, rows: list) -> None:
         """Keep only the trials at ``rows`` of the trial axis of a stack, cores included."""
-        stores = (self._left_gram, self._right_gram, self._left_env, self._right, self._core0_terms)
+        stores = (
+            self._left_gram,
+            self._right_gram,
+            self._left_env,
+            self._right,
+            self._core0_terms,
+            self._mats,
+            self._left_rows,
+        )
         for store in stores:
             store[:] = [None if a is None else a[rows] for a in store]
         self.tt.cores[:] = [core[rows] for core in self.tt.cores]
@@ -317,20 +355,30 @@ def update_core(
     underflows to zero, and because it scales with the model it stays
     negligible on long chains, where every string's mass and with it the
     denominator is about 4^-L. A model term that is zero everywhere falls
-    back to the absolute ``eps``. ``tt`` may be a stack of trials
-    (see ``EnvCache``); each trial is updated on its own scale. ``tt`` must
-    be the train ``cache`` was built on, and ``samples`` its sample set.
+    back to the absolute ``eps``. The new M_k is
+    ``mat * (numer / (denom + eps * scale))``, computed in place in the
+    numerator's array, which the cache then keeps. ``tt`` may be a stack of
+    trials (see ``EnvCache``); each trial is updated on its own scale. ``tt``
+    must be the train ``cache`` was built on, and ``samples`` its sample set.
     """
     if tt is not cache.tt:
         raise ValidationError("update_core needs the train its cache was built on")
     if samples.runs is not cache.runs:
         raise ValidationError("update_core needs the sample set its cache was built on")
     numer, denom, mat = cache._terms(k)
-    scale = denom.max(axis=(1, 2), keepdims=True)
-    scale[scale == 0.0] = 1.0
-    new = mat * (numer / (denom + eps * scale))
-    tt.cores[k] = _as_core(new) if tt.cores[k].ndim == 4 else _as_core(new)[0]
+    # the same IEEE operations as mat * (numer / (denom + eps * scale)), in place; denom
+    # is a fresh GEMM output, so its (T, -1) reshape is a view, and the masked fallback
+    # runs only where a trial's scale is zero
+    flat = denom.reshape(len(denom), -1)
+    scale = flat.max(axis=1, keepdims=True)
+    if not all(scale.ravel().tolist()):
+        scale[scale == 0.0] = 1.0
+    flat += eps * scale
+    numer /= denom
+    numer *= mat
     cache.note_core_changed(k)
+    cache._mats[k] = numer
+    tt.cores[k] = _as_core(numer) if tt.cores[k].ndim == 4 else _as_core(numer)[0]
     return tt.cores[k]
 
 

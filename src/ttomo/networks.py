@@ -56,9 +56,14 @@ def matricized(core: np.ndarray) -> np.ndarray:
 
 
 def extend_left(mat: np.ndarray, env: np.ndarray, slot: np.ndarray) -> np.ndarray:
-    """Left environments (T, runs, D) at p + 1: ``env`` @ ``matricized`` core p, at ``slot``."""
+    """Left environments (T, runs, D) at p + 1: ``env`` @ ``matricized`` core p, at ``slot``.
+
+    On a full level, where every run at p has all four children, ``slot`` is
+    ``arange`` and the GEMM output is returned without a gather.
+    """
     trials, runs, _ = env.shape
-    return (env @ mat).reshape(trials, runs * 4, mat.shape[2] // 4).take(slot, axis=1)
+    grid = (env @ mat).reshape(trials, runs * 4, mat.shape[2] // 4)
+    return grid if slot.size == runs * 4 else grid.take(slot, axis=1)
 
 
 @dataclass

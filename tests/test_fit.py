@@ -34,7 +34,7 @@ from ttomo.fitting import (
     trial_blocks,
     update_core,
 )
-from ttomo.networks import TTDistribution
+from ttomo.networks import TTDistribution, matricized
 from ttomo.sampling import SampleSet, sample_dataset
 from ttomo.storage import load_tensor, save_tensor
 
@@ -198,23 +198,63 @@ def test_update_adds_eps_to_the_denominator_only():
     assert tt.cores[0][2, 0, 0] == 0.0
 
 
-def test_core_0_update_after_a_hand_edit_equals_a_fresh_caches():
-    # losses() keeps core 0's update terms; editing core 0 must drop them
-    tt, samples = _random_instance(3, 3, 120, seed=81)
-    cache = EnvCache(tt, samples)
+def _stack(L, bond_dim, seeds):
+    inits = [init_tt(L, bond_dim, seed).cores for seed in seeds]
+    return ttomo.fitting._TrialStack([np.stack(cores) for cores in zip(*inits)])
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_update_is_its_ratio_formula_bit_for_bit(k, stacked):
+    # update_core runs mat * (numer / (denom + eps * scale)) in place on the cache's
+    # fresh terms; the same IEEE operations give the same bits. In the stack, trial 1's
+    # core k is zero, so its model term is zero everywhere and its scale falls back to 1
+    _, samples = _random_instance(3, 3, 120, seed=84)
+    tt = _stack(3, 3, range(3)) if stacked else init_tt(3, 3, seed=4)
+    if stacked:
+        tt.cores[k][1] = 0.0
+    cache = _cache_with_left_to(tt, samples, k)
+    numer, denom, mat = (a.copy() for a in cache._terms(k))
+    scale = denom.max(axis=(1, 2), keepdims=True)
+    assert (scale.ravel() == 0.0).tolist() == ([False, True, False] if stacked else [False])
+    scale[scale == 0.0] = 1.0
+    eps = 1e-3  # large enough that the shift shows in every entry
+    expected = mat * (numer / (denom + eps * scale))
+    core = update_core(tt, cache, samples, k, eps)
+    assert matricized(core).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "kept-stack"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_update_after_a_hand_edit_equals_a_fresh_caches(k, stacked):
+    # the cache keeps core 0's update terms (losses()), each core's bond-major matrix and
+    # each left refresh's Gram product; editing core k must drop what depends on it, and
+    # keep_trials must slice the rest
+    _, samples = _random_instance(3, 3, 120, seed=81)
+    if stacked:
+        tt = _stack(3, 3, range(4))
+        cache = EnvCache(tt, samples)
+        sweep(tt, cache, samples)
+        cache.keep_trials([0, 2, 3])
+        for j in range(k):
+            cache.refresh_left(j)
+    else:
+        tt = init_tt(3, 3, seed=5)
+        cache = _cache_with_left_to(tt, samples, k)
     cache.losses()
-    tt.cores[0][1] *= 1.7
-    cache.note_core_changed(0)
-    fresh = tt.copy()
-    update_core(tt, cache, samples, 0)
-    update_core(fresh, EnvCache(fresh, samples), samples, 0)
-    assert tt.cores[0].tobytes() == fresh.cores[0].tobytes()
+    edited = tt.cores[k].copy()  # a new array, so no matrix the cache kept can alias it
+    edited[..., 1, :, :] *= 1.7
+    tt.cores[k] = edited
+    cache.note_core_changed(k)
+    fresh = type(tt)([core.copy() for core in tt.cores])
+    update_core(tt, cache, samples, k)
+    update_core(fresh, _cache_with_left_to(fresh, samples, k), samples, k)
+    assert tt.cores[k].tobytes() == fresh.cores[k].tobytes()
 
 
 def test_kept_trials_read_the_losses_they_had():
     _, samples = _random_instance(3, 3, 120, seed=82)
-    inits = [init_tt(3, 3, seed).cores for seed in range(4)]
-    stack = ttomo.fitting._TrialStack([np.stack(cores) for cores in zip(*inits)])
+    stack = _stack(3, 3, range(4))
     cache = EnvCache(stack, samples)
     sweep(stack, cache, samples)
     before = cache.losses()
@@ -622,8 +662,7 @@ def test_fit_rejects_a_bad_job_count_before_planning_blocks(monkeypatch, jobs, m
 
 @pytest.mark.parametrize("L", [1, 2, 5])
 def test_a_trial_stack_has_the_length_and_bonds_of_each_of_its_trains(L):
-    inits = [init_tt(L, 3, seed).cores for seed in range(3)]
-    stack = ttomo.fitting._TrialStack([np.stack(cores) for cores in zip(*inits)])
+    stack = _stack(L, 3, range(3))
     for t in range(3):
         train = stack.train(t)
         assert (stack.length, stack.bond_dims) == (train.length, train.bond_dims)
