@@ -28,7 +28,7 @@ from .fitting import FitConfig, fit, map_jobs
 from .metrics import score
 from .networks import TTDistribution
 from .povm import tetrahedral_povm
-from .sampling import check_sample_count, load_samples, sample_dataset, save_samples
+from .sampling import check_sample_count, load_samples, save_samples, split_train_test
 from .states import XxzParams, check_outcome_sites, exact_outcome_distribution, synth_target
 from .storage import fail, integer_at_least, load_array, load_tensor, read_header, read_lines
 from .storage import read_text, save_tensor, write_lines
@@ -201,13 +201,6 @@ def _target(cfg: ExperimentConfig) -> tuple:
     return rho, exact_outcome_distribution(rho, tetrahedral_povm())
 
 
-def _datasets(cfg: ExperimentConfig, dist) -> tuple:
-    """The train and test draws of ``cfg``'s sizes and seed."""
-    train = sample_dataset(dist, cfg.train, cfg.seed, stream=0, source="train")
-    test = sample_dataset(dist, cfg.test, cfg.seed, stream=1, source="test")
-    return train, test
-
-
 def cmd_synth(cfg: ExperimentConfig) -> int:
     """Synthesize the target state and its exact distribution."""
     rho, dist = _target(cfg)
@@ -234,7 +227,7 @@ def cmd_sample(cfg: ExperimentConfig, snapshot) -> int:
     _, _, dist = _read_snapshot(cfg, snapshot)
     out = Path(cfg.outdir) / "data"
     out.mkdir(parents=True, exist_ok=True)
-    train, test = _datasets(cfg, dist)
+    train, test = split_train_test(dist, cfg.train, cfg.seed, n_test=cfg.test)
     save_samples(train, out / "train.samples")
     save_samples(test, out / "test.samples")
     print(f"sample: wrote {train.total} train and {test.total} test draws to {out}")
@@ -343,7 +336,8 @@ def _run_point(cfg: ExperimentConfig, index: int, overrides: dict, point_dir: Pa
             if row["min_n"] is None:
                 row["status"] = "threshold-not-reached"
         else:
-            report = _fit_and_score(point, *_datasets(point, dist), rho, dist)
+            draws = split_train_test(dist, point.train, point.seed, n_test=point.test)
+            report = _fit_and_score(point, *draws, rho, dist)
         row.update(report, bond_dims="x".join(str(d) for d in report["bond_dims"]))
         _write_report(point_dir / "report.json", report)
     except TomoError as exc:
@@ -372,8 +366,7 @@ def _min_n_search(point: ExperimentConfig, rho, dist):
     n = point.n_start
     attempt = 0
     while True:
-        draws = replace(point, train=n, test=n, seed=point.seed + attempt)
-        report = _fit_and_score(point, *_datasets(draws, dist), rho, dist)
+        report = _fit_and_score(point, *split_train_test(dist, n, point.seed + attempt), rho, dist)
         if report["i_c"] <= point.ic_target:
             return report, n
         if n >= point.n_max:

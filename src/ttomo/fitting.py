@@ -17,9 +17,11 @@ added to the denominator only.
 
 Boundary position ``p`` in 0..L splits the chain between cores ``p - 1`` and
 ``p``: left quantities cover cores ``0 .. p-1``, right quantities cover cores
-``p .. L-1``. A sample set is sorted, so the strings sharing a prefix form one
-contiguous run of rows (``SampleSet.runs``), and both sides are stored once
-per prefix run:
+``p .. L-1``. The update of core k reads the left side at k and the right
+side at k + 1, so the cache stores left positions 0..L-1 and right positions
+1..L and nothing else. A sample set is sorted, so the strings sharing a
+prefix form one contiguous run of rows (``SampleSet.runs``), and both sides
+are stored once per prefix run:
 
 * the left environment of a run at p is cores ``0 .. p-1`` contracted with
   the run's prefix;
@@ -28,8 +30,8 @@ per prefix run:
   p = L every run is one string, so the right sums there are the weights.
 
 Each run at p >= 1 is a run q at p - 1 extended by the symbol s at site
-p - 1. Left environments are stored one row per run; at p >= 1 the right
-sums are stored in the (run at p - 1, symbol) grid, at row ``q * 4 + s``
+p - 1. Left environments are stored one row per run, and the right sums in
+the (run at p - 1, symbol) grid, at row ``q * 4 + s``
 (``RunIndex.prefix_slot``) with zeros where no string has the pair. A left
 environment at p + 1 is gathered from the runs at p times core p; the right
 sums at p are the grid at p + 1 times core p, scattered once into the grid
@@ -152,32 +154,33 @@ class _TrialStack(_Chain):
 class EnvCache:
     """Partial contractions of a train with itself and with the samples.
 
-    Gram matrices (train against train) are stored at boundary positions.
-    On the sample side, position p stores one row per prefix run of
-    ``samples.runs``: the left environment of the run's prefix, and the
-    right sum, the sample-weighted sum of the right environments of the
-    run's strings. At p >= 1 the right sums are kept in their (run at
-    p - 1, symbol) grid (``_scatter``), built once by the refresh that
-    computes them. A fresh cache holds left position 0 and every right
-    position, all that ``losses()`` and a sweep's first pass read; each
-    further left position is built by the ``refresh_left`` that reaches it.
-    Every contraction is one batched GEMM against core k as its bond-major
-    matrix M_k. The cache keeps each M_k: ``matricized`` builds it from
-    ``tt.cores[k]`` when the cache is made or after ``note_core_changed(k)``
-    dropped it (a hand edit of a core is read that way), and ``update_core``
-    stores its result there, with ``tt.cores[k]`` a view of it.
-    ``refresh_left(k)``'s product of the left Gram at k and M_k is kept
-    until core k or that Gram changes, and core k's model term starts from
-    it. Core 0's update terms are kept until a core changes or a right
-    refresh runs: a sweep's loss and the next sweep's first update share
-    them, and that update overwrites them in place.
+    Gram matrices (train against train) are stored at boundary positions,
+    the left ones at 0..L-1 and the right ones at 1..L: the positions an
+    update reads. On the sample side, each position stores one row per
+    prefix run of ``samples.runs``: the left environment of the run's
+    prefix, and the right sum, the sample-weighted sum of the right
+    environments of the run's strings, kept in its (run at p - 1, symbol)
+    grid (``_scatter``). A fresh cache holds left position 0 and right
+    positions 1..L, all that ``losses()`` and a sweep's first pass read;
+    each further left position is built by the ``refresh_left`` that
+    reaches it. Every contraction is one batched GEMM
+    against core k as its bond-major matrix M_k. The cache keeps each M_k,
+    built by ``matricized`` when the cache is made. After that a core enters
+    the cache one way, ``_set_core``, which stores M_k and points
+    ``tt.cores[k]`` at a view of it: ``update_core`` stores its result so,
+    and ``note_core_changed(k)`` re-reads ``tt.cores[k]`` at once (a hand
+    edit of a core is read that way). ``refresh_left(k)``'s product of the
+    left Gram at k and M_k is kept until core k or that Gram changes, and
+    core k's model term starts from it. Core 0's update terms are kept until
+    a core changes or a right refresh runs: a sweep's loss and the next
+    sweep's first update share them, and that update overwrites them in
+    place.
 
     ``tt`` is one train or, inside ``fit``, a stack of trials whose cores
     carry a leading trial axis. Every stored quantity carries that axis:
-    Grams are (T, D, D), left environments (T, runs, D_p), the right sums at
-    p = 0 (T, 1, 1) and the right grids (T, runs at p - 1, 4 * D_p), with
-    T = 1 for one train. ``losses()`` reads every trial from core 0's update
-    terms.
+    Grams are (T, D, D), left environments (T, runs, D_p) and right grids
+    (T, runs at p - 1, 4 * D_p), with T = 1 for one train. ``losses()``
+    reads every trial from core 0's update terms.
 
     Entries invalidated by a core update are unreadable until a refresh
     recomputes them, so everything readable equals its from-scratch
@@ -196,15 +199,15 @@ class EnvCache:
         trials = len(self._mats[0])
         ones = np.ones((trials, 1, 1))
         self._core0_terms = []
-        self._left_rows = [None] * (L + 1)  # slot L is only ever cleared, by refresh_left(L - 1)
-        self._left_gram = [ones] + [None] * L
-        self._right_gram = [None] * L + [ones]
-        self._left_env = [ones] + [None] * L
+        self._left_rows = [None] * L
+        self._left_gram = [ones] + [None] * (L - 1)
+        self._left_env = [ones] + [None] * (L - 1)
+        self._right_gram = [None] * L + [ones]  # right stores: slot p is position p, 0 unused
         weights = np.broadcast_to(samples.weights[:, None], (trials, samples.n_distinct, 1))
         self._right = [None] * L + [self._scatter(L, weights)]
         self._left_valid = 0
         self._right_valid = L
-        for k in range(L - 1, -1, -1):
+        for k in range(L - 1, 0, -1):
             self.refresh_right(k)
 
     # -- reads -------------------------------------------------------------
@@ -242,7 +245,7 @@ class EnvCache:
         return values
 
     def _scatter(self, p: int, sums: np.ndarray) -> np.ndarray:
-        """Right sums (T, runs, D_p) at p >= 1 in their (run at p - 1, symbol) grid.
+        """Right sums (T, runs, D_p) at p in their (run at p - 1, symbol) grid.
 
         The grid has shape (T, runs at p - 1, 4 * D_p): column ``s * D_p + b``
         of row q holds bond index b of run q's child by symbol s, and a
@@ -258,13 +261,6 @@ class EnvCache:
         grid[:, self.runs.prefix_slot[p]] = sums
         return grid.reshape(trials, parents, 4 * dim)
 
-    def _mat(self, k: int) -> np.ndarray:
-        """M_k: the one ``update_core`` stored, else rebuilt from ``tt.cores[k]``."""
-        mat = self._mats[k]
-        if mat is None:
-            mat = self._mats[k] = matricized(self.tt.cores[k])
-        return mat
-
     def _terms(self, k: int) -> list:
         """Core k's update numerator and denominator, each shaped like M_k, and M_k itself.
 
@@ -275,7 +271,7 @@ class EnvCache:
         if not (0 <= k <= self._left_valid and self._right_valid <= k + 1 <= self.L):
             self._check_left(k)
             self._check_right(k + 1)
-        mat = self._mat(k)
+        mat = self._mats[k]
         numer = self._left_env[k].transpose(0, 2, 1) @ self._right[k + 1]
         rows = self._left_rows[k]
         if rows is None:
@@ -287,20 +283,26 @@ class EnvCache:
 
     # -- writes ------------------------------------------------------------
 
-    def note_core_changed(self, k: int) -> None:
-        """Invalidate every cached quantity that depends on core ``k``."""
+    def _set_core(self, k: int, mat: np.ndarray) -> None:
+        """Store M_k, point ``tt.cores[k]`` at a view of it and drop what read the old core k."""
         self._left_valid = min(self._left_valid, k)
         self._right_valid = max(self._right_valid, k + 1)
         self._core0_terms = []
-        self._mats[k] = None
         self._left_rows[k] = None
+        self._mats[k] = mat
+        core = _as_core(mat)
+        self.tt.cores[k] = core if self.tt.cores[k].ndim == 4 else core[0]
+
+    def note_core_changed(self, k: int) -> None:
+        """Re-read core ``k`` from ``tt.cores[k]`` now, which then becomes a view of M_k."""
+        self._set_core(k, matricized(self.tt.cores[k]))
 
     def refresh_left(self, k: int) -> None:
-        """Recompute position k+1 left quantities from the current core k."""
-        if not 0 <= k < self.L:
-            raise IndexError(f"core index {k} out of range")
+        """Recompute position k+1 left quantities from the current core k, 0 <= k <= L - 2."""
+        if not 0 <= k < self.L - 1:
+            raise IndexError(f"left refresh of core {k} is outside 0..{self.L - 2}")
         self._check_left(k)
-        mat = self._mat(k)
+        mat = self._mats[k]
         rows = (self._left_gram[k] @ mat).reshape(len(mat), -1, mat.shape[2] // 4)
         self._left_gram[k + 1] = mat.reshape(rows.shape).transpose(0, 2, 1) @ rows
         self._left_env[k + 1] = extend_left(mat, self._left_env[k], self.runs.prefix_slot[k + 1])
@@ -309,16 +311,15 @@ class EnvCache:
         self._left_valid = k + 1
 
     def refresh_right(self, k: int) -> None:
-        """Recompute position k right quantities from the current core k."""
-        if not 0 <= k < self.L:
-            raise IndexError(f"core index {k} out of range")
+        """Recompute position k right quantities from the current core k, 1 <= k <= L - 1."""
+        if not 0 < k < self.L:
+            raise IndexError(f"right refresh of core {k} is outside 1..{self.L - 1}")
         self._check_right(k + 1)
-        mat = self._mat(k)
+        mat = self._mats[k]
         mat_t = np.ascontiguousarray(mat.transpose(0, 2, 1))  # a view slows the grid GEMM 2x
         rows = mat.reshape(len(mat), -1, mat.shape[2] // 4) @ self._right_gram[k + 1]
         self._right_gram[k] = rows.reshape(mat.shape) @ mat_t
-        sums = self._right[k + 1] @ mat_t
-        self._right[k] = sums if k == 0 else self._scatter(k, sums)
+        self._right[k] = self._scatter(k, self._right[k + 1] @ mat_t)
         self._right_valid = k
         self._core0_terms = []
 
@@ -335,7 +336,7 @@ class EnvCache:
         )
         for store in stores:
             store[:] = [None if a is None else a[rows] for a in store]
-        self.tt.cores[:] = [core[rows] for core in self.tt.cores]
+        self.tt.cores[:] = [_as_core(mat) for mat in self._mats]
 
 
 def update_core(
@@ -357,7 +358,8 @@ def update_core(
     denominator is about 4^-L. A model term that is zero everywhere falls
     back to the absolute ``eps``. The new M_k is
     ``mat * (numer / (denom + eps * scale))``, computed in place in the
-    numerator's array, which the cache then keeps. ``tt`` may be a stack of
+    numerator's array, which the cache then keeps, with ``tt.cores[k]`` a
+    view of it. ``tt`` may be a stack of
     trials (see ``EnvCache``); each trial is updated on its own scale. ``tt``
     must be the train ``cache`` was built on, and ``samples`` its sample set.
     """
@@ -376,9 +378,7 @@ def update_core(
     flat += eps * scale
     numer /= denom
     numer *= mat
-    cache.note_core_changed(k)
-    cache._mats[k] = numer
-    tt.cores[k] = _as_core(numer) if tt.cores[k].ndim == 4 else _as_core(numer)[0]
+    cache._set_core(k, numer)
     return tt.cores[k]
 
 
@@ -392,11 +392,13 @@ def sweep(
 
     Going right, cores 0 .. L-2 are updated and the left environments follow;
     going left, cores L-1 .. 1 are updated and the right environments follow,
-    so interior cores are updated twice per sweep and the edge cores once (a
-    one-site chain's core on the right-going pass only).
+    so interior cores are updated twice per sweep and the edge cores once. A
+    one-site chain's core is updated once, and nothing needs a refresh.
     """
     L = tt.length
-    for k in range(max(L - 1, 1)):
+    if L == 1:
+        update_core(tt, cache, samples, 0, eps)
+    for k in range(L - 1):
         update_core(tt, cache, samples, k, eps)
         cache.refresh_left(k)
     for k in range(L - 1, 0, -1):
@@ -492,7 +494,7 @@ def _fit_block(samples: SampleSet, config: FitConfig, block: range) -> list:
         for row, (i, value) in enumerate(zip(active, values)):
             trace = losses[i]
             trace.append(value)
-            converged = sweeps >= config.stop_window and (
+            converged = sweeps >= config.stop_window and bool(
                 trace[-1 - config.stop_window] - value
                 <= config.stop_rtol * max(abs(value), 1e-300)
             )

@@ -156,10 +156,10 @@ def sample_dataset(
     )
 
 
-def split_train_test(dist: np.ndarray, n: int, seed: int) -> tuple:
-    """Two independent datasets of ``n`` draws each from decorrelated substreams."""
+def split_train_test(dist: np.ndarray, n: int, seed: int, n_test: int | None = None) -> tuple:
+    """Train (substream 0) and test (substream 1) sets of ``n`` and ``n_test`` (default ``n``) draws."""
     train = sample_dataset(dist, n, seed, stream=0, source="train")
-    test = sample_dataset(dist, n, seed, stream=1, source="test")
+    test = sample_dataset(dist, n if n_test is None else n_test, seed, stream=1, source="test")
     return train, test
 
 

@@ -19,6 +19,7 @@ from oracles import (
     public_call_trial,
     random_tt_cores,
 )
+import oracles
 import ttomo.fitting
 from ttomo.density import normalize_tt
 from ttomo.errors import CapacityError, ValidationError
@@ -102,18 +103,25 @@ def test_init_tt_accepts_numpy_integers():
 @pytest.mark.parametrize("L,bond_dim", [(1, 1), (2, 2), (3, 3), (4, 2)])
 def test_cache_matches_brute_force_everywhere(L, bond_dim):
     tt, samples = _random_instance(L, bond_dim, 200, seed=10 * L + bond_dim)
-    cache = _cache_with_left_to(tt, samples, L)
-    assert cache.stored_left_overlap_positions == cache.stored_right_overlap_positions
+    cache = _cache_with_left_to(tt, samples, L - 1)
+    # every position an update reads: left 0..L-1, right 1..L
+    assert cache.stored_left_overlap_positions == list(range(L))
+    assert cache.stored_right_overlap_positions == list(range(1, L + 1))
     assert_cache_matches_oracles(cache, samples, rtol=1e-12, atol=1e-14)
 
 
 def test_cache_invalidation_tracks_core_changes():
     tt, samples = _random_instance(4, 3, 100, seed=21)
-    cache = _cache_with_left_to(tt, samples, 4)
-    # a core index outside 0..L-1 fails the left check (k < 0) or the right one (k = L)
+    cache = _cache_with_left_to(tt, samples, 3)
+    # a core index outside 0..L-1 fails the left check (k < 0 or k = L)
     for k in (-1, 4):
         with pytest.raises(IndexError):
             update_core(tt, cache, samples, k)
+    # no update reads left position L or right position 0, so no refresh builds them
+    with pytest.raises(IndexError, match="outside 0..2"):
+        cache.refresh_left(3)
+    with pytest.raises(IndexError, match="outside 1..3"):
+        cache.refresh_right(0)
     tt.cores[2][:] *= 1.7
     cache.note_core_changed(2)
     assert cache.stored_left_overlap_positions == [0, 1, 2]
@@ -252,6 +260,25 @@ def test_update_after_a_hand_edit_equals_a_fresh_caches(k, stacked):
     assert tt.cores[k].tobytes() == fresh.cores[k].tobytes()
 
 
+def test_note_core_changed_reads_the_core_at_once():
+    # the edited core is re-read when noted, and tt.cores[k] becomes a view of the cache's
+    # M_k; noting an in-place edit of that view again copies nothing
+    tt, samples = _random_instance(3, 3, 120, seed=85)
+    cache = EnvCache(tt, samples)
+    edited = tt.cores[1] * 1.5
+    tt.cores[1] = edited
+    cache.note_core_changed(1)
+    assert tt.cores[1] is not edited and np.array_equal(tt.cores[1], edited)
+    mat = cache._mats[1]
+    assert np.shares_memory(tt.cores[1], mat)
+    edited[:] = 0.0  # the old array is no longer read
+    tt.cores[1][0] *= 2.0
+    cache.note_core_changed(1)
+    assert np.shares_memory(cache._mats[1], mat)
+    cache.refresh_left(0)
+    assert_cache_matches_oracles(cache, samples, rtol=1e-12, atol=1e-14)
+
+
 def test_kept_trials_read_the_losses_they_had():
     _, samples = _random_instance(3, 3, 120, seed=82)
     stack = _stack(3, 3, range(4))
@@ -300,7 +327,7 @@ def test_update_rejects_a_train_other_than_the_caches():
             update_core(train, cache, sample_set, 1)
         assert all(np.array_equal(a, b) for a, b in zip(other.cores, tt.cores))
         assert cache.stored_left_overlap_positions == [0]
-        assert cache.stored_right_overlap_positions == [0, 1, 2, 3]
+        assert cache.stored_right_overlap_positions == [1, 2, 3]
 
 
 def test_update_preserves_zero_support():
@@ -333,11 +360,12 @@ def test_long_chain_sample_set_and_overlaps():
         doubled = np.concatenate([strings[:1], strings[:-1]])
         SampleSet(L=L, total=int(counts.sum()), strings=doubled, counts=counts)
     tt = init_tt(L, 3, seed=41)
-    cache = _cache_with_left_to(tt, samples, L)
-    for p in range(L + 1):
+    cache = _cache_with_left_to(tt, samples, L - 1)
+    for p in range(L):
         # each run's left environment is that of its first string
         for env, start in zip(cache._left_env[p][0], samples.runs.prefix_starts[p]):
             assert np.allclose(env, prefix_vector(tt.cores, strings[start], p), rtol=1e-12)
+    for p in range(1, L + 1):
         grid = brute_right_grid(tt.cores, samples, p)
         assert np.allclose(cache._right[p][0].reshape(grid.shape), grid, rtol=1e-12)
 
@@ -390,10 +418,10 @@ def test_a_fresh_cache_holds_left_position_zero_and_the_whole_right_side():
     tt, samples = _random_instance(4, 3, 200, seed=196)
     cache = EnvCache(tt, samples)
     assert cache.stored_left_overlap_positions == [0]
-    assert cache.stored_right_overlap_positions == [0, 1, 2, 3, 4]
+    assert cache.stored_right_overlap_positions == [1, 2, 3, 4]
     assert_cache_matches_oracles(cache, samples, rtol=1e-12, atol=1e-14)
     # loss() reads a fresh cache; a fully refreshed left side does not change it
-    full = _cache_with_left_to(tt, samples, 4)
+    full = _cache_with_left_to(tt, samples, 3)
     assert loss(tt, samples) == full.losses()[0]
 
 
@@ -472,6 +500,8 @@ def _assert_same_trials(first, second):
     assert len(first) == len(second)
     for a, b in zip(first, second):
         assert (a.trial, a.seed, a.converged) == (b.trial, b.seed, b.converged)
+        # a Python bool, as json.dumps needs, whichever way the trial stopped
+        assert type(a.converged) is bool and type(b.converged) is bool
         assert np.array_equal(a.losses, b.losses)
         assert all(np.array_equal(ca, cb) for ca, cb in zip(a.tt.cores, b.tt.cores))
 
@@ -484,6 +514,17 @@ def test_fit_parallel_matches_sequential():
     sequential = fit(samples, config, jobs=1)
     parallel = fit(samples, config, jobs=2)
     _assert_same_trials(sequential.trials, parallel.trials)
+
+
+def test_fit_parallel_matches_sequential_when_trials_stop():
+    # trial 1 meets the stop rule inside the first worker's block while trial 0 runs on
+    _, samples = _random_instance(3, 3, 3000, seed=181)
+    config = FitConfig(bond_dim=3, max_sweeps=120, stop_rtol=3e-4, trials=4, seed=3)
+    assert trial_blocks(4, 3, _widest_grid(samples), jobs=2) == [range(0, 2), range(2, 4)]
+    sequential = fit(samples, config, jobs=1)
+    stops = [(t.sweeps_run, t.converged) for t in sequential.trials[:2]]
+    assert stops == [(120, False), (91, True)]
+    _assert_same_trials(sequential.trials, fit(samples, config, jobs=2).trials)
 
 
 def test_trial_blocks_follow_the_float_budget():
@@ -522,6 +563,51 @@ def test_one_block_equals_each_trial_alone(L, bond_dim, stop_rtol, monkeypatch):
     _assert_same_trials(batched.trials, fit(samples, config).trials)
 
 
+def _public_calls(run):
+    """The ``update_core`` and ``refresh_*`` calls ``run()`` makes outside ``EnvCache.__init__``."""
+    calls, building = [], []
+    init = EnvCache.__init__
+
+    def build(self, *args):
+        building.append(self)
+        try:
+            init(self, *args)
+        finally:
+            building.pop()
+
+    def refresh(name, method):
+        def call(self, k):
+            if not building:
+                calls.append((name, k))
+            method(self, k)
+
+        return call
+
+    def update(tt, cache, samples, k, eps):
+        calls.append(("update_core", k))
+        return update_core(tt, cache, samples, k, eps)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(EnvCache, "__init__", build)
+        for name in ("refresh_left", "refresh_right"):
+            patch.setattr(EnvCache, name, refresh(name, getattr(EnvCache, name)))
+        patch.setattr(ttomo.fitting, "update_core", update)
+        patch.setattr(oracles, "update_core", update)
+        run()
+    return calls
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_fit_makes_the_public_call_sequence(L):
+    # fit's sweeps make exactly the calls of the public-call replay, and no refresh at L = 1
+    _, samples = _random_instance(L, 2, 300, seed=220 + L)
+    config = FitConfig(bond_dim=2, max_sweeps=5, trials=1, seed=1)
+    fitted = _public_calls(lambda: fit(samples, config))
+    replayed = _public_calls(lambda: public_call_trial(samples, config, config.seed))
+    assert len(fitted) == 5 * (1 if L == 1 else 4 * (L - 1))
+    assert fitted == replayed
+
+
 def _copy_pair_samples(L, draws, seed):
     """Draws whose even symbols are uniform and odd symbol 2j+1 copies symbol 2j.
 
@@ -551,7 +637,6 @@ def test_long_chains_fit_without_collapse(L):
     with after_each_update(record):
         for _ in range(10):
             sweep(tt, cache, samples)
-    cache.refresh_right(0)
     final = cache.losses()[0]
     assert all(np.all(np.isfinite(c)) and c.min() >= 0.0 and c.any() for c in tt.cores)
     rises = np.diff(values)

@@ -108,8 +108,8 @@ def _valid_ops(cache, L):
     left = max(cache.stored_left_overlap_positions)
     right = min(cache.stored_right_overlap_positions)
     ops = [("update", k) for k in range(L) if k <= left and k + 1 >= right]
-    ops += [("refresh_left", k) for k in range(L) if k <= left]
-    ops += [("refresh_right", k) for k in range(L) if k + 1 >= right]
+    ops += [("refresh_left", k) for k in range(L - 1) if k <= left]
+    ops += [("refresh_right", k) for k in range(1, L) if k + 1 >= right]
     return ops
 
 

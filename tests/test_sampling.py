@@ -145,6 +145,15 @@ def test_split_train_test_streams_and_sources():
     assert np.array_equal(train.counts, again.counts)
 
 
+def test_split_train_test_takes_a_test_size_of_its_own():
+    train, test = split_train_test(_uniform_dist(2), 4000, seed=9, n_test=1500)
+    assert (train.total, test.total) == (4000, 1500)
+    again = sample_dataset(_uniform_dist(2), 1500, seed=9, stream=1, source="test")
+    assert np.array_equal(test.strings, again.strings)
+    assert np.array_equal(test.counts, again.counts)
+    assert np.array_equal(train.counts, split_train_test(_uniform_dist(2), 4000, seed=9)[0].counts)
+
+
 def test_sampleset_validation():
     strings = np.array([[0, 1], [0, 1]], dtype=np.uint8)
     with pytest.raises(ValidationError):
