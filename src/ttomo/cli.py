@@ -29,18 +29,16 @@ from .metrics import score
 from .networks import TTDistribution
 from .povm import tetrahedral_povm
 from .sampling import check_sample_count, load_samples, save_samples, split_train_test
-from .states import XxzParams, check_outcome_sites, exact_outcome_distribution, synth_target
+from .states import XxzParams, exact_outcome_distribution, synth_target
 from .storage import fail, integer_at_least, load_array, load_tensor, read_header, read_lines
 from .storage import read_text, save_tensor, write_lines
 
-_MANIFEST_MAGIC = "ttsnapshot 2"
+_MANIFEST_MAGIC = "ttsnapshot 3"
 # Config fields that define the target; the manifest records them and its
 # parameter hash covers them.
 _TARGET_FIELDS = tuple(f.name for f in fields(XxzParams))
 # The manifest's header lines from line 2, in the order synth writes them.
-_MANIFEST_KEYS = _TARGET_FIELDS + (
-    "d", "trace", "param_hash", "dist_digest", "rho_file", "dist_file"
-)
+_MANIFEST_KEYS = _TARGET_FIELDS + ("d", "trace", "param_hash", "rho_digest")
 _MANIFEST_PARSERS = dict.fromkeys(_MANIFEST_KEYS, str) | {"L": integer_at_least("L", 1)}
 # Spacing between the base seeds of successive scan grid points; larger than
 # any realistic trial count so per-trial seeds never collide across points.
@@ -177,10 +175,10 @@ def _snapshot_dir(cfg: ExperimentConfig) -> Path:
 
 
 def _read_snapshot(cfg: ExperimentConfig, snapshot) -> tuple:
-    """Length, density file and checked distribution of a target snapshot.
+    """Length, density matrix and exact outcome distribution of a target snapshot.
 
-    The manifest must end at its last key, and the distribution must match
-    its ``dist_digest``.
+    The manifest must end at its last key, and ``rho.npy`` must be 2^L x 2^L
+    and match its ``rho_digest``; the distribution is derived from it.
     """
     snap = Path(snapshot) if snapshot else _snapshot_dir(cfg)
     path = snap / "manifest.txt"
@@ -188,33 +186,27 @@ def _read_snapshot(cfg: ExperimentConfig, snapshot) -> tuple:
     manifest = read_header(path, lines, _MANIFEST_PARSERS)
     if len(lines) > 1 + len(_MANIFEST_PARSERS):
         fail(path, 2 + len(_MANIFEST_PARSERS), "trailing content after last key")
-    dist = load_array(snap / manifest["dist_file"])
-    if hashlib.sha256(dist.tobytes()).hexdigest() != manifest["dist_digest"]:
-        raise DataFormatError(f"{path}: {manifest['dist_file']} does not match dist_digest")
-    return manifest["L"], snap / manifest["rho_file"], dist
-
-
-def _target(cfg: ExperimentConfig) -> tuple:
-    """The target density of ``cfg`` and its exact outcome distribution."""
-    check_outcome_sites(cfg.L)  # before the dense target, which costs minutes and GBs above it
-    rho = synth_target(cfg)
-    return rho, exact_outcome_distribution(rho, tetrahedral_povm())
+    L = manifest["L"]
+    rho = load_array(snap / "rho.npy")
+    if rho.shape != (2**L, 2**L):
+        fail(path, 2, f"rho.npy has shape {rho.shape}, not (2^L, 2^L) for L={L}")
+    if hashlib.sha256(rho.tobytes()).hexdigest() != manifest["rho_digest"]:
+        raise DataFormatError(f"{path}: rho.npy does not match rho_digest")
+    return L, rho, exact_outcome_distribution(rho, tetrahedral_povm())
 
 
 def cmd_synth(cfg: ExperimentConfig) -> int:
-    """Synthesize the target state and its exact distribution."""
-    rho, dist = _target(cfg)
+    """Synthesize the target density matrix; ``sample`` and ``evaluate`` derive its exact
+    outcome distribution, so the snapshot is ``rho.npy`` and its manifest alone."""
+    rho = synth_target(cfg)
     out = _snapshot_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
     np.save(out / "rho.npy", rho)
-    np.save(out / "dist.npy", dist)
     values = [repr(getattr(cfg, name)) for name in _TARGET_FIELDS] + [
         2**cfg.L,
         repr(float(np.trace(rho))),
         _param_hash(cfg),
-        hashlib.sha256(dist.tobytes()).hexdigest(),
-        "rho.npy",
-        "dist.npy",
+        hashlib.sha256(rho.tobytes()).hexdigest(),
     ]
     manifest = dict(zip(_MANIFEST_KEYS, values, strict=True))
     write_lines(out / "manifest.txt", _MANIFEST_MAGIC, manifest)
@@ -289,8 +281,7 @@ def cmd_evaluate(cfg: ExperimentConfig, tt, snapshot, data) -> int:
     tt = load_tensor(tt_file)
     if not isinstance(tt, TTDistribution):
         raise ValidationError(f"{tt_file} does not hold a tensor train")
-    L, rho_file, dist = _read_snapshot(cfg, snapshot)
-    rho = load_array(rho_file)
+    L, rho, dist = _read_snapshot(cfg, snapshot)
     test = load_samples(test_file)
     if not tt.length == L == test.L:
         raise ValidationError(
@@ -330,7 +321,8 @@ def _run_point(cfg: ExperimentConfig, index: int, overrides: dict, point_dir: Pa
     start = time.perf_counter()
     try:
         point = replace(cfg, **values)
-        rho, dist = _target(point)
+        rho = synth_target(point)
+        dist = exact_outcome_distribution(rho, tetrahedral_povm())
         if point.min_n_search:
             report, row["min_n"] = _min_n_search(point, rho, dist)
             if row["min_n"] is None:
@@ -422,7 +414,7 @@ class _Parser(argparse.ArgumentParser):
 # Each subcommand's help text, its runner, and its path flags with their
 # help texts; the runner takes the config and one argument per path flag.
 _COMMANDS = {
-    "synth": ("synthesize the target state and exact distribution", cmd_synth, {}),
+    "synth": ("synthesize the target density matrix", cmd_synth, {}),
     "sample": ("draw train/test datasets from a target snapshot", cmd_sample,
                {"snapshot": "target snapshot directory"}),
     "fit": ("fit tensor trains to a training dataset", cmd_fit, {"data": "training dataset file"}),

@@ -7,7 +7,7 @@ import numpy as np
 from .errors import CapacityError, DegenerateFitError
 from .networks import MpoDensity, TTDistribution
 from .povm import Povm, inverse_map_site
-from .states import MAX_OUTCOME_SITES
+from .states import MAX_DENSE_SITES
 
 
 def normalize_tt(tt: TTDistribution) -> TTDistribution:
@@ -42,8 +42,8 @@ def mpo_to_dense(mpo: MpoDensity) -> np.ndarray:
     CapacityError.
     """
     L = mpo.length
-    if L > MAX_OUTCOME_SITES:
-        raise CapacityError(f"dense operator guard is L <= {MAX_OUTCOME_SITES}, got {L}")
+    if L > MAX_DENSE_SITES:
+        raise CapacityError(f"dense operator guard is L <= {MAX_DENSE_SITES}, got {L}")
     acc = np.ones((1, 1), dtype=complex)
     for core in mpo.cores:
         left, right = core.shape[2:]

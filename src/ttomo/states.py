@@ -13,8 +13,7 @@ import numpy as np
 from .errors import CapacityError, DegeneracyError, ValidationError, check_integer, check_real
 from .povm import Povm
 
-MAX_DENSE_SITES = 14
-MAX_OUTCOME_SITES = 10
+MAX_DENSE_SITES = 10
 # Smallest spectral gap above the ground level that counts as non-degenerate.
 GAP_TOL = 1e-10
 
@@ -47,7 +46,7 @@ class XxzParams:
 
 
 def xxz_hamiltonian(params: XxzParams) -> np.ndarray:
-    """Dense real Hamiltonian of the chain; guarded to L <= 14.
+    """Dense real Hamiltonian of the chain; guarded to L <= 10.
 
     ZZ and Z terms are diagonal in the Z basis; XX + YY on a bond flips an
     antiparallel pair with the real weight 2J and cancels on a parallel one,
@@ -120,12 +119,6 @@ def _map_sites(matrix: np.ndarray, rho: np.ndarray, L: int) -> np.ndarray:
     return out
 
 
-def check_outcome_sites(L: int) -> None:
-    """Raise ``CapacityError`` above the guard on enumerated outcome distributions."""
-    if L > MAX_OUTCOME_SITES:
-        raise CapacityError(f"dense distribution guard is L <= {MAX_OUTCOME_SITES}, got {L}")
-
-
 def exact_outcome_distribution(rho: np.ndarray, povm: Povm) -> np.ndarray:
     """All 4^L outcome probabilities of measuring ``rho`` site by site.
 
@@ -134,5 +127,6 @@ def exact_outcome_distribution(rho: np.ndarray, povm: Povm) -> np.ndarray:
     """
     rho = np.asarray(rho)
     L = _num_sites(rho)
-    check_outcome_sites(L)
+    if L > MAX_DENSE_SITES:
+        raise CapacityError(f"dense distribution guard is L <= {MAX_DENSE_SITES}, got {L}")
     return np.real(_map_sites(povm.flat, rho, L).reshape(-1))

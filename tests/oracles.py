@@ -54,6 +54,12 @@ def dense_sample_vector(samples) -> np.ndarray:
     return vec
 
 
+def exact_infidelity(model_vec, ideal_vec) -> float:
+    """Exact classical infidelity over all strings, in the Hellinger form
+    1/2 sum_a (sqrt(P_model(a)) - sqrt(P_ideal(a)))^2; both vectors sum to one."""
+    return float(0.5 * np.sum((np.sqrt(model_vec) - np.sqrt(ideal_vec)) ** 2))
+
+
 def brute_loss(cores, samples) -> float:
     model = dense_tt_vector(cores)
     empirical = dense_sample_vector(samples)

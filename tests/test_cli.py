@@ -10,8 +10,10 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -26,6 +28,7 @@ from ttomo.fitting import FitResult, TrialResult
 from ttomo.networks import TTDistribution
 from ttomo.povm import tetrahedral_povm
 from ttomo.sampling import SampleSet, sample_dataset, save_samples
+from ttomo.states import XxzParams, exact_outcome_distribution, synth_target
 from ttomo.storage import load_tensor, save_tensor
 
 SMALL = """
@@ -69,6 +72,22 @@ def test_config_rejects_unknown_keys_and_bad_values(tmp_path):
     path.write_bytes(b"L = 4\np = 0.\xff5\n")
     with pytest.raises(DataFormatError, match="c.cfg:2: byte 0xff is not utf-8 text"):
         load_config_file(path)
+    path.write_text("# a comment\nL 4\n")
+    with pytest.raises(DataFormatError, match="c.cfg:2: expected 'key = value'$"):
+        load_config_file(path)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [(text, True) for text in ("1", "true", "Yes", "ON")]
+    + [(text, False) for text in ("0", "false", "No", "OFF", " off ")],
+)
+def test_every_boolean_spelling_parses_from_file_and_flag(tmp_path, text, value):
+    path = tmp_path / "c.cfg"
+    path.write_text(f"min_n_search = {text}\n")
+    assert load_config_file(path) == {"min_n_search": value}
+    args = build_parser().parse_args(["synth", "--min-n-search", text])
+    assert build_config(args).min_n_search is value
 
 
 def test_flag_overrides_file_overrides_default(tmp_path):
@@ -130,13 +149,11 @@ def test_full_pipeline_and_artifacts(tmp_path, small_cfg):
     assert main(["evaluate", "--config", str(small_cfg)]) == 0
 
     # synth writes only what a command reads
-    assert sorted(path.name for path in (run / "target").iterdir()) == [
-        "dist.npy", "manifest.txt", "rho.npy"
-    ]
+    assert sorted(path.name for path in (run / "target").iterdir()) == ["manifest.txt", "rho.npy"]
     manifest = (run / "target" / "manifest.txt").read_text().splitlines()
-    assert manifest[0] == "ttsnapshot 2"
+    assert manifest[0] == "ttsnapshot 3"
     assert [line.split()[0] for line in manifest[1:]] == (
-        "L J gamma h p d trace param_hash dist_digest rho_file dist_file".split()
+        "L J gamma h p d trace param_hash rho_digest".split()
     )
     report = json.loads((run / "report.json").read_text())
     assert set(report) == {
@@ -169,15 +186,15 @@ def test_full_pipeline_and_artifacts(tmp_path, small_cfg):
 def test_synth_is_byte_deterministic(tmp_path, small_cfg):
     assert main(["synth", "--config", str(small_cfg)]) == 0
     out = tmp_path / "run" / "target"
-    first = {name: (out / name).read_bytes() for name in ("rho.npy", "dist.npy", "manifest.txt")}
+    first = {name: (out / name).read_bytes() for name in ("rho.npy", "manifest.txt")}
     assert main(["synth", "--config", str(small_cfg)]) == 0
     for name, blob in first.items():
         assert (out / name).read_bytes() == blob
 
 
 def test_a_snapshot_with_a_complex_target_scores_as_its_float64_copy(tmp_path, small_cfg):
-    # synth writes a float64 rho.npy; a snapshot written before that holds the complex128 copy,
-    # which evaluate decomposes in complex arithmetic: only f_q and i_q may move, by rounding
+    # synth writes a float64 rho.npy; evaluate decomposes a complex128 copy, with its digest,
+    # in complex arithmetic: only f_q and i_q may move, by rounding
     flags = ["--config", str(small_cfg), "--L", "4"]
     for command in ("synth", "sample", "fit", "evaluate"):
         assert main([command, *flags]) == 0
@@ -185,7 +202,7 @@ def test_a_snapshot_with_a_complex_target_scores_as_its_float64_copy(tmp_path, s
     rho = np.load(run / "target" / "rho.npy")
     assert rho.dtype == np.float64
     real = json.loads((run / "report.json").read_text())
-    np.save(run / "target" / "rho.npy", rho.astype(np.complex128))
+    _replace_rho(tmp_path, rho.astype(np.complex128))
     assert main(["evaluate", *flags]) == 0
     complex_ = json.loads((run / "report.json").read_text())
     for name in ("f_q", "i_q"):
@@ -320,17 +337,17 @@ def test_negative_seed_exits_with_a_validation_error(tmp_path, small_cfg, capsys
     assert all(line.startswith("ttomo: error: seed must be >= 0") for line in errors)
 
 
-def _replace_dist(tmp_path, dist):
-    """Write ``dist`` into the snapshot and record its digest in the manifest."""
-    np.save(tmp_path / "run" / "target" / "dist.npy", dist)
-    _edit_manifest(tmp_path, "dist_digest", hashlib.sha256(dist.tobytes()).hexdigest())
+def _replace_rho(tmp_path, rho):
+    """Write ``rho`` into the snapshot and record its digest in the manifest."""
+    np.save(tmp_path / "run" / "target" / "rho.npy", rho)
+    _edit_manifest(tmp_path, "rho_digest", hashlib.sha256(rho.tobytes()).hexdigest())
 
 
 def test_non_finite_values_exit_with_a_validation_error(tmp_path, small_cfg, capsys):
     assert main(["synth", "--config", str(small_cfg)]) == 0
-    dist = np.load(tmp_path / "run" / "target" / "dist.npy")
-    dist[0] = np.nan
-    _replace_dist(tmp_path, dist)
+    rho = np.load(tmp_path / "run" / "target" / "rho.npy")
+    rho[0, 0] = np.nan
+    _replace_rho(tmp_path, rho)
     assert main(["sample", "--config", str(small_cfg)]) == 1
     assert main(["synth", "--config", str(small_cfg)]) == 0
     assert main(["sample", "--config", str(small_cfg)]) == 0
@@ -358,32 +375,54 @@ def test_out_of_range_counts_and_jobs_exit_with_a_validation_error(tmp_path, sma
     ]
 
 
-def test_the_outcome_guard_fails_before_the_target_is_built(tmp_path, small_cfg, monkeypatch):
-    def unreachable(params):
-        raise AssertionError("the dense target was built above the guard")
-
-    monkeypatch.setattr(ttomo.cli, "synth_target", unreachable)
+def test_the_dense_guard_fails_before_the_target_is_built(tmp_path, small_cfg, capsys):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="^dense Hamiltonian guard is L <= 10, got 11$"):
+            synth_target(XxzParams(L=11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the L = 11 Hamiltonian alone would be 32 MiB
     assert main(["synth", "--config", str(small_cfg), "--L", "11"]) == 2
+    assert capsys.readouterr().err == "ttomo: error: dense Hamiltonian guard is L <= 10, got 11\n"
+    assert not (tmp_path / "run" / "target").exists()
     assert main(["scan", "--config", str(small_cfg), "--scan-L", "11"]) == 0
     with open(tmp_path / "run" / "scan.csv") as fh:
         (row,) = list(csv.DictReader(fh))
     assert row["status"] == "error"
-    assert row["message"] == "CapacityError: dense distribution guard is L <= 10, got 11"
+    assert row["message"] == "CapacityError: dense Hamiltonian guard is L <= 10, got 11"
 
 
-def test_evaluate_above_the_dense_guard_exits_with_the_capacity_code(tmp_path, small_cfg, capsys):
-    # a hand-built L = 11 snapshot: evaluate stops at the dense operator guard
-    assert main(["synth", "--config", str(small_cfg)]) == 0
-    _edit_manifest(tmp_path, "L", "11")
+@pytest.fixture(scope="module")
+def long_run(tmp_path_factory):
+    """An outdir with a hand-written L = 11 snapshot (a 2048 x 2048 ``rho.npy`` and its
+    digest), a unit-mass L = 11 train and a one-string L = 11 test set."""
+    run = tmp_path_factory.mktemp("long") / "run"
+    assert main(["synth", "--L", "2", "--outdir", str(run)]) == 0
+    _replace_rho(run.parent, np.eye(2**11) / 2**11)
+    _edit_manifest(run.parent, "L", "11")
     strings = np.zeros((1, 11), dtype=np.uint8)
-    test_file = tmp_path / "test.samples"
-    save_samples(SampleSet(L=11, total=1, strings=strings, counts=[1]), test_file)
-    tt_file = tmp_path / "long.tt"
-    save_tensor(tt_file, TTDistribution([np.full((4, 1, 1), 0.25)] * 11))
-    argv = ["--config", str(small_cfg), "--tt", str(tt_file), "--data", str(test_file)]
-    assert main(["evaluate"] + argv) == 2
-    assert "dense operator guard is L <= 10, got 11" in capsys.readouterr().err
-    assert not (tmp_path / "run" / "report.json").exists()
+    save_samples(SampleSet(L=11, total=1, strings=strings, counts=[1]), run / "test.samples")
+    save_tensor(run / "long.tt", TTDistribution([np.full((4, 1, 1), 0.25)] * 11))
+    return run
+
+
+def _exits_at_the_distribution_guard(capsys, out, argv):
+    assert main([str(arg) for arg in argv + ["--outdir", out]]) == 2
+    assert capsys.readouterr().err == "ttomo: error: dense distribution guard is L <= 10, got 11\n"
+    assert not out.exists()
+
+
+def test_sample_above_the_dense_guard_exits_with_the_capacity_code(tmp_path, long_run, capsys):
+    argv = ["sample", "--snapshot", long_run / "target"]
+    _exits_at_the_distribution_guard(capsys, tmp_path / "out", argv)
+
+
+def test_evaluate_above_the_dense_guard_exits_with_the_capacity_code(tmp_path, long_run, capsys):
+    argv = ["evaluate", "--snapshot", long_run / "target", "--tt", long_run / "long.tt",
+            "--data", long_run / "test.samples"]
+    _exits_at_the_distribution_guard(capsys, tmp_path / "out", argv)
 
 
 def test_evaluate_of_an_overflowing_reconstruction_exits_with_the_capacity_code(
@@ -498,17 +537,17 @@ def test_malformed_snapshot_files_exit_with_the_format_code(tmp_path, small_cfg,
     for command in ("synth", "sample", "fit"):
         assert main([command, "--config", str(small_cfg)]) == 0
     target = tmp_path / "run" / "target"
-    for name, command in (("dist.npy", "sample"), ("rho.npy", "evaluate")):
-        blob = (target / name).read_bytes()
-        (target / name).write_bytes(blob[:40])
+    blob = (target / "rho.npy").read_bytes()
+    (target / "rho.npy").write_bytes(blob[:40])
+    for command in ("sample", "evaluate"):
         assert main([command, "--config", str(small_cfg)]) == 3
-        (target / name).write_bytes(blob)
+    (target / "rho.npy").write_bytes(blob)
     manifest = target / "manifest.txt"
     manifest.write_bytes(manifest.read_bytes().replace(b"L 2", b"L \xb2"))
     assert main(["sample", "--config", str(small_cfg)]) == 3
-    dist_error, rho_error, manifest_error = capsys.readouterr().err.splitlines()
-    assert dist_error.startswith(f"ttomo: error: {target / 'dist.npy'}: not a readable .npy")
-    assert rho_error.startswith(f"ttomo: error: {target / 'rho.npy'}: not a readable .npy")
+    sample_error, evaluate_error, manifest_error = capsys.readouterr().err.splitlines()
+    assert sample_error.startswith(f"ttomo: error: {target / 'rho.npy'}: not a readable .npy")
+    assert evaluate_error == sample_error
     assert manifest_error == f"ttomo: error: {manifest}:2: byte 0xb2 is not ascii text"
 
 
@@ -611,45 +650,44 @@ def _edit_manifest(tmp_path, key, value):
     return path, lineno
 
 
-def test_sample_reports_a_manifest_without_dist_file(tmp_path, small_cfg, capsys):
-    assert main(["synth", "--config", str(small_cfg)]) == 0
-    manifest, lineno = _edit_manifest(tmp_path, "dist_file", None)
-    assert main(["sample", "--config", str(small_cfg)]) == 3
-    assert capsys.readouterr().err.splitlines() == [
-        f"ttomo: error: {manifest}:{lineno}: expected 'dist_file <value>'"
-    ]
-
-
-def test_a_distribution_that_does_not_match_its_manifest_exits_with_the_format_code(
+def test_a_target_that_does_not_match_its_manifest_exits_with_the_format_code(
     tmp_path, small_cfg, capsys
 ):
     for command in ("synth", "sample", "fit"):
         assert main([command, "--config", str(small_cfg)]) == 0
     target = tmp_path / "run" / "target"
-    dist = np.load(target / "dist.npy")
-    np.save(target / "dist.npy", dist[::-1])
+    rho = np.load(target / "rho.npy")
+    np.save(target / "rho.npy", rho[::-1].copy())
     assert main(["sample", "--config", str(small_cfg)]) == 3
     assert main(["evaluate", "--config", str(small_cfg)]) == 3
-    np.save(target / "dist.npy", dist)
-    manifest, lineno = _edit_manifest(tmp_path, "dist_digest", None)
+    np.save(target / "rho.npy", rho)
+    manifest, lineno = _edit_manifest(tmp_path, "rho_digest", None)
     assert main(["sample", "--config", str(small_cfg)]) == 3
     assert capsys.readouterr().err.splitlines() == [
-        f"ttomo: error: {manifest}: dist.npy does not match dist_digest",
-        f"ttomo: error: {manifest}: dist.npy does not match dist_digest",
-        f"ttomo: error: {manifest}:{lineno}: expected 'dist_digest <value>'",
+        f"ttomo: error: {manifest}: rho.npy does not match rho_digest",
+        f"ttomo: error: {manifest}: rho.npy does not match rho_digest",
+        f"ttomo: error: {manifest}:{lineno}: expected 'rho_digest <value>'",
     ]
 
 
-def test_read_snapshot_checks_the_distribution_digest(tmp_path, small_cfg):
+def test_read_snapshot_derives_the_distribution_from_a_checked_target(tmp_path, small_cfg):
     assert main(["synth", "--config", str(small_cfg)]) == 0
     cfg = ExperimentConfig(L=2, p=0.5, outdir=str(tmp_path / "run"))
     target = tmp_path / "run" / "target"
-    L, rho_file, dist = ttomo.cli._read_snapshot(cfg, None)
-    assert (L, rho_file) == (2, target / "rho.npy")
-    assert dist.tobytes() == np.load(target / "dist.npy").tobytes()
-    dist[0] *= 0.5
-    np.save(target / "dist.npy", dist)
-    with pytest.raises(DataFormatError, match="manifest.txt: dist.npy does not match dist_digest"):
+    L, rho, dist = ttomo.cli._read_snapshot(cfg, None)
+    assert L == 2
+    assert rho.tobytes() == np.load(target / "rho.npy").tobytes()
+    exact = exact_outcome_distribution(synth_target(XxzParams(L=2, p=0.5)), tetrahedral_povm())
+    assert dist.tobytes() == exact.tobytes()
+    rho[0, 0] *= 0.5
+    np.save(target / "rho.npy", rho)
+    with pytest.raises(DataFormatError, match="manifest.txt: rho.npy does not match rho_digest"):
+        ttomo.cli._read_snapshot(cfg, target)
+    # a manifest whose L is not rho.npy's, even with a matching digest
+    _replace_rho(tmp_path, rho)
+    manifest, _ = _edit_manifest(tmp_path, "L", "11")
+    message = f"{manifest}:2: rho.npy has shape (4, 4), not (2^L, 2^L) for L=11"
+    with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
         ttomo.cli._read_snapshot(cfg, target)
 
 
@@ -879,10 +917,15 @@ _ENTRY_FLAGS = ["--L", "3", "--train", "2000", "--test", "2000", "--trials", "2"
 _SAMPLES_HEADER = "ttsamples 1\nL 3\nN {n}\nseed -\nstream {stream}\nsource -\n"
 # A hand-written manifest of an L = 3 snapshot with a line after its last key.
 _TRAILING_MANIFEST = "\n".join([
-    "ttsnapshot 2", "L 3", "J 1.0", "gamma 1.0", "h 1.0", "p 0.6", "d 8", "trace 1.0",
-    "param_hash -", "dist_digest -", "rho_file rho.npy", "dist_file dist.npy", "extra junk",
+    "ttsnapshot 3", "L 3", "J 1.0", "gamma 1.0", "h 1.0", "p 0.6", "d 8", "trace 1.0",
+    "param_hash -", "rho_digest -", "extra junk",
 ]) + "\n"
-# The same snapshot in the version-1 format, which also listed an operator chain file.
+# The same snapshot in the version-2 format, which also stored the distribution.
+_VERSION_2_MANIFEST = "\n".join([
+    "ttsnapshot 2", "L 3", "J 1.0", "gamma 1.0", "h 1.0", "p 0.6", "d 8", "trace 1.0",
+    "param_hash -", "dist_digest -", "rho_file rho.npy", "dist_file dist.npy",
+]) + "\n"
+# In the version-1 format, which also listed an operator chain file.
 _VERSION_1_MANIFEST = "\n".join([
     "ttsnapshot 1", "L 3", "J 1.0", "gamma 1.0", "h 1.0", "p 0.6", "mpo_tol 1e-14", "d 8",
     "trace 1.0", "bonds 1 4 4 1", "param_hash -", "dist_digest -", "rho_file rho.npy",
@@ -924,13 +967,21 @@ _ENTRY_POINT_CASES = {
         "tttensor 1\nkind tt\nL 3\nbonds 1 0 1 1\ncore\ncore\ncore 0.25 0.25 0.25 0.25\n",
         ["evaluate", "--tt", "{file}"], 3, "{file}:4: bad header value: bond must be >= 1, got 0",
     ),
+    "empty training set": (
+        "empty.samples", _SAMPLES_HEADER.format(n=0, stream=0), ["fit", "--data", "{file}"],
+        1, "cannot fit an empty sample set",
+    ),
     "manifest line after the last key": (
         "snapshot/manifest.txt", _TRAILING_MANIFEST, ["sample", "--snapshot", "{dir}"], 3,
-        "{file}:13: trailing content after last key",
+        "{file}:11: trailing content after last key",
     ),
     "version-1 snapshot": (
         "snapshot/manifest.txt", _VERSION_1_MANIFEST, ["sample", "--snapshot", "{dir}"], 3,
-        "{file}:1: expected header 'ttsnapshot 2'",
+        "{file}:1: expected header 'ttsnapshot 3'",
+    ),
+    "version-2 snapshot": (
+        "snapshot/manifest.txt", _VERSION_2_MANIFEST, ["evaluate", "--snapshot", "{dir}"], 3,
+        "{file}:1: expected header 'ttsnapshot 3'",
     ),
     "config key of the removed truncation tolerance": (
         "old.cfg", "mpo_tol = 1e-14\n", ["synth", "--config", "{file}"], 3,

@@ -92,7 +92,7 @@ def test_mpo_to_dense_capacity_guard():
     povm = tetrahedral_povm()
     tt = normalize_tt(_random_tt(11, 1, seed=41))
     mpo = tt_to_mpo(tt, povm)
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="^dense operator guard is L <= 10, got 11$"):
         mpo_to_dense(mpo)
 
 

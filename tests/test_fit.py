@@ -14,7 +14,9 @@ from oracles import (
     brute_right_grid,
     brute_update_denom,
     brute_update_numer,
+    dense_sample_vector,
     dense_tt_vector,
+    exact_infidelity,
     prefix_vector,
     public_call_trial,
     random_tt_cores,
@@ -36,7 +38,9 @@ from ttomo.fitting import (
     update_core,
 )
 from ttomo.networks import TTDistribution, matricized
-from ttomo.sampling import SampleSet, sample_dataset
+from ttomo.povm import tetrahedral_povm
+from ttomo.sampling import SampleSet, sample_dataset, split_train_test
+from ttomo.states import XxzParams, exact_outcome_distribution, synth_target
 from ttomo.storage import load_tensor, save_tensor
 
 
@@ -311,6 +315,13 @@ def test_updated_cores_look_like_plain_cores(tmp_path):
     assert all(a.tobytes() == b.tobytes() for a, b in zip(tt.cores, back.cores))
     result = fit(samples, FitConfig(bond_dim=3, trials=3, max_sweeps=3))
     assert all(core.flags.c_contiguous for trial in result.trials for core in trial.tt.cores)
+
+
+def test_a_cache_refuses_a_sample_set_of_another_length():
+    tt, _ = _random_instance(3, 2, 50, seed=90)
+    samples = _random_instance(4, 2, 50, seed=91)[1]
+    with pytest.raises(ValidationError, match="^sample length 4 does not match train length 3$"):
+        EnvCache(tt, samples)
 
 
 def test_update_rejects_a_train_other_than_the_caches():
@@ -751,3 +762,19 @@ def test_a_trial_stack_has_the_length_and_bonds_of_each_of_its_trains(L):
     for t in range(3):
         train = stack.train(t)
         assert (stack.length, stack.bond_dims) == (train.length, train.bond_dims)
+
+
+@pytest.fixture(scope="module")
+def l6_ideal():
+    return exact_outcome_distribution(synth_target(XxzParams(L=6, p=0.6)), tetrahedral_povm())
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_the_fit_compresses_what_the_histogram_cannot(l6_ideal, seed):
+    # 1e4 draws over 4096 strings: the raw frequencies are far from the ideal (measured
+    # 8.1e-2 to 8.3e-2), and the bond-capped train is about 9x closer (8.4e-3 to 9.7e-3)
+    train, _ = split_train_test(l6_ideal, 10_000, seed)
+    best = fit(train, FitConfig(trials=2, max_sweeps=300, seed=seed)).best
+    fitted = exact_infidelity(dense_tt_vector(normalize_tt(best.tt).cores), l6_ideal)
+    histogram = exact_infidelity(dense_sample_vector(train), l6_ideal)
+    assert histogram > 3.0 * fitted

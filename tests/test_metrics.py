@@ -138,6 +138,16 @@ def test_classical_fidelity_accepts_tt_and_dense_models():
     assert from_tt.fidelity == pytest.approx(from_vec.fidelity, rel=1e-12)
 
 
+def test_classical_fidelity_rejects_a_model_of_another_length():
+    test = sample_dataset(_uniform(2), 100, seed=14)
+    train = TTDistribution([np.full((4, 1, 1), 0.25)] * 3)
+    with pytest.raises(ValidationError, match="^train length 3 does not match strings of length 2$"):
+        classical_fidelity(train, _uniform(2), test)
+    for bad in (_uniform(3), _uniform(2).reshape(4, 4)):
+        with pytest.raises(ValidationError, match="^dense distribution must have length 16$"):
+            classical_fidelity(bad, _uniform(2), test)
+
+
 def test_classical_fidelity_rejects_nonpositive_ideal():
     model = _uniform(1)
     ideal = np.array([0.5, 0.5, 0.0, 0.0])

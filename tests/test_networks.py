@@ -1,5 +1,7 @@
 """Chain containers: validation, evaluation, and total mass."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,14 @@ def test_tt_evaluate_rejects_symbols_outside_0_to_3(bad):
     tt = TTDistribution(random_tt_cores(2, 2, np.random.default_rng(4)))
     with pytest.raises(ValidationError, match="symbols must be the integers 0..3"):
         tt.evaluate(np.array([[bad, 0], [0, 0]]))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (2, 1), (2,)], ids=["wide", "narrow", "flat"])
+def test_tt_evaluate_rejects_strings_of_another_width(shape):
+    tt = TTDistribution(random_tt_cores(2, 2, np.random.default_rng(4)))
+    message = f"strings shape {shape} does not match length 2"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        tt.evaluate(np.zeros(shape, dtype=np.uint8))
 
 
 def test_tt_total_mass_matches_enumeration():

@@ -178,7 +178,8 @@ def test_sampleset_validation():
     with pytest.raises(ValidationError, match=r"^recorded total must be < 2\^63"):
         SampleSet(L=1, total=2**63, strings=[[0], [1]], counts=[2**62, 2**62])
     # the integer fields, checked before the arrays: a non-integer would be saved as a
-    # header load_samples rejects, and sample_dataset makes no negative seed or stream
+    # header load_samples rejects, and sample_dataset makes no negative seed or stream;
+    # then the arrays' shapes
     for bad, message in [
         ({"total": 2.0}, "total must be an integer, got 2.0"),
         ({"seed": 1.5}, "seed must be an integer, got 1.5"),
@@ -189,6 +190,8 @@ def test_sampleset_validation():
         ({"total": -1}, "total must be >= 0, got -1"),
         ({"seed": -5}, "seed must be >= 0, got -5"),
         ({"stream": -1}, "stream must be >= 0, got -1"),
+        ({"strings": [[0, 1, 2], [1, 0, 0]]}, r"strings shape \(2, 3\) does not match L=2"),
+        ({"counts": [2]}, "counts and strings lengths differ"),
     ]:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             SampleSet(**({"L": 2, "total": 2, "strings": [[0, 1], [1, 0]], "counts": [1, 1]} | bad))

@@ -57,6 +57,10 @@ def test_params_validation():
                 XxzParams(L=4, **{name: bad})
     with pytest.raises(ValidationError, match="^depolarizing strength must be a real number"):
         depolarize(np.eye(2) / 2, "x")
+    for bad in (-0.1, 1.5, float("nan")):
+        message = rf"^depolarizing strength must lie in \[0, 1\], got {bad}$"
+        with pytest.raises(ValidationError, match=message):
+            depolarize(np.eye(2) / 2, bad)
 
 
 _COUPLING = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
@@ -85,8 +89,8 @@ def test_hamiltonian_frozen_field_only():
 
 
 def test_hamiltonian_capacity_guard():
-    with pytest.raises(CapacityError):
-        xxz_hamiltonian(XxzParams(L=15))
+    with pytest.raises(CapacityError, match="^dense Hamiltonian guard is L <= 10, got 11$"):
+        xxz_hamiltonian(XxzParams(L=11))
 
 
 def test_ground_state_is_singlet_for_heisenberg_pair():
@@ -198,7 +202,7 @@ def test_exact_distribution_ordering_is_lexicographic():
 def test_exact_distribution_capacity_guard():
     povm = tetrahedral_povm()
     rho = np.eye(2**11, dtype=complex) / 2**11
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="^dense distribution guard is L <= 10, got 11$"):
         exact_outcome_distribution(rho, povm)
 
 

@@ -97,6 +97,16 @@ def test_a_non_finite_entry_is_refused_before_the_file_is_opened(tmp_path, kind,
     assert path.read_text() == "an earlier file\n"
 
 
+@pytest.mark.parametrize(
+    "obj", [[np.full((4, 1, 1), 0.25)], np.full((4, 1, 1), 0.25), None], ids=["list", "array", "none"]
+)
+def test_save_refuses_an_object_that_is_not_a_chain(tmp_path, obj):
+    path = tmp_path / "chain.tt"
+    with pytest.raises(ValidationError, match=f"^cannot store object of type {type(obj).__name__}$"):
+        save_tensor(path, obj)
+    assert not path.exists()
+
+
 def test_load_error_names_file_and_line(tmp_path):
     path = tmp_path / "chain.tt"
     path.write_text("tttensor 1\nkind tt\nL 1\nbonds 1 1\nbroken\n")
