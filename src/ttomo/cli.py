@@ -39,7 +39,9 @@ _MANIFEST_MAGIC = "ttsnapshot 3"
 _TARGET_FIELDS = tuple(f.name for f in fields(XxzParams))
 # The manifest's header lines from line 2, in the order synth writes them.
 _MANIFEST_KEYS = _TARGET_FIELDS + ("d", "trace", "param_hash", "rho_digest")
-_MANIFEST_PARSERS = dict.fromkeys(_MANIFEST_KEYS, str) | {"L": integer_at_least("L", 1)}
+_MANIFEST_PARSERS = dict.fromkeys(_MANIFEST_KEYS, str)
+_MANIFEST_PARSERS.update(L=integer_at_least("L", 1), trace=float)
+_MANIFEST_LINES = {key: lineno for lineno, key in enumerate(_MANIFEST_KEYS, start=2)}
 # Spacing between the base seeds of successive scan grid points; larger than
 # any realistic trial count so per-trial seeds never collide across points.
 _POINT_SEED_STRIDE = 10007
@@ -165,8 +167,9 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
 # -- snapshot persistence ---------------------------------------------------
 
 
-def _param_hash(cfg: ExperimentConfig) -> str:
-    canon = ",".join(f"{name}={repr(getattr(cfg, name))}" for name in _TARGET_FIELDS)
+def _param_hash(texts) -> str:
+    """SHA-256 of the target fields' manifest texts, each as ``name=text``, joined by commas."""
+    canon = ",".join(f"{name}={text}" for name, text in zip(_TARGET_FIELDS, texts, strict=True))
     return hashlib.sha256(canon.encode("ascii")).hexdigest()
 
 
@@ -177,8 +180,9 @@ def _snapshot_dir(cfg: ExperimentConfig) -> Path:
 def _read_snapshot(cfg: ExperimentConfig, snapshot) -> tuple:
     """Length, density matrix and exact outcome distribution of a target snapshot.
 
-    The manifest must end at its last key, and ``rho.npy`` must be 2^L x 2^L
-    and match its ``rho_digest``; the distribution is derived from it.
+    The manifest must end at its last key, with ``d`` = 2^L and the ``param_hash``
+    of its own target fields; ``rho.npy`` must be 2^L x 2^L, match its ``rho_digest``
+    and have its ``trace`` within 1e-12. The distribution is derived from it.
     """
     snap = Path(snapshot) if snapshot else _snapshot_dir(cfg)
     path = snap / "manifest.txt"
@@ -187,11 +191,18 @@ def _read_snapshot(cfg: ExperimentConfig, snapshot) -> tuple:
     if len(lines) > 1 + len(_MANIFEST_PARSERS):
         fail(path, 2 + len(_MANIFEST_PARSERS), "trailing content after last key")
     L = manifest["L"]
+    if manifest["d"] != str(2**L):
+        fail(path, _MANIFEST_LINES["d"], f"d {manifest['d']} is not 2^L = {2**L}")
+    if manifest["param_hash"] != _param_hash(str(manifest[name]) for name in _TARGET_FIELDS):
+        fail(path, _MANIFEST_LINES["param_hash"], "param_hash does not match the target fields")
     rho = load_array(snap / "rho.npy")
     if rho.shape != (2**L, 2**L):
         fail(path, 2, f"rho.npy has shape {rho.shape}, not (2^L, 2^L) for L={L}")
     if hashlib.sha256(rho.tobytes()).hexdigest() != manifest["rho_digest"]:
         raise DataFormatError(f"{path}: rho.npy does not match rho_digest")
+    trace = np.trace(rho)  # a non-finite one is left to the distribution's own check
+    if np.isfinite(trace) and not abs(trace - manifest["trace"]) <= 1e-12:
+        fail(path, _MANIFEST_LINES["trace"], f"rho.npy has trace {trace}, not {manifest['trace']}")
     return L, rho, exact_outcome_distribution(rho, tetrahedral_povm())
 
 
@@ -202,10 +213,11 @@ def cmd_synth(cfg: ExperimentConfig) -> int:
     out = _snapshot_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
     np.save(out / "rho.npy", rho)
-    values = [repr(getattr(cfg, name)) for name in _TARGET_FIELDS] + [
+    texts = [repr(getattr(cfg, name)) for name in _TARGET_FIELDS]
+    values = texts + [
         2**cfg.L,
         repr(float(np.trace(rho))),
-        _param_hash(cfg),
+        _param_hash(texts),
         hashlib.sha256(rho.tobytes()).hexdigest(),
     ]
     manifest = dict(zip(_MANIFEST_KEYS, values, strict=True))

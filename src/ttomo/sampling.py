@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -126,6 +127,12 @@ def sample_dataset(
     whatever ``n`` is. Negative entries above -1e-12 are clipped to zero and
     the distribution is renormalized before drawing.
     """
+    L, pvals = _checked(dist, n, seed, stream)
+    return _build(L, _draw(pvals, n, seed, stream), n, seed, stream, source)
+
+
+def _checked(dist: np.ndarray, n, seed, stream) -> tuple:
+    """``L`` and the normalized vector of ``dist``, after ``sample_dataset``'s checks in order."""
     dist = np.asarray(dist, dtype=float)
     if dist.ndim != 1 or dist.size == 0:
         raise ValidationError("distribution must be a non-empty flat vector")
@@ -141,8 +148,15 @@ def sample_dataset(
     mass = dist.sum()
     if abs(mass - 1.0) > 1e-8:
         raise ValidationError(f"distribution sums to {mass}, expected 1 within 1e-8")
+    return L, dist / mass
+
+
+def _draw(pvals: np.ndarray, n, seed, stream) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
-    counts = rng.multinomial(int(n), dist / mass)
+    return rng.multinomial(int(n), pvals)
+
+
+def _build(L: int, counts: np.ndarray, n, seed, stream, source: str) -> SampleSet:
     observed = np.flatnonzero(counts)
     digits = (observed[:, None] >> (2 * np.arange(L - 1, -1, -1))) & 3
     return SampleSet(
@@ -156,11 +170,30 @@ def sample_dataset(
     )
 
 
+# From this many outcomes (L = 7) on, split_train_test draws its two sets on two threads;
+# below it, starting the worker costs more than the overlap saves.
+_CONCURRENT_SIZE = 4**7
+
+
 def split_train_test(dist: np.ndarray, n: int, seed: int, n_test: int | None = None) -> tuple:
-    """Train (substream 0) and test (substream 1) sets of ``n`` and ``n_test`` (default ``n``) draws."""
-    train = sample_dataset(dist, n, seed, stream=0, source="train")
-    test = sample_dataset(dist, n if n_test is None else n_test, seed, stream=1, source="test")
-    return train, test
+    """Train (substream 0) and test (substream 1) sets of ``n`` and ``n_test`` (default ``n``) draws.
+
+    Below L = 7 these are two ``sample_dataset`` calls. From L = 7 on, the arguments are
+    checked once, in the same order, and a worker thread draws the test counts while this one
+    draws the train counts (numpy's multinomial releases the interpreter lock); each set
+    keeps its own stream, so the bytes are those of drawing the two in turn.
+    """
+    n_test = n if n_test is None else n_test
+    if np.size(dist) < _CONCURRENT_SIZE:
+        train = sample_dataset(dist, n, seed, stream=0, source="train")
+        return train, sample_dataset(dist, n_test, seed, stream=1, source="test")
+    L, pvals = _checked(dist, n, seed, 0)
+    check_sample_count(n_test)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = pool.submit(_draw, pvals, n_test, seed, 1)
+        counts = _draw(pvals, n, seed, 0), pending.result()
+    train = _build(L, counts[0], n, seed, 0, "train")
+    return train, _build(L, counts[1], n_test, seed, 1, "test")
 
 
 def save_samples(sset: SampleSet, path) -> None:

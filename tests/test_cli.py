@@ -401,7 +401,7 @@ def long_run(tmp_path_factory):
     run = tmp_path_factory.mktemp("long") / "run"
     assert main(["synth", "--L", "2", "--outdir", str(run)]) == 0
     _replace_rho(run.parent, np.eye(2**11) / 2**11)
-    _edit_manifest(run.parent, "L", "11")
+    _set_length(run.parent, 11)
     strings = np.zeros((1, 11), dtype=np.uint8)
     save_samples(SampleSet(L=11, total=1, strings=strings, counts=[1]), run / "test.samples")
     save_tensor(run / "long.tt", TTDistribution([np.full((4, 1, 1), 0.25)] * 11))
@@ -650,6 +650,17 @@ def _edit_manifest(tmp_path, key, value):
     return path, lineno
 
 
+def _set_length(tmp_path, L):
+    """Set the manifest's ``L`` line, with the ``d`` and ``param_hash`` that synth writes for
+    that length and the other target fields. Returns the manifest's path."""
+    path, _ = _edit_manifest(tmp_path, "L", str(L))
+    _edit_manifest(tmp_path, "d", str(2**L))
+    fields = path.read_text().splitlines()[1:6]  # L, J, gamma, h and p
+    canon = ",".join(line.replace(" ", "=", 1) for line in fields)
+    _edit_manifest(tmp_path, "param_hash", hashlib.sha256(canon.encode("ascii")).hexdigest())
+    return path
+
+
 def test_a_target_that_does_not_match_its_manifest_exits_with_the_format_code(
     tmp_path, small_cfg, capsys
 ):
@@ -661,11 +672,20 @@ def test_a_target_that_does_not_match_its_manifest_exits_with_the_format_code(
     assert main(["sample", "--config", str(small_cfg)]) == 3
     assert main(["evaluate", "--config", str(small_cfg)]) == 3
     np.save(target / "rho.npy", rho)
+    trace = float(np.trace(rho))
+    manifest, trace_line = _edit_manifest(tmp_path, "trace", "0.5")
+    assert main(["sample", "--config", str(small_cfg)]) == 3
+    _edit_manifest(tmp_path, "trace", repr(trace + 2e-12))
+    assert main(["evaluate", "--config", str(small_cfg)]) == 3
+    _edit_manifest(tmp_path, "trace", repr(trace + 5e-13))
+    assert main(["sample", "--config", str(small_cfg)]) == 0
     manifest, lineno = _edit_manifest(tmp_path, "rho_digest", None)
     assert main(["sample", "--config", str(small_cfg)]) == 3
     assert capsys.readouterr().err.splitlines() == [
         f"ttomo: error: {manifest}: rho.npy does not match rho_digest",
         f"ttomo: error: {manifest}: rho.npy does not match rho_digest",
+        f"ttomo: error: {manifest}:{trace_line}: rho.npy has trace {trace}, not 0.5",
+        f"ttomo: error: {manifest}:{trace_line}: rho.npy has trace {trace}, not {trace + 2e-12}",
         f"ttomo: error: {manifest}:{lineno}: expected 'rho_digest <value>'",
     ]
 
@@ -685,7 +705,7 @@ def test_read_snapshot_derives_the_distribution_from_a_checked_target(tmp_path, 
         ttomo.cli._read_snapshot(cfg, target)
     # a manifest whose L is not rho.npy's, even with a matching digest
     _replace_rho(tmp_path, rho)
-    manifest, _ = _edit_manifest(tmp_path, "L", "11")
+    manifest = _set_length(tmp_path, 11)
     message = f"{manifest}:2: rho.npy has shape (4, 4), not (2^L, 2^L) for L=11"
     with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
         ttomo.cli._read_snapshot(cfg, target)
@@ -932,6 +952,16 @@ _VERSION_1_MANIFEST = "\n".join([
     "mpo_file mpo.tt", "dist_file dist.npy",
 ]) + "\n"
 
+
+def _l3_manifest(**edits):
+    """A hand-written L = 3 manifest with synth's ``d`` and ``param_hash``, and ``edits``
+    applied; those two lines are checked before rho.npy is read."""
+    param_hash = hashlib.sha256(b"L=3,J=1.0,gamma=1.0,h=1.0,p=0.6").hexdigest()
+    values = {"L": "3", "J": "1.0", "gamma": "1.0", "h": "1.0", "p": "0.6", "d": "8",
+              "trace": "1.0", "param_hash": param_hash, "rho_digest": "-"} | edits
+    return "\n".join(["ttsnapshot 3"] + [f"{key} {value}" for key, value in values.items()]) + "\n"
+
+
 # Each case: the file it writes, or None; the file's text; the command line before
 # the pipeline flags, where {file} and {dir} name the file and its directory; the exit
 # code; and the error line after "ttomo: error: ", with {file} likewise.
@@ -974,6 +1004,19 @@ _ENTRY_POINT_CASES = {
     "manifest line after the last key": (
         "snapshot/manifest.txt", _TRAILING_MANIFEST, ["sample", "--snapshot", "{dir}"], 3,
         "{file}:11: trailing content after last key",
+    ),
+    "manifest edited to another p": (
+        "snapshot/manifest.txt", _l3_manifest(p="0.9"), ["sample", "--snapshot", "{dir}"], 3,
+        "{file}:9: param_hash does not match the target fields",
+    ),
+    "manifest edited to a d that is not 2^L": (
+        "snapshot/manifest.txt", _l3_manifest(d="5"), ["sample", "--snapshot", "{dir}"], 3,
+        "{file}:7: d 5 is not 2^L = 8",
+    ),
+    "manifest edited to another param_hash": (
+        "snapshot/manifest.txt", _l3_manifest(param_hash="nonsense"),
+        ["evaluate", "--snapshot", "{dir}"], 3,
+        "{file}:9: param_hash does not match the target fields",
     ),
     "version-1 snapshot": (
         "snapshot/manifest.txt", _VERSION_1_MANIFEST, ["sample", "--snapshot", "{dir}"], 3,

@@ -1,8 +1,13 @@
 """Dataset drawing, aggregation invariants, and the text container format."""
 
+import itertools
+import re
+import threading
+
 import numpy as np
 import pytest
 
+from ttomo import sampling
 from ttomo.errors import DataFormatError, ValidationError
 from ttomo.sampling import (
     SampleSet,
@@ -135,14 +140,66 @@ def test_accepts_numpy_integer_seeds_and_streams():
     assert np.array_equal(a.counts, b.counts)
 
 
-def test_split_train_test_streams_and_sources():
-    train, test = split_train_test(_uniform_dist(2), 4000, seed=9)
-    assert train.source == "train" and test.source == "test"
-    assert (train.seed, train.stream) == (9, 0)
-    assert (test.seed, test.stream) == (9, 1)
-    again = sample_dataset(_uniform_dist(2), 4000, seed=9, stream=0, source="train")
-    assert np.array_equal(train.strings, again.strings)
-    assert np.array_equal(train.counts, again.counts)
+def _fields(sset):
+    """Every field of a sample set, its arrays as dtype and bytes."""
+    arrays = [(a.dtype.str, a.shape, a.tobytes()) for a in (sset.strings, sset.counts)]
+    return (sset.L, sset.total, sset.seed, sset.stream, sset.source, *arrays)
+
+
+def test_split_train_test_streams_and_sources(monkeypatch):
+    draw, thread_of = sampling._draw, {}
+
+    def recorded_draw(pvals, n, seed, stream):
+        thread_of[stream] = threading.get_ident()
+        return draw(pvals, n, seed, stream)
+
+    monkeypatch.setattr(sampling, "_draw", recorded_draw)
+    for L, concurrent in itertools.product([3, 7], [False, True]):
+        # the constant at or just above 4^L sends the split down either path at any L
+        monkeypatch.setattr(sampling, "_CONCURRENT_SIZE", 4**L if concurrent else 4**L + 1)
+        dist = _random_dist(4**L, 20 + L)
+        threads = threading.active_count()
+        train, test = split_train_test(dist, 4000, seed=9, n_test=1500)
+        # no worker outlives the call: scans fork worker processes after it
+        assert threading.active_count() == threads
+        assert thread_of[0] == threading.get_ident()
+        assert (thread_of[1] != threading.get_ident()) == concurrent
+        assert train.source == "train" and test.source == "test"
+        assert (train.seed, train.stream) == (9, 0)
+        assert (test.seed, test.stream) == (9, 1)
+        assert _fields(train) == _fields(sample_dataset(dist, 4000, 9, 0, "train"))
+        assert _fields(test) == _fields(sample_dataset(dist, 1500, 9, 1, "test"))
+        assert _fields(split_train_test(dist, 4000, seed=9)[1]) == _fields(
+            sample_dataset(dist, 4000, 9, 1, "test")
+        )
+
+
+@pytest.mark.parametrize(
+    "dist, n, seed, n_test",
+    [
+        (np.full(5, 0.2), 0, 0, 0),  # the distribution's shape first
+        (np.array([np.nan, 0.5, 0.25, 0.25]), 10, 0, 10),
+        (np.array([0.5, 0.6, -0.2, 0.1]), 10, -1, 10),  # the seed before the mass
+        (np.array([0.5, 0.6, -0.2, 0.1]), 10, 0, 0),  # the mass before the test size
+        (np.full(4, 0.1), 10, 0, 10),
+        (_uniform_dist(7), 0, -1, 0),  # the train size before the seed
+        (_uniform_dist(7), 10, 1.5, 0),
+        (_uniform_dist(7), 10, 0, 0),
+        (_uniform_dist(7), 10, 0, 2.5),
+        (_uniform_dist(7), 10, 0, 2**63),
+    ],
+)
+def test_split_train_test_checks_as_two_sample_dataset_calls(monkeypatch, dist, n, seed, n_test):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a worker was started before the arguments were checked")
+
+    monkeypatch.setattr(sampling, "_CONCURRENT_SIZE", 1)
+    monkeypatch.setattr(sampling, "ThreadPoolExecutor", no_thread)
+    with pytest.raises(ValidationError) as expected:
+        sample_dataset(dist, n, seed, 0, "train")
+        sample_dataset(dist, n_test, seed, 1, "test")
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(expected.value))}$"):
+        split_train_test(dist, n, seed, n_test=n_test)
 
 
 def test_split_train_test_takes_a_test_size_of_its_own():
