@@ -178,15 +178,14 @@ _CONCURRENT_SIZE = 4**7
 def split_train_test(dist: np.ndarray, n: int, seed: int, n_test: int | None = None) -> tuple:
     """Train (substream 0) and test (substream 1) sets of ``n`` and ``n_test`` (default ``n``) draws.
 
-    Below L = 7 these are two ``sample_dataset`` calls. From L = 7 on, the arguments are
-    checked once, in the same order, and a worker thread draws the test counts while this one
-    draws the train counts (numpy's multinomial releases the interpreter lock); each set
-    keeps its own stream, so the bytes are those of drawing the two in turn.
+    Below L = 7 these are two ``sample_dataset`` calls (``_in_turn``). From L = 7 on, the
+    arguments are checked once, in the same order, and a worker thread draws the test counts
+    while this one draws the train counts (numpy's multinomial releases the interpreter
+    lock); each set keeps its own stream, so the bytes are those of drawing the two in turn.
     """
     n_test = n if n_test is None else n_test
     if np.size(dist) < _CONCURRENT_SIZE:
-        train = sample_dataset(dist, n, seed, stream=0, source="train")
-        return train, sample_dataset(dist, n_test, seed, stream=1, source="test")
+        return _in_turn(dist, n, seed, n_test)
     L, pvals = _checked(dist, n, seed, 0)
     check_sample_count(n_test)
     with ThreadPoolExecutor(max_workers=1) as pool:
@@ -194,6 +193,11 @@ def split_train_test(dist: np.ndarray, n: int, seed: int, n_test: int | None = N
         counts = _draw(pvals, n, seed, 0), pending.result()
     train = _build(L, counts[0], n, seed, 0, "train")
     return train, _build(L, counts[1], n_test, seed, 1, "test")
+
+
+def _in_turn(dist: np.ndarray, n, seed, n_test) -> tuple:
+    """``split_train_test``'s two sets, drawn one after the other on this thread."""
+    return sample_dataset(dist, n, seed, 0, "train"), sample_dataset(dist, n_test, seed, 1, "test")
 
 
 def save_samples(sset: SampleSet, path) -> None:

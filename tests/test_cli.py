@@ -777,7 +777,18 @@ def test_a_foreign_path_flag_exits_with_the_validation_code():
     assert exc.value.code == 1
 
 
-def test_scan_grid_and_error_recovery(tmp_path):
+@pytest.fixture()
+def no_worker_thread(monkeypatch):
+    """split_train_test would draw on two threads at any L; a scan point must not start one."""
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a scan point drew its sets on a worker thread")
+
+    monkeypatch.setattr(ttomo.sampling, "_CONCURRENT_SIZE", 1)
+    monkeypatch.setattr(ttomo.sampling, "ThreadPoolExecutor", no_thread)
+
+
+def test_scan_grid_and_error_recovery(tmp_path, no_worker_thread):
     cfg = tmp_path / "scan.cfg"
     cfg.write_text(
         "L = 2\ntrain = 1500\ntest = 1500\nbond_dim = 2\ntrials = 1\n"
@@ -892,7 +903,7 @@ def test_scan_rejects_a_min_n_search_that_cannot_meet_its_target(tmp_path, monke
     assert not (tmp_path / "minn" / "scan.csv").exists()
 
 
-def test_scan_min_n_search(tmp_path):
+def test_scan_min_n_search(tmp_path, no_worker_thread):
     cfg = tmp_path / "minn.cfg"
     cfg.write_text(
         "L = 2\np = 0.7\nbond_dim = 2\ntrials = 1\nmax_sweeps = 30\nseed = 5\n"
