@@ -329,7 +329,7 @@ def _run_point(cfg: ExperimentConfig, index: int, overrides: dict, point_dir: Pa
     """One scan row; an axis value that fails a config check is this point's error.
 
     Its sets are drawn in turn, not on two threads: a worker thread saves a few ms a split
-    but slowed the fits that follow in this process by 1-3% in the minimum-N search.
+    but the minimum-N search, whose fits follow in this process, ran about 3% slower.
     """
     values = {**vars(cfg), **overrides, "seed": cfg.seed + _POINT_SEED_STRIDE * (index + 1)}
     row = {name: values[name] for name in _SCAN_COLUMNS if name in values}
