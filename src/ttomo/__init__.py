@@ -35,7 +35,6 @@ from .povm import Povm, inverse_map_site, tetrahedral_povm
 from .sampling import (
     SampleSet,
     load_samples,
-    sample_dataset,
     save_samples,
     split_train_test,
 )

@@ -111,46 +111,6 @@ def check_sample_count(n) -> None:
         raise ValidationError(f"sample count must be a positive integer, got {n}")
 
 
-def sample_dataset(
-    dist: np.ndarray,
-    n: int,
-    seed: int,
-    stream: int = 0,
-    source: str = "-",
-) -> SampleSet:
-    """Aggregate ``n`` i.i.d. categorical draws from a dense distribution.
-
-    The counts of ``n`` categorical draws are one Multinomial(n, dist)
-    variate, drawn in a single call by numpy's conditional-binomial method
-    from the PCG64 stream ``SeedSequence(seed, spawn_key=(stream,))``: one
-    binomial per string in lexicographic order, so the cost is O(4^L)
-    whatever ``n`` is. Negative entries above -1e-12 are clipped to zero and
-    the distribution is renormalized before drawing.
-    """
-    L, pvals = _checked(dist, n, seed, stream)
-    return _build(L, _draw(pvals, n, seed, stream), n, seed, stream, source)
-
-
-def _checked(dist: np.ndarray, n, seed, stream) -> tuple:
-    """``L`` and the normalized vector of ``dist``, after ``sample_dataset``'s checks in order."""
-    dist = np.asarray(dist, dtype=float)
-    if dist.ndim != 1 or dist.size == 0:
-        raise ValidationError("distribution must be a non-empty flat vector")
-    if not np.all(np.isfinite(dist)):
-        raise ValidationError("distribution has non-finite entries")
-    L = _num_sites_from_size(dist.size)
-    check_sample_count(n)
-    check_integer("seed", seed, 0)
-    check_integer("stream", stream, 0)
-    if dist.min() < -1e-12:
-        raise ValidationError(f"distribution has negative mass {dist.min():.3e}")
-    dist = np.clip(dist, 0.0, None)
-    mass = dist.sum()
-    if abs(mass - 1.0) > 1e-8:
-        raise ValidationError(f"distribution sums to {mass}, expected 1 within 1e-8")
-    return L, dist / mass
-
-
 def _draw(pvals: np.ndarray, n, seed, stream) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
     return rng.multinomial(int(n), pvals)
@@ -178,26 +138,50 @@ _CONCURRENT_SIZE = 4**7
 def split_train_test(dist: np.ndarray, n: int, seed: int, n_test: int | None = None) -> tuple:
     """Train (substream 0) and test (substream 1) sets of ``n`` and ``n_test`` (default ``n``) draws.
 
-    Below L = 7 these are two ``sample_dataset`` calls (``_in_turn``). From L = 7 on, the
-    arguments are checked once, in the same order, and a worker thread draws the test counts
-    while this one draws the train counts (numpy's multinomial releases the interpreter
-    lock); each set keeps its own stream, so the bytes are those of drawing the two in turn.
+    The counts of a set of ``n`` draws are one Multinomial(n, dist) variate, drawn in a single
+    call by numpy's conditional-binomial method from the PCG64 stream
+    ``SeedSequence(seed, spawn_key=(stream,))``: one binomial per string in lexicographic
+    order, so the cost is O(4^L) whatever ``n`` is. Negative entries above -1e-12 are clipped
+    to zero and the distribution is renormalized before drawing. From L = 7 on, a worker thread draws the test counts while this one draws
+    the train counts (numpy's multinomial releases the interpreter lock); each set keeps its
+    own stream, so the bytes are those of drawing the two in turn.
     """
     n_test = n if n_test is None else n_test
-    if np.size(dist) < _CONCURRENT_SIZE:
-        return _in_turn(dist, n, seed, n_test)
-    L, pvals = _checked(dist, n, seed, 0)
-    check_sample_count(n_test)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        pending = pool.submit(_draw, pvals, n_test, seed, 1)
-        counts = _draw(pvals, n, seed, 0), pending.result()
-    train = _build(L, counts[0], n, seed, 0, "train")
-    return train, _build(L, counts[1], n_test, seed, 1, "test")
+    return _split(dist, n, seed, n_test, overlap=np.size(dist) >= _CONCURRENT_SIZE)
 
 
 def _in_turn(dist: np.ndarray, n, seed, n_test) -> tuple:
     """``split_train_test``'s two sets, drawn one after the other on this thread."""
-    return sample_dataset(dist, n, seed, 0, "train"), sample_dataset(dist, n_test, seed, 1, "test")
+    return _split(dist, n, seed, n_test, overlap=False)
+
+
+def _split(dist: np.ndarray, n, seed, n_test, overlap: bool) -> tuple:
+    """Check the arguments, draw the two count vectors (with ``overlap``, the test's on a
+    worker thread) and build train, then test, on this thread."""
+    dist = np.asarray(dist, dtype=float)
+    if dist.ndim != 1 or dist.size == 0:
+        raise ValidationError("distribution must be a non-empty flat vector")
+    if not np.all(np.isfinite(dist)):
+        raise ValidationError("distribution has non-finite entries")
+    L = _num_sites_from_size(dist.size)
+    check_sample_count(n)
+    check_integer("seed", seed, 0)
+    if dist.min() < -1e-12:
+        raise ValidationError(f"distribution has negative mass {dist.min():.3e}")
+    dist = np.clip(dist, 0.0, None)
+    mass = dist.sum()
+    if abs(mass - 1.0) > 1e-8:
+        raise ValidationError(f"distribution sums to {mass}, expected 1 within 1e-8")
+    check_sample_count(n_test)
+    pvals = dist / mass
+    if overlap:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pending = pool.submit(_draw, pvals, n_test, seed, 1)
+            counts = _draw(pvals, n, seed, 0), pending.result()
+    else:
+        counts = _draw(pvals, n, seed, 0), _draw(pvals, n_test, seed, 1)
+    train = _build(L, counts[0], n, seed, 0, "train")
+    return train, _build(L, counts[1], n_test, seed, 1, "test")
 
 
 def save_samples(sset: SampleSet, path) -> None:

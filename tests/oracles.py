@@ -417,16 +417,17 @@ def public_call_trial(samples, config, seed):
 
 @contextlib.contextmanager
 def after_each_update(after):
-    """Inside the block, ``sweep`` calls ``after(k)`` right after each update of core k.
+    """Inside the block, ``sweep`` calls ``after(k, cache)`` right after each update of core k.
 
     ``sweep`` looks ``ttomo.fitting.update_core`` up at call time, so wrapping it
-    observes every update; the environment refresh that follows the update has
-    not run yet when ``after`` is called.
+    observes every update, a ``fit``'s in-process ones included; ``cache`` is the
+    ``EnvCache`` the update read. The environment refresh that follows the update
+    has not run yet when ``after`` is called.
     """
 
     def update(tt, cache, samples, k, eps=DEFAULT_EPS):
         core = update_core(tt, cache, samples, k, eps)
-        after(k)
+        after(k, cache)
         return core
 
     with pytest.MonkeyPatch.context() as patch:

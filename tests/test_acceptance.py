@@ -31,7 +31,7 @@ from ttomo.fitting import EnvCache, FitConfig, fit, init_tt, loss, sweep
 from ttomo.metrics import score
 from ttomo.networks import TTDistribution, matricized
 from ttomo.povm import tetrahedral_povm
-from ttomo.sampling import sample_dataset, split_train_test
+from ttomo.sampling import split_train_test
 from ttomo.states import XxzParams, exact_outcome_distribution, synth_target
 
 SITES = 4
@@ -141,7 +141,7 @@ def test_criterion_1_exact_pipeline_sentinel(target, povm, report):
     rho, dist = target
     start = time.perf_counter()
     mpo = density_to_mpo(rho)
-    test = sample_dataset(dist, DRAWS, seed=99, stream=1, source="test")
+    test = split_train_test(dist, DRAWS, seed=99)[1]
     scored = score(mpo_to_tt(mpo, povm), rho, dist, test)
     i_q, i_c = scored["i_q"], scored["i_c"]
     elapsed = time.perf_counter() - start
@@ -162,11 +162,11 @@ def test_criterion_2_monotone_loss_per_update(report):
         L, bond_dim, n = cases[i % len(cases)]
         dist = rng.uniform(0.05, 1.0, size=4**L)
         dist /= dist.sum()
-        samples = sample_dataset(dist, n, seed=500 + i)
+        samples = split_train_test(dist, n, seed=500 + i)[0]
         tt = init_tt(L, bond_dim, seed=600 + i)
         cache = EnvCache(tt, samples)
         values = [loss(tt, samples)]
-        with after_each_update(lambda k: values.append(loss(tt, samples))):
+        with after_each_update(lambda k, _: values.append(loss(tt, samples))):
             for _ in range(3):
                 sweep(tt, cache, samples, eps=1e-16)
         worst = max(worst, float(np.max(np.diff(values))))
@@ -187,7 +187,7 @@ def test_criterion_3_environments_match_brute_force(report):
         bond_dim = int(rng.integers(1, 5))
         dist = rng.uniform(0.05, 1.0, size=4**L)
         dist /= dist.sum()
-        samples = sample_dataset(dist, 150, seed=700 + i)
+        samples = split_train_test(dist, 150, seed=700 + i)[0]
         tt = TTDistribution(random_tt_cores(L, bond_dim, rng))
         cache = EnvCache(tt, samples)
         record(loss(tt, samples), brute_loss(tt.cores, samples))
@@ -300,7 +300,7 @@ def test_criterion_10_full_scale_supported_with_invariants(povm, report):
     tt = init_tt(6, 6, seed=0)
     cache = EnvCache(tt, train)
     values = [loss(tt, train)]
-    with after_each_update(lambda k: values.append(loss(tt, train))):
+    with after_each_update(lambda k, _: values.append(loss(tt, train))):
         for _ in range(3):
             sweep(tt, cache, train, eps=1e-16)
     worst_step = float(np.max(np.diff(values)))

@@ -21,13 +21,14 @@ import numpy as np
 import pytest
 
 import ttomo.cli
+from oracles import after_each_update
 from ttomo.cli import ExperimentConfig, build_config, build_parser, load_config_file, main
 from ttomo.density import tt_to_mpo
 from ttomo.errors import CapacityError, DataFormatError, ValidationError
 from ttomo.fitting import FitResult, TrialResult
 from ttomo.networks import TTDistribution
 from ttomo.povm import tetrahedral_povm
-from ttomo.sampling import SampleSet, sample_dataset, save_samples
+from ttomo.sampling import SampleSet, save_samples, split_train_test
 from ttomo.states import XxzParams, exact_outcome_distribution, synth_target
 from ttomo.storage import load_tensor, save_tensor
 
@@ -181,6 +182,50 @@ def test_full_pipeline_and_artifacts(tmp_path, small_cfg):
         min(losses)
     )
     assert best.bond_dims[0] == 1
+
+
+@pytest.mark.parametrize("L", [7, 8, 9, 10])
+def test_the_pipeline_keeps_its_invariants_at_every_dense_size(tmp_path, L):
+    # N = 1e5 each: from L = 7 on, sample draws the test set on a worker thread
+    run, rerun = tmp_path / "run", tmp_path / "rerun"
+    sizes = ["--L", str(L), "--train", "100000", "--test", "100000", "--trials", "2"]
+    sizes += ["--max-sweeps", "20"]
+    flags = [*sizes, "--outdir", str(run)]
+    assert main(["synth", *flags]) == 0
+    assert main(["sample", *flags]) == 0
+    updates = []  # each update's losses, one per trial of its block
+
+    def record(k, cache):
+        # the loss after the update at k, from that update's quadratic form
+        numer, denom, mat = cache._terms(k)
+        updates.append((mat * (denom - 2.0 * numer)).sum(axis=(1, 2)))
+
+    with after_each_update(record):
+        assert main(["fit", *flags]) == 0
+    assert main(["evaluate", *flags]) == 0
+    best = load_tensor(run / "fit" / "best.tt")
+    assert all(np.all(np.isfinite(core)) and core.min() >= 0.0 for core in best.cores)
+    report = json.loads((run / "report.json").read_text())
+    assert report["trace_deviation"] < 1e-10 and report["hermiticity_residual"] < 1e-10
+    data = ["--data", str(run / "data" / "train.samples")]
+    assert main(["fit", *sizes, "--outdir", str(rerun), *data, "--jobs", "2"]) == 0
+    for name in ("best.tt", "trials.csv"):
+        assert (rerun / "fit" / name).read_bytes() == (run / "fit" / name).read_bytes()
+    # every trial's losses over its first sweep, update by update, from the loss the fit
+    # records before it to the one it records after it; the blocks run in trial order
+    traces = [
+        np.loadtxt(path, delimiter=",", skiprows=1, usecols=1)
+        for path in sorted((run / "fit").glob("trial_*_loss.csv"))
+    ]
+    per_sweep, start, first = 2 * L - 2, 0, 0
+    while start < len(updates):
+        block = traces[first : first + len(updates[start])]
+        values = np.array([[trace[0] for trace in block], *updates[start : start + per_sweep]])
+        assert np.all(np.diff(values, axis=0) <= 1e-12 * np.abs(values[:-1]))
+        assert values[-1] == pytest.approx([trace[1] for trace in block], rel=1e-9)
+        start += per_sweep * max(len(trace) - 1 for trace in block)
+        first += len(block)
+    assert first == len(traces) == 2
 
 
 def test_synth_is_byte_deterministic(tmp_path, small_cfg):
@@ -555,7 +600,7 @@ def test_fit_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
     # 65k distinct strings make every sum over samples long enough for a
     # threaded BLAS to split it; the thread count is read once per process
     dist = 1.0 + np.random.default_rng(3).random(4**8)
-    samples = sample_dataset(dist / dist.sum(), 10**6, seed=3)
+    samples = split_train_test(dist / dist.sum(), 10**6, seed=3)[0]
     assert samples.n_distinct >= 65_000
     data = tmp_path / "train.samples"
     save_samples(samples, data)

@@ -39,7 +39,7 @@ from ttomo.fitting import (
 )
 from ttomo.networks import TTDistribution, matricized
 from ttomo.povm import tetrahedral_povm
-from ttomo.sampling import SampleSet, sample_dataset, split_train_test
+from ttomo.sampling import SampleSet, split_train_test
 from ttomo.states import XxzParams, exact_outcome_distribution, synth_target
 from ttomo.storage import load_tensor, save_tensor
 
@@ -49,7 +49,7 @@ def _random_instance(L, bond_dim, n, seed):
     tt = TTDistribution([c.copy() for c in random_tt_cores(L, bond_dim, rng)])
     dist = rng.uniform(0.05, 1.0, size=4**L)
     dist /= dist.sum()
-    samples = sample_dataset(dist, n, seed=seed + 1)
+    samples = split_train_test(dist, n, seed=seed + 1)[0]
     return tt, samples
 
 
@@ -152,7 +152,7 @@ def test_cache_stays_coherent_through_a_sweep():
     cache = EnvCache(tt, samples)
     seen = []
 
-    def check(k):
+    def check(k, _):
         # after the update of core k, before the refresh that follows it; the
         # next update's check, and the last one below, see that refresh
         seen.append(k)
@@ -384,7 +384,7 @@ def test_long_chain_sample_set_and_overlaps():
 def test_single_site_update_lands_on_frequencies():
     # with L=1, D=1 the quadratic loss is separable; one update solves it
     dist = np.array([0.4, 0.3, 0.2, 0.1])
-    samples = sample_dataset(dist, 5000, seed=101)
+    samples = split_train_test(dist, 5000, seed=101)[0]
     tt = TTDistribution([np.full((4, 1, 1), 0.25)])
     cache = EnvCache(tt, samples)
     update_core(tt, cache, samples, 0, eps=1e-16)
@@ -397,7 +397,7 @@ def test_sweep_visits_cores_in_dmrg_order():
     tt, samples = _random_instance(4, 2, 50, seed=110)
     cache = EnvCache(tt, samples)
     order = []
-    with after_each_update(order.append):
+    with after_each_update(lambda k, _: order.append(k)):
         sweep(tt, cache, samples, eps=1e-16)
     assert order == [0, 1, 2, 3, 2, 1]
 
@@ -406,7 +406,7 @@ def test_sweep_single_site_chain():
     tt, samples = _random_instance(1, 1, 40, seed=111)
     cache = EnvCache(tt, samples)
     order = []
-    with after_each_update(order.append):
+    with after_each_update(lambda k, _: order.append(k)):
         sweep(tt, cache, samples, eps=1e-16)
     assert order == [0]
 
@@ -462,7 +462,7 @@ def test_fit_single_final_loss_equals_loss_exactly(L):
 def test_loss_optimum_for_point_mass_is_minus_one():
     dist = np.zeros(16)
     dist[5] = 1.0
-    samples = sample_dataset(dist, 100, seed=140)
+    samples = split_train_test(dist, 100, seed=140)[0]
     config = FitConfig(bond_dim=1, max_sweeps=200, trials=1, seed=0)
     result = fit(samples, config).trials[0]
     assert result.final_loss == pytest.approx(-1.0, abs=1e-8)
@@ -482,7 +482,7 @@ def test_fit_single_loss_trace_is_monotone():
 
 def test_fit_single_stop_rule_reports_convergence():
     dist = np.full(16, 1.0 / 16.0)
-    samples = sample_dataset(dist, 2000, seed=160)
+    samples = split_train_test(dist, 2000, seed=160)[0]
     config = FitConfig(bond_dim=2, max_sweeps=2000, stop_window=10, stop_rtol=1e-6, trials=1, seed=2)
     result = fit(samples, config).trials[0]
     assert result.converged
@@ -555,7 +555,7 @@ def test_trial_blocks_follow_the_float_budget():
 @pytest.mark.parametrize("L,bond_dim,stop_rtol", [(2, 2, 1e-5), (3, 3, 3e-4), (4, 10, 3e-3)])
 def test_one_block_equals_each_trial_alone(L, bond_dim, stop_rtol, monkeypatch):
     dist = np.full(4**L, 1.0 / 4**L)
-    samples = sample_dataset(dist, 3000, seed=210 + L)
+    samples = split_train_test(dist, 3000, seed=210 + L)[0]
     config = FitConfig(bond_dim=bond_dim, max_sweeps=120, stop_rtol=stop_rtol, trials=4, seed=L)
     assert trial_blocks(config.trials, bond_dim, _widest_grid(samples)) == [range(0, 4)]
     batched = fit(samples, config)
@@ -640,7 +640,7 @@ def test_long_chains_fit_without_collapse(L):
     cache = EnvCache(tt, samples)
     values = [cache.losses()[0]]
 
-    def record(k):
+    def record(k, cache):
         # the loss after the update at k, from that update's quadratic form
         numer, denom, mat = cache._terms(k)
         values.append(float(np.sum(mat * (denom - 2.0 * numer))))

@@ -8,7 +8,7 @@ from ttomo.errors import IntegrityError, ValidationError
 from ttomo.metrics import classical_fidelity, quantum_fidelity, score
 from ttomo.networks import TTDistribution
 from ttomo.povm import tetrahedral_povm
-from ttomo.sampling import SampleSet, sample_dataset
+from ttomo.sampling import SampleSet, split_train_test
 from ttomo.states import exact_outcome_distribution
 
 
@@ -98,7 +98,7 @@ def _uniform(L):
 
 def test_classical_fidelity_perfect_model_is_exactly_one():
     dist = _uniform(2)
-    test = sample_dataset(dist, 5000, seed=6)
+    test = split_train_test(dist, 5000, seed=6)[0]
     result = classical_fidelity(dist, dist, test)
     assert result.fidelity == 1.0
 
@@ -109,7 +109,7 @@ def test_classical_fidelity_point_mass_frozen_value():
     L = 2
     model = np.zeros(16)
     model[9] = 1.0
-    test = sample_dataset(_uniform(L), 4000, seed=7)
+    test = split_train_test(_uniform(L), 4000, seed=7)[0]
     n_z = test.counts[np.ravel_multi_index(test.strings.T, (4,) * L) == 9].sum()
     result = classical_fidelity(model, _uniform(L), test)
     assert result.fidelity == pytest.approx((n_z / test.total) * 4.0, rel=1e-12)
@@ -121,7 +121,7 @@ def test_classical_fidelity_matches_brute_force():
     model /= model.sum()
     ideal = rng.uniform(0.1, 1.0, size=64)
     ideal /= ideal.sum()
-    test = sample_dataset(ideal, 3000, seed=9)
+    test = split_train_test(ideal, 3000, seed=9)[0]
     result = classical_fidelity(model, ideal, test)
     assert result.fidelity == pytest.approx(brute_classical_fidelity(model, ideal, test), rel=1e-12)
 
@@ -132,14 +132,14 @@ def test_classical_fidelity_accepts_tt_and_dense_models():
     tt = TTDistribution([core.copy(), core.copy()])
     vec = np.einsum("a,b->ab", core[:, 0, 0], core[:, 0, 0]).ravel()
     ideal = _uniform(2)
-    test = sample_dataset(ideal, 2000, seed=11)
+    test = split_train_test(ideal, 2000, seed=11)[0]
     from_tt = classical_fidelity(tt, ideal, test)
     from_vec = classical_fidelity(vec, ideal, test)
     assert from_tt.fidelity == pytest.approx(from_vec.fidelity, rel=1e-12)
 
 
 def test_classical_fidelity_rejects_a_model_of_another_length():
-    test = sample_dataset(_uniform(2), 100, seed=14)
+    test = split_train_test(_uniform(2), 100, seed=14)[0]
     train = TTDistribution([np.full((4, 1, 1), 0.25)] * 3)
     with pytest.raises(ValidationError, match="^train length 3 does not match strings of length 2$"):
         classical_fidelity(train, _uniform(2), test)
@@ -152,7 +152,7 @@ def test_classical_fidelity_rejects_nonpositive_ideal():
     model = _uniform(1)
     ideal = np.array([0.5, 0.5, 0.0, 0.0])
     dist = np.array([0.25, 0.25, 0.25, 0.25])
-    test = sample_dataset(dist, 100, seed=12)
+    test = split_train_test(dist, 100, seed=12)[0]
     with pytest.raises(IntegrityError):
         classical_fidelity(model, ideal, test)
 
@@ -160,7 +160,7 @@ def test_classical_fidelity_rejects_nonpositive_ideal():
 def test_classical_fidelity_clips_tiny_negative_model_values():
     ideal = _uniform(1)
     model = np.array([0.5, 0.5, -1e-15, 1e-15])
-    test = sample_dataset(ideal, 400, seed=13)
+    test = split_train_test(ideal, 400, seed=13)[0]
     result = classical_fidelity(model, ideal, test)
     assert np.isfinite(result.fidelity)
     assert result.fidelity <= 1.0

@@ -63,7 +63,7 @@ from ttomo.fitting import EnvCache, FitConfig, fit, loss, update_core
 from ttomo.metrics import classical_fidelity, quantum_fidelity, score
 from ttomo.networks import MpoDensity, RunIndex, TTDistribution
 from ttomo.povm import tetrahedral_povm
-from ttomo.sampling import SampleSet, load_samples, sample_dataset, save_samples
+from ttomo.sampling import SampleSet, load_samples, save_samples, split_train_test
 from ttomo.states import exact_outcome_distribution
 from ttomo.storage import load_tensor, save_tensor
 
@@ -357,7 +357,7 @@ def test_score_reports_the_separate_calls_values(L, bond_dim, real, draws, seed)
     tt = TTDistribution(random_tt_cores(L, bond_dim, rng))
     rho = random_density(2**L, rng, real=real)
     dist = exact_outcome_distribution(rho, tetrahedral_povm())
-    test = sample_dataset(dist, draws, seed)
+    test = split_train_test(dist, draws, seed)[0]
     report = score(tt, rho, dist, test)
     model, rho_hat = reconstruct(tt, tetrahedral_povm())
     fq = quantum_fidelity(rho_hat, rho)

@@ -1,6 +1,5 @@
 """Dataset drawing, aggregation invariants, and the text container format."""
 
-import itertools
 import re
 import threading
 
@@ -12,7 +11,6 @@ from ttomo.errors import DataFormatError, ValidationError
 from ttomo.sampling import (
     SampleSet,
     load_samples,
-    sample_dataset,
     save_samples,
     split_train_test,
 )
@@ -22,29 +20,41 @@ def _uniform_dist(L):
     return np.full(4**L, 1.0 / 4**L)
 
 
+def _fields(sset):
+    """Every field of a sample set, its arrays as dtype and bytes."""
+    arrays = [(a.dtype.str, a.shape, a.tobytes()) for a in (sset.strings, sset.counts)]
+    return (sset.L, sset.total, sset.seed, sset.stream, sset.source, *arrays)
+
+
+def _dense_counts(sset):
+    """The count of every string, a vector of length 4^L."""
+    counts = np.zeros(4**sset.L, dtype=np.int64)
+    counts[np.ravel_multi_index(sset.strings.T, (4,) * sset.L)] = sset.counts
+    return counts
+
+
 def test_counts_sum_to_total_exactly():
-    samples = sample_dataset(_uniform_dist(3), 123457, seed=0)
+    samples = split_train_test(_uniform_dist(3), 123457, seed=0)[0]
     assert samples.counts.sum() == 123457
     assert samples.total == 123457
     assert samples.L == 3
 
 
 def test_strings_are_sorted_and_distinct():
-    samples = sample_dataset(_uniform_dist(2), 5000, seed=1)
+    samples = split_train_test(_uniform_dist(2), 5000, seed=1)[0]
     codes = np.ravel_multi_index(samples.strings.T, (4,) * samples.L)
     assert np.all(np.diff(codes) > 0)
 
 
 def test_same_seed_reproduces_same_dataset():
-    a = sample_dataset(_uniform_dist(2), 10000, seed=7)
-    b = sample_dataset(_uniform_dist(2), 10000, seed=7)
+    a = split_train_test(_uniform_dist(2), 10000, seed=7)[0]
+    b = split_train_test(_uniform_dist(2), 10000, seed=7)[0]
     assert np.array_equal(a.strings, b.strings)
     assert np.array_equal(a.counts, b.counts)
 
 
 def test_streams_are_independent():
-    a = sample_dataset(_uniform_dist(2), 10000, seed=7, stream=0)
-    b = sample_dataset(_uniform_dist(2), 10000, seed=7, stream=1)
+    a, b = split_train_test(_uniform_dist(2), 10000, seed=7)
     assert not (
         a.strings.shape == b.strings.shape
         and np.array_equal(a.strings, b.strings)
@@ -55,7 +65,7 @@ def test_streams_are_independent():
 def test_point_mass_yields_single_string():
     dist = np.zeros(4**3)
     dist[27] = 1.0
-    samples = sample_dataset(dist, 999, seed=3)
+    samples = split_train_test(dist, 999, seed=3)[0]
     assert samples.n_distinct == 1
     assert samples.counts[0] == 999
     assert int("".join(map(str, samples.strings[0])), 4) == 27
@@ -77,9 +87,7 @@ def test_frequencies_follow_the_distribution():
         (_random_dist(4**6, 13), 30_000_000),  # the full-scale size
     ]
     for dist, n in cases:
-        samples = sample_dataset(dist, n, seed=5)
-        counts = np.zeros(dist.size, dtype=np.int64)
-        counts[np.ravel_multi_index(samples.strings.T, (4,) * samples.L)] = samples.counts
+        counts = _dense_counts(split_train_test(dist, n, seed=5)[0])
         p = np.clip(dist, 0.0, None)
         p /= p.sum()
         # Each cell's count is Binomial(n, p): a 6-sigma bound, exact at p = 0.
@@ -87,63 +95,47 @@ def test_frequencies_follow_the_distribution():
 
 
 def test_weights_sum_to_one():
-    samples = sample_dataset(_uniform_dist(2), 999, seed=2)
+    samples = split_train_test(_uniform_dist(2), 999, seed=2)[0]
     assert samples.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rejects_bad_distributions():
     with pytest.raises(ValidationError):
-        sample_dataset(np.full(5, 0.2), 10, seed=0)  # not a power of 4
+        split_train_test(np.full(5, 0.2), 10, seed=0)  # not a power of 4
     with pytest.raises(ValidationError):
-        sample_dataset(np.array([0.5, 0.6, -0.2, 0.1]), 10, seed=0)
+        split_train_test(np.array([0.5, 0.6, -0.2, 0.1]), 10, seed=0)
     with pytest.raises(ValidationError):
-        sample_dataset(np.array([0.1, 0.1, 0.1, 0.1]), 10, seed=0)  # sums to 0.4
+        split_train_test(np.array([0.1, 0.1, 0.1, 0.1]), 10, seed=0)  # sums to 0.4
     with pytest.raises(ValidationError):
-        sample_dataset(_uniform_dist(1), 0, seed=0)
+        split_train_test(_uniform_dist(1), 0, seed=0)
     with pytest.raises(ValidationError):
-        sample_dataset(_uniform_dist(1), 10, seed=-1)
+        split_train_test(_uniform_dist(1), 10, seed=-1)
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValidationError):
-            sample_dataset(np.array([bad, 0.5, 0.25, 0.25]), 1000, seed=0)
+            split_train_test(np.array([bad, 0.5, 0.25, 0.25]), 1000, seed=0)
     with pytest.raises(ValidationError):
-        sample_dataset(np.zeros(0), 10, seed=0)
+        split_train_test(np.zeros(0), 10, seed=0)
     # a count that is not a real number is named, not left to a raw TypeError
     for bad in ("10", None, 10j, True):
         message = f"^sample count must be a real number, got {bad!r}$"
         with pytest.raises(ValidationError, match=message):
-            sample_dataset(_uniform_dist(1), bad, seed=0)
+            split_train_test(_uniform_dist(1), bad, seed=0)
     # numpy draws at most 2^63 - 1; 10**400 is past the float range too
     for bad in (2**63, 10**20, float("inf"), 10**400):
         with pytest.raises(ValidationError, match=r"^sample count must be < 2\^63, got "):
-            sample_dataset(_uniform_dist(1), bad, seed=0)
+            split_train_test(_uniform_dist(1), bad, seed=0)
     with pytest.raises(ValidationError, match="^sample count must be a positive integer, got nan$"):
-        sample_dataset(_uniform_dist(1), float("nan"), seed=0)
-
-
-@pytest.mark.parametrize(
-    "seeds, message",
-    [
-        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
-        ({"seed": 1, "stream": 0.5}, "stream must be an integer, got 0.5"),
-        ({"seed": 1, "stream": -1}, "stream must be >= 0, got -1"),
-    ],
-)
-def test_rejects_a_bad_seed_or_stream(seeds, message):
-    with pytest.raises(ValidationError, match=f"^{message}$"):
-        sample_dataset(_uniform_dist(2), 2000, **seeds)
+        split_train_test(_uniform_dist(1), float("nan"), seed=0)
 
 
 def test_accepts_numpy_integer_seeds_and_streams():
-    a = sample_dataset(_uniform_dist(2), 2000, seed=np.uint8(7), stream=np.int32(1))
-    b = sample_dataset(_uniform_dist(2), 2000, seed=7, stream=1)
-    assert (a.seed, a.stream) == (7, 1) and type(a.seed) is int and type(a.stream) is int
-    assert np.array_equal(a.counts, b.counts)
-
-
-def _fields(sset):
-    """Every field of a sample set, its arrays as dtype and bytes."""
-    arrays = [(a.dtype.str, a.shape, a.tobytes()) for a in (sset.strings, sset.counts)]
-    return (sset.L, sset.total, sset.seed, sset.stream, sset.source, *arrays)
+    a = split_train_test(_uniform_dist(2), 2000, seed=np.uint8(7))
+    b = split_train_test(_uniform_dist(2), 2000, seed=7)
+    for x, y in zip(a, b):
+        assert type(x.seed) is int and type(x.stream) is int
+        assert _fields(x) == _fields(y)
+    kept = SampleSet(L=1, total=1, strings=[[0]], counts=[1], stream=np.int32(1))
+    assert kept.stream == 1 and type(kept.stream) is int
 
 
 def test_split_train_test_streams_and_sources(monkeypatch):
@@ -154,61 +146,78 @@ def test_split_train_test_streams_and_sources(monkeypatch):
         return draw(pvals, n, seed, stream)
 
     monkeypatch.setattr(sampling, "_draw", recorded_draw)
-    for L, concurrent in itertools.product([3, 7], [False, True]):
-        # the constant at or just above 4^L sends the split down either path at any L
-        monkeypatch.setattr(sampling, "_CONCURRENT_SIZE", 4**L if concurrent else 4**L + 1)
+    for L in [3, 7]:
         dist = _random_dist(4**L, 20 + L)
-        threads = threading.active_count()
-        train, test = split_train_test(dist, 4000, seed=9, n_test=1500)
-        # no worker outlives the call: scans fork worker processes after it
-        assert threading.active_count() == threads
-        assert thread_of[0] == threading.get_ident()
-        assert (thread_of[1] != threading.get_ident()) == concurrent
+        # the constant at or just above 4^L sends split_train_test down either branch at any
+        # L; _in_turn, the form scans and the minimum-N search take, draws in turn at both
+        forms = [(split_train_test, 4**L + 1), (split_train_test, 4**L), (sampling._in_turn, 4**L)]
+        drawn = []
+        for split, size in forms:
+            monkeypatch.setattr(sampling, "_CONCURRENT_SIZE", size)
+            threads = threading.active_count()
+            train, test = split(dist, 4000, 9, 1500)
+            # no worker outlives the call: scans fork worker processes after it
+            assert threading.active_count() == threads
+            assert thread_of[0] == threading.get_ident()
+            concurrent = split is split_train_test and size == 4**L
+            assert (thread_of[1] != threading.get_ident()) == concurrent
+            drawn.append((_fields(train), _fields(test)))
+        assert drawn[1] == drawn[0] and drawn[2] == drawn[0]
         assert train.source == "train" and test.source == "test"
-        assert (train.seed, train.stream) == (9, 0)
-        assert (test.seed, test.stream) == (9, 1)
-        assert _fields(train) == _fields(sample_dataset(dist, 4000, 9, 0, "train"))
-        assert _fields(test) == _fields(sample_dataset(dist, 1500, 9, 1, "test"))
-        assert _fields(split_train_test(dist, 4000, seed=9)[1]) == _fields(
-            sample_dataset(dist, 4000, 9, 1, "test")
-        )
+        assert (train.seed, train.stream, train.total) == (9, 0, 4000)
+        assert (test.seed, test.stream, test.total) == (9, 1, 1500)
+        # each set is one multinomial of its own stream; n_test defaults to n
+        for sset in (train, test, split_train_test(dist, 4000, seed=9)[1]):
+            rng = np.random.default_rng(np.random.SeedSequence(9, spawn_key=(sset.stream,)))
+            expected = rng.multinomial(sset.total, dist / dist.sum())
+            assert np.array_equal(_dense_counts(sset), expected)
+
+
+# each case with the message it raised before split_train_test checked its arguments once
+_CHECK_ORDER = [
+    (np.full(5, 0.2), 0, 0, 0, "distribution length 5 is not a power of 4"),  # the shape first
+    (np.array([np.nan, 0.5, 0.25, 0.25]), 10, 0, 10, "distribution has non-finite entries"),
+    # the seed before the mass
+    (np.array([0.5, 0.6, -0.2, 0.1]), 10, -1, 10, "seed must be >= 0, got -1"),
+    # the mass before the test size
+    (np.array([0.5, 0.6, -0.2, 0.1]), 10, 0, 0, "distribution has negative mass -2.000e-01"),
+    (np.full(4, 0.1), 10, 0, 10, "distribution sums to 0.4, expected 1 within 1e-8"),
+    # the train size before the seed
+    (_uniform_dist(7), 0, -1, 0, "sample count must be a positive integer, got 0"),
+    (_uniform_dist(7), 10, 1.5, 0, "seed must be an integer, got 1.5"),
+    (_uniform_dist(7), 10, 0, 0, "sample count must be a positive integer, got 0"),
+    (_uniform_dist(7), 10, 0, 2.5, "sample count must be a positive integer, got 2.5"),
+    (_uniform_dist(7), 10, 0, 2**63, "sample count must be < 2^63, got 9223372036854775808"),
+]
 
 
 @pytest.mark.parametrize(
-    "dist, n, seed, n_test",
-    [
-        (np.full(5, 0.2), 0, 0, 0),  # the distribution's shape first
-        (np.array([np.nan, 0.5, 0.25, 0.25]), 10, 0, 10),
-        (np.array([0.5, 0.6, -0.2, 0.1]), 10, -1, 10),  # the seed before the mass
-        (np.array([0.5, 0.6, -0.2, 0.1]), 10, 0, 0),  # the mass before the test size
-        (np.full(4, 0.1), 10, 0, 10),
-        (_uniform_dist(7), 0, -1, 0),  # the train size before the seed
-        (_uniform_dist(7), 10, 1.5, 0),
-        (_uniform_dist(7), 10, 0, 0),
-        (_uniform_dist(7), 10, 0, 2.5),
-        (_uniform_dist(7), 10, 0, 2**63),
-    ],
+    "dist, n, seed, n_test, message",
+    _CHECK_ORDER,
+    ids=[f"dist{i}-{n}-{seed}-{n_test}" for i, (_, n, seed, n_test, _) in enumerate(_CHECK_ORDER)],
 )
-def test_split_train_test_checks_as_two_sample_dataset_calls(monkeypatch, dist, n, seed, n_test):
+def test_split_train_test_checks_as_two_sample_dataset_calls(
+    monkeypatch, dist, n, seed, n_test, message
+):
     def no_thread(*args, **kwargs):
         raise AssertionError("a worker was started before the arguments were checked")
 
-    monkeypatch.setattr(sampling, "_CONCURRENT_SIZE", 1)
     monkeypatch.setattr(sampling, "ThreadPoolExecutor", no_thread)
-    with pytest.raises(ValidationError) as expected:
-        sample_dataset(dist, n, seed, 0, "train")
-        sample_dataset(dist, n_test, seed, 1, "test")
-    with pytest.raises(ValidationError, match=f"^{re.escape(str(expected.value))}$"):
-        split_train_test(dist, n, seed, n_test=n_test)
+    expected = f"^{re.escape(message)}$"
+    # the constant at 1 or above the size sends every case down either branch
+    for size in (1, np.size(dist) + 1):
+        monkeypatch.setattr(sampling, "_CONCURRENT_SIZE", size)
+        with pytest.raises(ValidationError, match=expected):
+            split_train_test(dist, n, seed, n_test=n_test)
+    with pytest.raises(ValidationError, match=expected):
+        sampling._in_turn(dist, n, seed, n_test)
 
 
 def test_split_train_test_takes_a_test_size_of_its_own():
     train, test = split_train_test(_uniform_dist(2), 4000, seed=9, n_test=1500)
     assert (train.total, test.total) == (4000, 1500)
-    again = sample_dataset(_uniform_dist(2), 1500, seed=9, stream=1, source="test")
-    assert np.array_equal(test.strings, again.strings)
-    assert np.array_equal(test.counts, again.counts)
-    assert np.array_equal(train.counts, split_train_test(_uniform_dist(2), 4000, seed=9)[0].counts)
+    assert _fields(test) == _fields(split_train_test(_uniform_dist(2), 1500, seed=9)[1])
+    assert _fields(train) == _fields(split_train_test(_uniform_dist(2), 4000, seed=9)[0])
 
 
 def test_sampleset_validation():
@@ -235,7 +244,7 @@ def test_sampleset_validation():
     with pytest.raises(ValidationError, match=r"^recorded total must be < 2\^63"):
         SampleSet(L=1, total=2**63, strings=[[0], [1]], counts=[2**62, 2**62])
     # the integer fields, checked before the arrays: a non-integer would be saved as a
-    # header load_samples rejects, and sample_dataset makes no negative seed or stream;
+    # header load_samples rejects, and no generator takes a negative seed or stream;
     # then the arrays' shapes
     for bad, message in [
         ({"total": 2.0}, "total must be an integer, got 2.0"),
@@ -281,7 +290,7 @@ def test_an_empty_sampleset_of_any_dtype_is_valid():
 
 
 def test_save_load_roundtrip(tmp_path):
-    samples = sample_dataset(_uniform_dist(3), 12345, seed=13, stream=1, source="test")
+    samples = split_train_test(_uniform_dist(3), 12345, seed=13)[1]
     path = tmp_path / "x.samples"
     save_samples(samples, path)
     back = load_samples(path)
@@ -309,7 +318,7 @@ def test_a_source_label_that_would_not_read_back_is_refused(source):
 
 
 def test_save_is_byte_deterministic(tmp_path):
-    samples = sample_dataset(_uniform_dist(2), 999, seed=4)
+    samples = split_train_test(_uniform_dist(2), 999, seed=4)[0]
     save_samples(samples, tmp_path / "a")
     save_samples(samples, tmp_path / "b")
     assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
@@ -336,7 +345,7 @@ def test_save_is_byte_deterministic(tmp_path):
     ],
 )
 def test_load_rejects_malformed_files(tmp_path, mutation):
-    samples = sample_dataset(_uniform_dist(2), 50, seed=6)
+    samples = split_train_test(_uniform_dist(2), 50, seed=6)[0]
     path = tmp_path / "x.samples"
     save_samples(samples, path)
     lines = path.read_text().splitlines()
@@ -359,7 +368,7 @@ def test_load_error_carries_line_number(tmp_path):
     + [(3, "N -1"), (4, "seed -5"), (5, "stream -1")],
 )
 def test_bad_header_value_names_its_line(tmp_path, lineno, bad_line):
-    samples = sample_dataset(_uniform_dist(2), 50, seed=6)
+    samples = split_train_test(_uniform_dist(2), 50, seed=6)[0]
     path = tmp_path / "x.samples"
     save_samples(samples, path)
     lines = path.read_text().splitlines()
