@@ -128,6 +128,20 @@ def test_rejects_bad_distributions():
         split_train_test(_uniform_dist(1), float("nan"), seed=0)
 
 
+@pytest.mark.parametrize(
+    "seeds, message",
+    [
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ],
+)
+def test_rejects_a_bad_seed_or_stream(seeds, message):
+    # the sampler takes no stream; train and test are its fixed substreams 0 and 1
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        split_train_test(_uniform_dist(2), 2000, **seeds)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        sampling._in_turn(_uniform_dist(2), 2000, seeds["seed"], 2000)
+
+
 def test_accepts_numpy_integer_seeds_and_streams():
     a = split_train_test(_uniform_dist(2), 2000, seed=np.uint8(7))
     b = split_train_test(_uniform_dist(2), 2000, seed=7)
